@@ -11,8 +11,7 @@ from .modules import (FPModule, FreeResolution, INFINITE, ModuleMorphism,
                       direct_sum_with_maps, free_module, homology, image,
                       image_with_maps, kernel, kernel_with_inclusion,
                       make_module, minimal_generator_indices,
-                      minimal_presentation, minimal_resolution,
-                      morphism_factors_through, syzygy)
+                      minimal_presentation, minimal_resolution, syzygy)
 from .homalg import (AddMResolution, HomModule, LiftExactnessVerdict,
                      StableHom, Submodule, add_M_resolution,
                      check_lift_exactness, ext, factor_ideal,

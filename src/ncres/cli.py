@@ -24,12 +24,12 @@ import yaml
 from .ring import (AlgebraError, ParseError, RingContext, format_polynomial,
                    parse_polynomial)
 from .groebner import FreeModuleMap
-from .modules import (FPModule, INFINITE, ModuleMorphism, direct_sum,
-                      free_module, minimal_resolution, syzygy)
+from .modules import (FPModule, INFINITE, ModuleMorphism, free_module,
+                      minimal_resolution, syzygy)
 from .homalg import (check_lift_exactness, ext, grade, hom_module,
                      is_d_torsionfree, stable_hom, transpose)
-from .ncr import (ENGINE_VERSION, NCRHypotheses, Verdict, corollary_build,
-                  verify_claim1, verify_exact2)
+from .ncr import (ENGINE_VERSION, NCRHypotheses, Verdict, _ring_summary,
+                  corollary_build, verify_claim1, verify_exact2)
 
 CANONICAL_MARK = "# --- report (canonical) ---"
 TIMING_MARK = "# --- timing (non-canonical) ---"
@@ -57,11 +57,16 @@ class JobSpec:
                         for k in self.modules))
 
 
+def _is_int(value) -> bool:
+    # YAML reads true/false as bool, which is a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_ring(desc) -> RingContext:
     if not isinstance(desc, dict):
         raise ParseError("ring: expected a mapping")
     char = desc.get("char")
-    if not isinstance(char, int):
+    if not _is_int(char):
         raise ParseError("ring.char: expected an integer")
     variables = desc.get("vars")
     if not isinstance(variables, list) or not variables:
@@ -79,7 +84,7 @@ def _parse_module(name: str, desc, ctx: RingContext) -> FPModule:
     if not isinstance(desc, dict):
         raise ParseError(f"module {name}: expected a mapping")
     gens = desc.get("gens")
-    if not isinstance(gens, list) or not all(isinstance(g, int) for g in gens):
+    if not isinstance(gens, list) or not all(_is_int(g) for g in gens):
         raise ParseError(f"module {name}.gens: expected a list of integers")
     rows = desc.get("relations", [])
     if not isinstance(rows, list):
@@ -147,16 +152,9 @@ def parse_job(text: str) -> JobSpec:
 
 def print_job(job: JobSpec) -> str:
     """Canonical text for a JobSpec; parse(print(job)) == job."""
-    doc = {"ring": {"char": job.ring.characteristic,
-                    "vars": list(job.ring.variables),
-                    "order": job.ring.order},
-           "command": job.command}
+    doc = {"ring": _ring_summary(job.ring), "command": job.command}
     for name, m in job.modules.items():
-        doc[f"module {name}"] = {
-            "gens": list(m.gen_degrees),
-            "relations": [[format_polynomial(m.relations.cols[j][i])
-                           for i in range(m.rank)]
-                          for j in range(m.relations.source_rank)]}
+        doc[f"module {name}"] = _module_desc(m)
     doc.update(job.params)
     return yaml.safe_dump(doc, sort_keys=True, default_flow_style=None)
 
@@ -186,14 +184,14 @@ def _verdict_desc(v: Verdict) -> dict:
 
 def _need_module(job: JobSpec, key: str) -> FPModule:
     name = job.params.get(key)
-    if name not in job.modules:
+    if not isinstance(name, str) or name not in job.modules:
         raise AlgebraError(f"parameter {key!r}: unknown module {name!r}")
     return job.modules[name]
 
 
 def _need_int(job: JobSpec, key: str, default=None) -> int:
     value = job.params.get(key, default)
-    if not isinstance(value, int):
+    if not _is_int(value):
         raise AlgebraError(f"parameter {key!r}: expected an integer")
     return value
 
@@ -203,10 +201,13 @@ def _hypotheses(job: JobSpec) -> NCRHypotheses:
     X = _need_module(job, "X")
     summands = None
     if "summands" in job.params:
-        summands = tuple(job.modules[n] for n in job.params["summands"]
-                         if n in job.modules)
-        if len(summands) != len(job.params["summands"]):
-            raise AlgebraError("parameter 'summands': unknown module name")
+        names = job.params["summands"]
+        if not (isinstance(names, list)
+                and all(isinstance(n, str) and n in job.modules
+                        for n in names)):
+            raise AlgebraError(
+                "parameter 'summands': expected a list of module names")
+        summands = tuple(job.modules[n] for n in names)
     return NCRHypotheses(
         M=M, X=X, c=_need_int(job, "c"), d=_need_int(job, "d"),
         gldim_end_M=_need_int(job, "gldim_end_M", 0),
@@ -263,9 +264,7 @@ def run_job(job: JobSpec, max_degree: int = 6, depth: int = 4):
     """Execute a job; returns (canonical_text, timing_text, all_verified)."""
     start = time.perf_counter()
     report = {"engine": ENGINE_VERSION,
-              "ring": {"char": job.ring.characteristic,
-                       "vars": list(job.ring.variables),
-                       "order": job.ring.order},
+              "ring": _ring_summary(job.ring),
               "command": job.command,
               "modules": {name: _module_desc(m)
                           for name, m in sorted(job.modules.items())}}
@@ -305,7 +304,7 @@ def run_job(job: JobSpec, max_degree: int = 6, depth: int = 4):
     elif cmd == "build":
         N = _need_module(job, "module")
         cs = job.params.get("cs")
-        if not isinstance(cs, list):
+        if not (isinstance(cs, list) and all(_is_int(c) for c in cs)):
             raise AlgebraError("parameter 'cs': expected a list of integers")
         rep = corollary_build(job.ring.nvars, N, cs,
                               _need_int(job, "gldim_end_N", 0))

@@ -10,14 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ring import (AlgebraError, DegreeError, Polynomial, RingContext, POT,
+from .ring import (AlgebraError, DegreeError, Polynomial, RingContext,
                    mono_degree, mono_div, mono_divides, mono_lcm, mono_mul)
 
 # Vec: dict[(position, exponent-tuple)] -> coefficient in 1..p-1
-
-
-def vec_is_zero(v: dict) -> bool:
-    return not v
 
 
 def vec_add_scaled(v: dict, w: dict, coeff: int, mono: tuple, p: int) -> dict:
@@ -48,7 +44,7 @@ def vec_degree(v: dict, degrees) -> int:
     return mono_degree(m) + degrees[pos]
 
 
-def columns_to_vec(col, ctx: RingContext) -> dict:
+def columns_to_vec(col) -> dict:
     """Column of Polynomials -> sparse vector."""
     v = {}
     for pos, poly in enumerate(col):
@@ -66,35 +62,14 @@ def vec_to_column(v: dict, rank: int, ctx: RingContext):
 
 # -- term orders on free modules --------------------------------------------
 
-def make_order_key(ctx: RingContext, module_order: str | None = None):
-    """Key function on (position, monomial); larger key = larger term."""
-    mo = module_order or ctx.module_order
+def make_order_key(ctx: RingContext):
+    """Term-over-position key on (position, monomial); larger key = larger
+    term, lower position winning ties."""
     mk = ctx.mono_key
-    if mo == POT:
-        def key(t):
-            pos, m = t
-            return (-pos, mk(m))
-    else:  # TOP and the schreyer-induced default collapse to TOP here;
-        # genuine Schreyer comparisons are built by make_schreyer_key.
-        def key(t):
-            pos, m = t
-            return (mk(m), -pos)
-    return key
-
-
-def make_schreyer_key(ctx: RingContext, target_lts):
-    """Order induced by leading terms of the target generators.
-
-    A term x^a e_i compares by the image leading term x^a * lt(g_i) first,
-    position index breaking ties.
-    """
-    mk = ctx.mono_key
-    base = make_order_key(ctx)
 
     def key(t):
         pos, m = t
-        lpos, lm = target_lts[pos]
-        return (base((lpos, mono_mul(m, lm))), -pos)
+        return (mk(m), -pos)
     return key
 
 
@@ -238,7 +213,6 @@ class GroebnerBasis:
     """Auto-reduced Groebner basis of a submodule of a graded free module."""
 
     ctx: RingContext
-    rank: int
     generators: list          # list of Vec, monic
     key: object               # term-order key function
     leading_terms: list = field(default=None)
@@ -256,36 +230,14 @@ class GroebnerBasis:
         return not self.normal_form_vec(v)
 
 
-def buchberger(gens, ctx: RingContext, rank: int | None = None,
-               module_order: str | None = None) -> GroebnerBasis:
-    """Groebner basis of the submodule generated by ``gens``.
+def buchberger(vecs, ctx: RingContext) -> GroebnerBasis:
+    """Groebner basis of the submodule spanned by the sparse vectors ``vecs``.
 
-    ``gens`` is a list of columns (lists of Polynomial) or sparse vectors.
     All elements must be homogeneous with respect to some common grading of
-    the ambient free module; inhomogeneous input is rejected.
+    the ambient free module.
     """
-    vecs = []
-    r = rank
-    for g in gens:
-        if isinstance(g, dict):
-            vecs.append(g)
-            if g and r is None:
-                r = max(pos for pos, _ in g) + 1
-        else:
-            if r is None:
-                r = len(g)
-            vecs.append(columns_to_vec(g, ctx))
-    key = make_order_key(ctx, module_order)
-    basis = buchberger_vecs(vecs, key, ctx)
-    return GroebnerBasis(ctx, r or 1, basis, key)
-
-
-def normal_form(v, gb: GroebnerBasis):
-    """Normal form; returns the same shape (column or vector) as the input."""
-    if isinstance(v, dict):
-        return gb.normal_form_vec(v)
-    vec = columns_to_vec(v, gb.ctx)
-    return vec_to_column(gb.normal_form_vec(vec), len(v), gb.ctx)
+    key = make_order_key(ctx)
+    return GroebnerBasis(ctx, buchberger_vecs(vecs, key, ctx), key)
 
 
 # -- graded free-module maps -------------------------------------------------
@@ -305,7 +257,6 @@ class FreeModuleMap:
         self.target_degrees = tuple(target_degrees)
         self.cols = [list(col) for col in cols]
         self._ext_gb = None
-        self._plain_gb = None
         if len(self.cols) != len(self.source_degrees):
             raise AlgebraError("column count does not match source rank")
         for col in self.cols:
@@ -333,14 +284,11 @@ class FreeModuleMap:
     def target_rank(self) -> int:
         return len(self.target_degrees)
 
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.cols[j][i]
-
     def is_zero(self) -> bool:
         return all(f.is_zero() for col in self.cols for f in col)
 
     def column_vec(self, j: int) -> dict:
-        return columns_to_vec(self.cols[j], self.ctx)
+        return columns_to_vec(self.cols[j])
 
     def column_vecs(self):
         return [self.column_vec(j) for j in range(self.source_rank)]
@@ -411,13 +359,6 @@ class FreeModuleMap:
 
     # -- membership machinery ------------------------------------------------
 
-    def image_gb(self) -> GroebnerBasis:
-        """GB of the column span, cached."""
-        if self._plain_gb is None:
-            self._plain_gb = buchberger(
-                self.column_vecs(), self.ctx, rank=self.target_rank)
-        return self._plain_gb
-
     def _extended_gb(self):
         """GB of {col_j + e_{t+j}} under an elimination order, cached.
 
@@ -435,8 +376,7 @@ class FreeModuleMap:
             vecs.append(v)
         key = make_elim_key(self.ctx, t)
         basis = buchberger_vecs(vecs, key, self.ctx)
-        self._ext_gb = GroebnerBasis(self.ctx, t + self.source_rank,
-                                     basis, key)
+        self._ext_gb = GroebnerBasis(self.ctx, basis, key)
         return self._ext_gb
 
     def __repr__(self):

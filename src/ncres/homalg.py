@@ -5,16 +5,14 @@ approximation resolutions."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .ring import AlgebraError, Polynomial, RingContext
-from .groebner import FreeModuleMap, buchberger, lift_solve
-from .modules import (FPModule, ModuleMorphism, INFINITE, _shifted,
-                      column_relations, cokernel, cokernel_with_projection,
-                      direct_sum, free_module, homology, image,
-                      kernel, kernel_with_inclusion, minimal_generator_indices,
-                      minimal_presentation, minimal_resolution,
-                      morphism_factors_through, syzygy)
+from .ring import AlgebraError, Polynomial
+from .groebner import FreeModuleMap, buchberger, columns_to_vec, lift_solve
+from .modules import (FPModule, ModuleMorphism, INFINITE, _shifted, cokernel,
+                      direct_sum, free_module, homology, kernel,
+                      kernel_with_inclusion, minimal_generator_indices,
+                      minimal_presentation, minimal_resolution, syzygy)
 
 
 # -- Hom modules -------------------------------------------------------------
@@ -143,10 +141,6 @@ class HomModule:
         return ModuleMorphism(self.source, self.target, mat, degree=degree,
                               check=False)
 
-    # element of the presentation as a ModuleMorphism
-    def evaluation(self, coords, degree: int) -> ModuleMorphism:
-        return self.morphism_from_element(coords, degree)
-
 
 def hom_module(m: FPModule, n: FPModule) -> HomModule:
     return HomModule(m, n)
@@ -254,8 +248,7 @@ class Submodule:
         if self._gb is None:
             vecs = (self.columns.column_vecs()
                     + self.ambient.relations.column_vecs())
-            self._gb = buchberger(vecs, self.ambient.ctx,
-                                  rank=max(self.ambient.rank, 1))
+            self._gb = buchberger(vecs, self.ambient.ctx)
         return self._gb
 
     def contains_vec(self, v: dict) -> bool:
@@ -267,12 +260,6 @@ class Submodule:
 
     def equals(self, other: "Submodule") -> bool:
         return self.contains(other) and other.contains(self)
-
-    def module(self) -> FPModule:
-        """Presentation with the stored columns as generators."""
-        rel = column_relations(self.columns, self.ambient.relations)
-        return FPModule(self.ambient.ctx, self.columns.source_degrees, rel,
-                        check=False)
 
     def quotient(self) -> FPModule:
         return FPModule(self.ambient.ctx, self.ambient.gen_degrees,
@@ -466,15 +453,6 @@ class AddMResolution:
         return self.inclusions[i - 1].compose(self.approximations[i])
 
 
-def _coords_vec(coords):
-    """Coefficient list on Hom generators as a sparse module vector."""
-    vec = {}
-    for pos, poly in enumerate(coords):
-        for mono, c in poly.terms.items():
-            vec[(pos, mono)] = c
-    return vec
-
-
 def hom_factorization(f: ModuleMorphism, g: ModuleMorphism):
     """h with g o h = f as module morphisms, or None.
 
@@ -488,12 +466,12 @@ def hom_factorization(f: ModuleMorphism, g: ModuleMorphism):
     vecs = []
     degs = []
     for psi in H.basis_morphisms:
-        vecs.append(_coords_vec(HT.coords_of_morphism(g.compose(psi))))
+        vecs.append(columns_to_vec(HT.coords_of_morphism(g.compose(psi))))
         degs.append(psi.degree + g.degree)
     block = FreeModuleMap.from_vecs(ctx, vecs, HT.module.gen_degrees,
                                     degrees=degs)
     target = FreeModuleMap.from_vecs(
-        ctx, [_coords_vec(HT.coords_of_morphism(f))],
+        ctx, [columns_to_vec(HT.coords_of_morphism(f))],
         HT.module.gen_degrees, degrees=[f.degree])
     sol = lift_solve(block.hstack(HT.module.relations), target)
     if sol is None:
@@ -536,7 +514,6 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
 
     def cover(K):
         hmk = hom_module(m, K)
-        rank = max(hmk.module.rank, 1)
         base = hmk.module.relations.column_vecs()
         targets = [{(i, zero_mono): 1}
                    for i in minimal_generator_indices(hmk.module)]
@@ -553,14 +530,14 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
         for l, g in cands:
             vecs = []
             for psi in hom_m_s[l]:
-                v = _coords_vec(hmk.coords_of_morphism(g.compose(psi)))
+                v = columns_to_vec(hmk.coords_of_morphism(g.compose(psi)))
                 if v and v not in vecs:
                     vecs.append(v)
             comp.append(vecs)
 
         def covers(sel):
             vecs = base + [v for j in sel for v in comp[j]]
-            gb = buchberger(vecs, ctx, rank=rank)
+            gb = buchberger(vecs, ctx)
             return all(gb.contains_vec(t) for t in targets)
 
         kept = list(range(len(cands)))
@@ -588,7 +565,7 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
         # K is a summand of a sum of twists of m exactly when its identity
         # factors through add m, i.e. lies in the factor ideal [m] of End(K).
         end = hom_module(K, K)
-        ident = _coords_vec(
+        ident = columns_to_vec(
             end.coords_of_morphism(ModuleMorphism.identity(K)))
         return factor_ideal(K, m, end=end).contains_vec(ident)
 

@@ -11,11 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from .ring import (AlgebraError, Polynomial, RingContext, mono_degree,
-                   mono_divides, monomials_of_degree)
-from .groebner import (FreeModuleMap, GroebnerBasis, buchberger,
-                       columns_to_vec, syzygy_basis, lift_solve,
-                       vec_to_column, vec_degree)
+from .ring import (AlgebraError, RingContext, mono_degree, mono_divides,
+                   monomials_of_degree)
+from .groebner import FreeModuleMap, GroebnerBasis, buchberger, syzygy_basis
 
 INFINITE = math.inf
 
@@ -77,8 +75,7 @@ class FPModule:
 
     def rel_gb(self) -> GroebnerBasis:
         if self._rel_gb is None:
-            self._rel_gb = buchberger(self.relations.column_vecs(), self.ctx,
-                                      rank=max(self.rank, 1))
+            self._rel_gb = buchberger(self.relations.column_vecs(), self.ctx)
         return self._rel_gb
 
     def element_nf(self, vec: dict) -> dict:
@@ -258,36 +255,9 @@ class ModuleMorphism:
             target.gen_degrees)
         return cls(source, target, mat, degree, check=False)
 
-    def is_injective(self) -> bool:
-        return kernel(self).is_zero()
-
-    def is_surjective(self) -> bool:
-        return cokernel(self).is_zero()
-
     def __repr__(self):
         return (f"ModuleMorphism(degree={self.degree}, "
                 f"matrix={self.matrix!r})")
-
-
-def morphism_factors_through(f: ModuleMorphism, g: ModuleMorphism):
-    """h with g o h = f, or None.
-
-    When g is injective the factorization is automatically well-defined;
-    callers enforce injectivity where they rely on it.
-    """
-    if f.target is not g.target and f.target != g.target:
-        raise AlgebraError("targets differ")
-    block = g.matrix.hstack(f.target.relations)
-    sol = lift_solve(block, f.matrix)
-    if sol is None:
-        return None
-    k = g.matrix.source_rank
-    deg = f.degree - g.degree
-    cols = [sol.cols[j][:k] for j in range(sol.source_rank)]
-    mat = FreeModuleMap(f.ctx,
-                        tuple(d - g.degree for d in sol.source_degrees),
-                        g.source.gen_degrees, cols, check=False)
-    return ModuleMorphism(f.source, g.source, mat, deg, check=False)
 
 
 # -- direct sums -------------------------------------------------------------
@@ -414,24 +384,25 @@ def homology(g: ModuleMorphism, f: ModuleMorphism) -> FPModule:
 
 # -- minimal presentations and resolutions ----------------------------------
 
-def _trim_columns(m: FreeModuleMap) -> FreeModuleMap:
-    """Minimal generating set of the column span (graded Nakayama greedy)."""
-    ctx = m.ctx
-    order = sorted(range(m.source_rank),
-                   key=lambda j: (m.source_degrees[j], j))
+def _nakayama_keep(ctx: RingContext, base, cands, degrees):
+    """Graded Nakayama greedy pass: indices of the candidate vectors, taken
+    in (degree, index) order, that lie outside the span of ``base`` plus the
+    candidates kept before them."""
     kept = []
-    kept_vecs = []
-    for j in order:
-        v = m.column_vec(j)
-        if not v:
+    span = list(base)
+    for j in sorted(range(len(cands)), key=lambda j: (degrees[j], j)):
+        v = cands[j]
+        if not v or (span and buchberger(span, ctx).contains_vec(v)):
             continue
-        if kept_vecs:
-            gb = buchberger(kept_vecs, ctx, rank=m.target_rank)
-            if gb.contains_vec(v):
-                continue
         kept.append(j)
-        kept_vecs.append(v)
-    return FreeModuleMap(ctx, [m.source_degrees[j] for j in kept],
+        span.append(v)
+    return kept
+
+
+def _trim_columns(m: FreeModuleMap) -> FreeModuleMap:
+    """Minimal generating set of the column span."""
+    kept = _nakayama_keep(m.ctx, [], m.column_vecs(), m.source_degrees)
+    return FreeModuleMap(m.ctx, [m.source_degrees[j] for j in kept],
                          m.target_degrees, [m.cols[j] for j in kept],
                          check=False)
 
@@ -520,7 +491,6 @@ class FreeResolution:
         self.min_module = min_module
         self.maps = list(maps)
         self.complete = complete
-        self.minimal = True
         self._validate()
 
     def _validate(self):
@@ -588,16 +558,9 @@ def syzygy(m: FPModule, c: int) -> FPModule:
 
 
 def minimal_generator_indices(m: FPModule):
-    """Indices of a minimal generating subset of m's given generators."""
-    ctx = m.ctx
-    zero_mono = (0,) * ctx.nvars
-    order = sorted(range(m.rank), key=lambda i: (m.gen_degrees[i], i))
-    kept = []
-    base = m.relations.column_vecs()
-    for i in order:
-        vecs = base + [{(k, zero_mono): 1} for k in kept]
-        gb = buchberger(vecs, ctx, rank=m.rank)
-        if not gb.contains_vec({(i, zero_mono): 1}):
-            kept.append(i)
-    kept.sort(key=lambda i: (m.gen_degrees[i], i))
-    return kept
+    """Indices of a minimal generating subset of m's given generators, in
+    (degree, index) order."""
+    zero_mono = (0,) * m.ctx.nvars
+    units = [{(i, zero_mono): 1} for i in range(m.rank)]
+    return _nakayama_keep(m.ctx, m.relations.column_vecs(), units,
+                          m.gen_degrees)

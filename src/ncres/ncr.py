@@ -8,13 +8,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ring import AlgebraError, Polynomial
-from .groebner import FreeModuleMap
+from .groebner import columns_to_vec
 from .modules import (FPModule, ModuleMorphism, INFINITE, cokernel,
                       direct_sum, free_module, homology, kernel,
                       minimal_presentation, minimal_resolution, syzygy)
 from .homalg import (add_M_resolution, factor_ideal, grade, hom_module,
                      induced_post_hom, is_d_torsionfree, is_generator,
-                     omega_power_on_morphism, stable_hom, _coords_vec)
+                     omega_power_on_morphism, stable_hom)
 
 ENGINE_VERSION = "0.1.0"
 
@@ -176,7 +176,7 @@ def verify_claim1(h: NCRHypotheses) -> Verdict:
         deg = EX.gen_degrees[pos] + sum(mono)
         phi = end_x.morphism_from_element(coords, deg)
         psi = _transport_to_syzygy(phi, h.c)
-        nf = Q.element_nf(_coords_vec(end_z.coords_of_morphism(psi)))
+        nf = Q.element_nf(columns_to_vec(end_z.coords_of_morphism(psi)))
         row = [0] * max(D1, 1)
         for key, cval in nf.items():
             row[index[key]] = cval % p
@@ -252,9 +252,6 @@ class NCRReport:
     hypothesis_results: list = field(default_factory=list)
     bound: int | None = None
     closed_form: int | None = None
-    claim1: Verdict | None = None
-    exact2: Verdict | None = None
-    timing: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for v in self.hypothesis_results:
@@ -262,9 +259,7 @@ class NCRReport:
                 raise AlgebraError("illegal verdict in report")
 
     def all_verified(self) -> bool:
-        verdicts = list(self.hypothesis_results)
-        verdicts += [v for v in (self.claim1, self.exact2) if v is not None]
-        return all(v.ok for v in verdicts)
+        return all(v.ok for v in self.hypothesis_results)
 
 
 def _ring_summary(ctx) -> dict:

@@ -29,24 +29,34 @@ GREVLEX = "grevlex"
 LEX = "lex"
 ORDERS = (GREVLEX, LEX)
 
-TOP = "term-over-position"
-POT = "position-over-term"
-SCHREYER = "schreyer-induced"
-MODULE_ORDERS = (TOP, POT, SCHREYER)
+# Miller-Rabin with the first 13 primes as bases is exact below _MR_BOUND
+# (Sorenson & Webster 2015; bases up to 37 alone only reach 3.2e23)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; refuses n beyond its proven range."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_BOUND:
+        raise AlgebraError(f"cannot certify primality of {n}: too large")
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -87,16 +97,11 @@ def monomials_of_degree(nvars: int, d: int) -> Iterator[tuple]:
 
 @dataclass(frozen=True)
 class RingContext:
-    """Ambient ring F_p[x_1..x_r] with a fixed monomial order.
-
-    ``module_order`` picks the default order on free-module terms; Schreyer
-    orders are induced internally during syzygy computations.
-    """
+    """Ambient ring F_p[x_1..x_r] with a fixed monomial order."""
 
     characteristic: int = 101
     variables: tuple = ("x", "y")
     order: str = GREVLEX
-    module_order: str = TOP
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -109,8 +114,6 @@ class RingContext:
             raise AlgebraError("duplicate variable")
         if self.order not in ORDERS:
             raise AlgebraError(f"unknown order {self.order!r}")
-        if self.module_order not in MODULE_ORDERS:
-            raise AlgebraError(f"unknown module order {self.module_order!r}")
 
     @property
     def nvars(self) -> int:
@@ -150,14 +153,6 @@ class RingContext:
         return Polynomial(self, {exps: 1})
 
 
-def monomial_cmp(a: tuple, b: tuple, ctx: RingContext) -> int:
-    """-1, 0 or 1 comparing a against b in the ring order."""
-    if len(a) != len(b):
-        raise AlgebraError("monomials from different rings")
-    ka, kb = ctx.mono_key(a), ctx.mono_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 class Polynomial:
     """Sparse polynomial with coefficients in F_p.
 
@@ -193,9 +188,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degs = {mono_degree(m) for m in self.terms}
         return len(degs) <= 1
-
-    def is_constant(self) -> bool:
-        return all(mono_degree(m) == 0 for m in self.terms)
 
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.ctx.nvars, 0)
@@ -247,11 +239,6 @@ class Polynomial:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def scale_monomial(self, coeff: int, mono: tuple) -> "Polynomial":
-        """coeff * x^mono * self."""
-        return Polynomial(self.ctx, {
-            mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polynomial) and self.ctx == other.ctx
                 and self.terms == other.terms)
@@ -266,14 +253,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({format_polynomial(self)!r})"
-
-
-def poly_add(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f + g
-
-
-def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
 
 
 # -- text grammar ------------------------------------------------------------
@@ -311,7 +290,6 @@ def parse_polynomial(text: str, ctx: RingContext) -> Polynomial:
     if not s:
         raise ParseError("empty polynomial text")
     # split into signed terms
-    chunks = []
     sign = 1
     start = 0
     if s[0] in "+-":
@@ -347,5 +325,4 @@ def parse_polynomial(text: str, ctx: RingContext) -> Polynomial:
             exps[ctx.variables.index(name)] += int(power) if power else 1
         mono = tuple(exps)
         terms[mono] = terms.get(mono, 0) + coeff
-    chunks = terms
-    return Polynomial(ctx, chunks)
+    return Polynomial(ctx, terms)

@@ -47,6 +47,8 @@ def test_parse_job_basic():
     ("command: grade\n", "missing ring"),
     (RING + "module k: {gens: [0], relations: [[x, y]]}\ncommand: grade\n",
      "expected 1 entries"),
+    (RING + "module k: {gens: [true], relations: []}\ncommand: grade\n",
+     "expected a list of integers"),
 ])
 def test_parse_job_errors(doc, fragment):
     with pytest.raises(ParseError) as err:
@@ -137,3 +139,16 @@ def test_canonical_section_stable_across_processes(tmp_path):
             capture_output=True, text=True, env=env, check=True)
         outputs.append(canonical_section(proc.stdout))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("params", [
+    "command: grade\nmodule: [k]\n",
+    "command: build\nmodule: k\ncs: [a]\ngldim_end_N: 0\n",
+    "command: verify-claim1\nM: R\nX: k\nc: 1\nd: 2\nsummands: 5\n",
+    "command: build\nmodule: k\ncs: [true]\ngldim_end_N: 0\n",
+    "command: syzygy\nmodule: k\nc: true\n",
+], ids=["module-list", "cs-strings", "summands-int", "cs-bool", "c-bool"])
+def test_main_malformed_parameters_exit_two(tmp_path, capsys, params):
+    path = write_job(tmp_path, RING + K_MOD + R_MOD + params)
+    assert main(["--job", path]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -53,7 +53,7 @@ def test_membership_matches_oracle_ideals():
           {(0, (0, 2)): 1, (1, (1, 1)): 1}], CTX, 2),
     ]
     for vecs, ctx, rank in families:
-        gb = buchberger(vecs, ctx, rank=rank)
+        gb = buchberger(vecs, ctx)
         degrees = (0,) * rank
         for _ in range(10):
             member = random_combination(vecs, ctx, rng)
@@ -72,7 +72,7 @@ def test_membership_matches_oracle_ideals():
 
 def test_normal_form_properties():
     vecs = [vec_of(poly("x^2")), vec_of(poly("x*y + y^2"))]
-    gb = buchberger(vecs, CTX, rank=1)
+    gb = buchberger(vecs, CTX)
     rng = random.Random(3)
     for _ in range(10):
         d = rng.randrange(4)
@@ -94,7 +94,7 @@ def test_known_groebner_basis_lead_terms():
     # ideal (y^2 - x*z, x*y) over grevlex contains x^2*z in degree 3 closure
     v1 = vec_of(poly("y^2 - x*z", CTX3))
     v2 = vec_of(poly("x*y", CTX3))
-    gb = buchberger([v1, v2], CTX3, rank=1)
+    gb = buchberger([v1, v2], CTX3)
     assert gb.contains_vec(vec_of(poly("x^2*z", CTX3)))
     assert not gb.contains_vec(vec_of(poly("x*z", CTX3)))
 
@@ -127,7 +127,7 @@ def test_syzygy_basis_koszul():
     koszul = [{(0, (0, 1, 0)): 1, (1, (1, 0, 0)): 100},
               {(0, (0, 0, 1)): 1, (2, (1, 0, 0)): 100},
               {(1, (0, 0, 1)): 1, (2, (0, 1, 0)): 100}]
-    gb = buchberger(syz.column_vecs(), CTX3, rank=3)
+    gb = buchberger(syz.column_vecs(), CTX3)
     for v in koszul:
         assert gb.contains_vec(v)
     # and conversely each syzygy generator lies in the Koszul span
@@ -160,7 +160,7 @@ def test_buchberger_random_ideals_agree_with_oracle(seed):
             vecs.append(f)
     if not vecs:
         return
-    gb = buchberger(vecs, CTX, rank=1)
+    gb = buchberger(vecs, CTX)
     for d in range(1, 4):
         for m in monomials_of_degree(2, d):
             probe = {(0, m): 1}

@@ -5,14 +5,14 @@ import pytest
 from conftest import maximal_ideal, module_family, residue_field, square_quotient
 from oracles import grade_oracle, hom_k_dimension_oracle, koszul_ext_dims
 from ncres.ring import AlgebraError, RingContext
-from ncres.groebner import FreeModuleMap
+from ncres.groebner import FreeModuleMap, columns_to_vec
 from ncres.modules import (INFINITE, ModuleMorphism, cokernel, direct_sum,
                            free_module, kernel, minimal_resolution, syzygy)
 from ncres.homalg import (add_M_resolution, check_lift_exactness, ext,
                           factor_ideal, grade, hom_factorization, hom_module,
                           induced_post_hom, is_d_torsionfree, is_generator,
                           omega_on_morphism, omega_power_on_morphism,
-                          stable_hom, transpose, _coords_vec)
+                          stable_hom, transpose)
 
 
 # -- Hom ---------------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_omega_action_on_identity_is_stably_identity(ctx2):
     diff = lifted - ModuleMorphism.identity(o1)
     sh = stable_hom(o1, o1)
     assert sh.projective_part.contains_vec(
-        _coords_vec(sh.total.coords_of_morphism(diff)))
+        columns_to_vec(sh.total.coords_of_morphism(diff)))
 
 
 def test_omega_bijective_on_stable_end_of_k(ctx3):
@@ -175,7 +175,7 @@ def test_omega_bijective_on_stable_end_of_k(ctx3):
         q = sh.quotient
         # stable End(k) is 1-dimensional; its image under Omega^c is nonzero
         img = omega_power_on_morphism(ident, c)
-        v = q.element_nf(_coords_vec(sh.total.coords_of_morphism(img)))
+        v = q.element_nf(columns_to_vec(sh.total.coords_of_morphism(img)))
         assert v, c
         assert q.k_dimension() >= 1
 
@@ -196,7 +196,7 @@ def test_identity_in_own_factor_ideal(ctx2):
     for m in (R, m2):
         end = hom_module(m, m)
         fi = factor_ideal(m, m, end=end)
-        ident = _coords_vec(end.coords_of_morphism(ModuleMorphism.identity(m)))
+        ident = columns_to_vec(end.coords_of_morphism(ModuleMorphism.identity(m)))
         assert fi.contains_vec(ident)
 
 
@@ -208,7 +208,7 @@ def test_factor_ideal_detects_membership_of_add(ctx3):
 
     def split(K, M):
         end = hom_module(K, K)
-        ident = _coords_vec(end.coords_of_morphism(ModuleMorphism.identity(K)))
+        ident = columns_to_vec(end.coords_of_morphism(ModuleMorphism.identity(K)))
         return factor_ideal(K, M, end=end).contains_vec(ident)
 
     assert split(free_module(ctx3, (0, 0)), R)

@@ -4,8 +4,10 @@ from math import comb
 import pytest
 
 from conftest import maximal_ideal, module_family, residue_field, square_quotient
-from oracles import complex_homology_dim, hilbert_oracle, koszul_betti
-from ncres.ring import AlgebraError, RingContext, parse_polynomial
+from oracles import (complex_homology_dim, hilbert_oracle, koszul_betti,
+                     membership_oracle)
+from ncres.ring import (AlgebraError, Polynomial, RingContext,
+                        monomials_of_degree, parse_polynomial)
 from ncres.groebner import FreeModuleMap
 from ncres.modules import (FPModule, INFINITE, ModuleMorphism, cokernel,
                            cokernel_with_projection, direct_sum,
@@ -155,6 +157,61 @@ def test_minimal_generator_indices(ctx2):
     rel = FreeModuleMap(ctx2, (1,), (0, 1), [[x, -one]])
     m = make_module([0, 1], rel, ctx2)
     assert minimal_generator_indices(m) == [0]
+
+
+def _random_form(ctx, rng, d):
+    return Polynomial(ctx, {m: rng.randrange(101)
+                            for m in monomials_of_degree(ctx.nvars, d)})
+
+
+def _redundant_module(ctx, seed):
+    """Random module with redundant generators and duplicate relations."""
+    rng = random.Random(seed)
+    gens = [rng.choice((0, 1)) for _ in range(rng.randrange(1, 4))]
+    cols, degs = [], []
+    for _ in range(rng.randrange(1, 4)):
+        d = max(gens) + rng.choice((1, 2))
+        cols.append([_random_form(ctx, rng, d - g) for g in gens])
+        degs.append(d)
+    for _ in range(rng.randrange(1, 3)):
+        # a new generator of degree d, equal to a combination of the others
+        d = max(gens) + 1
+        combo = [_random_form(ctx, rng, d - g) for g in gens]
+        for col in cols:
+            col.append(ctx.zero())
+        cols.append([-f for f in combo] + [ctx.one()])
+        degs.append(d)
+        gens.append(d)
+    for scale in (1, 3):
+        j = rng.randrange(len(cols))
+        cols.append([scale * f for f in cols[j]])
+        degs.append(degs[j])
+    return make_module(gens, FreeModuleMap(ctx, degs, gens, cols), ctx)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_greedy_minimal_generators_and_relations_match_oracle(ctx2, ctx3,
+                                                             seed):
+    for ctx in (ctx2, ctx3):
+        m = _redundant_module(ctx, seed)
+        # kept generators per degree = dim_k (M/mM)_t
+        kept = minimal_generator_indices(m)
+        assert kept == sorted(kept, key=lambda i: (m.gen_degrees[i], i))
+        units = [tuple(int(i == v) for i in range(ctx.nvars))
+                 for v in range(ctx.nvars)]
+        mm = m.relations.column_vecs() + [
+            {(j, u): 1} for u in units for j in range(m.rank)]
+        for t in set(m.gen_degrees):
+            assert (sum(m.gen_degrees[i] == t for i in kept)
+                    == hilbert_oracle(m.gen_degrees, mm, ctx, t))
+        # no kept relation column lies in the span of the other kept ones
+        m_min, _, _ = minimal_presentation(m)
+        rel = m_min.relations.column_vecs()
+        assert len(rel) < m.relations.source_rank
+        for j, v in enumerate(rel):
+            assert not membership_oracle(rel[:j] + rel[j + 1:], v,
+                                         m_min.gen_degrees, ctx)
+        assert m_min.hilbert_function(4) == m.hilbert_function(4)
 
 
 def test_koszul_betti_numbers(ctx1, ctx2, ctx3):

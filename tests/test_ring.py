@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,35 @@ def test_is_prime():
 
 def _slow_prime(n):
     return n >= 2 and all(n % d for d in range(2, n))
+
+
+def test_is_prime_large_characteristic_is_fast():
+    start = time.perf_counter()
+    ctx = RingContext(2 ** 61 - 1, ("x",))
+    assert time.perf_counter() - start < 1.0
+    assert ctx.characteristic == 2 ** 61 - 1
+    assert not is_prime(2 ** 61 + 1)
+    with pytest.raises(AlgebraError):
+        RingContext(2 ** 61 + 1, ("x",))
+
+
+@pytest.mark.parametrize("n", [561, 41041, 3215031751])
+def test_is_prime_rejects_pseudoprimes(n):
+    """Carmichael numbers and the least strong pseudoprime to bases 2-7."""
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_beyond_certified_range():
+    with pytest.raises(AlgebraError):
+        is_prime(2 ** 89 - 1)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randrange(2 ** rng.randrange(2, 65))
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_ring_context_validation():
