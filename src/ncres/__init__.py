@@ -2,8 +2,9 @@
 with verification routines for syzygy-based noncommutative resolutions.
 """
 
-from .ring import (AlgebraError, DegreeError, ParseError, Polynomial,
-                   RingContext, format_polynomial, parse_polynomial)
+from .ring import (AlgebraError, DegreeError, EngineError, ParseError,
+                   Polynomial, RingContext, format_polynomial,
+                   parse_polynomial)
 from .groebner import (FreeModuleMap, GroebnerBasis, buchberger, lift_solve,
                        syzygy_basis)
 from .modules import (FPModule, FreeResolution, INFINITE, ModuleMorphism,

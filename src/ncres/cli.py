@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .ring import (AlgebraError, ParseError, RingContext, format_polynomial,
-                   parse_polynomial)
+from .ring import (AlgebraError, EngineError, ParseError, RingContext,
+                   format_polynomial, parse_polynomial)
 from .groebner import FreeModuleMap
 from .modules import (FPModule, INFINITE, ModuleMorphism, free_module,
                       minimal_resolution, syzygy)
@@ -361,6 +361,9 @@ def main(argv=None) -> int:
             job = parse_job(fh.read())
         canonical, timing, ok = run_job(job, max_degree=args.max_degree,
                                         depth=args.depth)
+    except EngineError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     except (ParseError, AlgebraError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

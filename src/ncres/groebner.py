@@ -8,6 +8,7 @@ elimination order, so membership certificates double as lift coefficients.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .ring import (AlgebraError, DegreeError, Polynomial, RingContext,
@@ -116,74 +117,86 @@ def reduce_vec(v: dict, basis, lts, key, p: int) -> dict:
     return result
 
 
-def buchberger_vecs(vecs, key, ctx: RingContext):
-    """Auto-reduced monic Groebner basis of the span of vecs.
+def _push(basis, lts, v, key, ctx: RingContext):
+    """Append v, made monic, and its leading term."""
+    t, c = leading_term(v, key)
+    basis.append(vec_scale(v, ctx.inv(c), ctx.characteristic))
+    lts.append(t)
 
-    Normal selection strategy: pairs by ascending S-vector degree, then by
-    index, so the output is deterministic.  The chain criterion prunes pairs
-    whose lcm is divisible by a third leading term with both flanking pairs
-    already handled.
+
+def _complete(basis, lts, start: int, key, ctx: RingContext):
+    """Grow ``basis`` (monic, leading terms ``lts``) in place to a Groebner
+    basis of its span.
+
+    ``basis[:start]`` must already be a Groebner basis: only pairs with an
+    element at or after ``start`` are formed, and pairs among the older
+    elements count as handled.  Pairs come off a heap keyed by (lcm degree,
+    i, j), the lcm computed once when the pair is formed: the normal
+    selection strategy, deterministic by index.  The chain criterion drops a
+    pair whose lcm is divisible by a third leading term when both flanking
+    pairs are handled.
     """
     p = ctx.characteristic
-    basis = []
-    lts = []
-    degs = []
+    heap = []
 
-    def push(v):
-        t, c = leading_term(v, key)
-        v = vec_scale(v, ctx.inv(c), p)
-        basis.append(v)
-        lts.append(t)
-        degs.append(mono_degree(t[1]))
+    def add_pairs(n):
+        pos, ln = lts[n]
+        for k in range(n):
+            if lts[k][0] == pos:
+                lcm = mono_lcm(lts[k][1], ln)
+                heapq.heappush(heap, (mono_degree(lcm), k, n, lcm))
 
+    for n in range(start, len(basis)):
+        add_pairs(n)
+    done = set()
+    while heap:
+        _, i, j, lcm = heapq.heappop(heap)
+        done.add((i, j))
+        pos = lts[i][0]
+        skip = False
+        for k, (kpos, km) in enumerate(lts):
+            if k == i or k == j or kpos != pos or not mono_divides(km, lcm):
+                continue
+            pik = (i, k) if i < k else (k, i)
+            pjk = (j, k) if j < k else (k, j)
+            if ((pik[1] < start or pik in done)
+                    and (pjk[1] < start or pjk in done)):
+                skip = True
+                break
+        if skip:
+            continue
+        s = vec_add_scaled(
+            vec_add_scaled({}, basis[i], 1, mono_div(lcm, lts[i][1]), p),
+            basis[j], -1, mono_div(lcm, lts[j][1]), p)
+        r = reduce_vec(s, basis, lts, key, p)
+        if r:
+            _push(basis, lts, r, key, ctx)
+            add_pairs(len(basis) - 1)
+
+
+def _reduce_into(basis, lts, vecs, key, ctx: RingContext):
+    """Append the nonzero normal forms of vecs, each against the basis so
+    far."""
+    p = ctx.characteristic
     for v in vecs:
         if v:
             r = reduce_vec(v, basis, lts, key, p)
             if r:
-                push(r)
+                _push(basis, lts, r, key, ctx)
 
-    def pair_degree(i, j):
-        return mono_degree(mono_lcm(lts[i][1], lts[j][1]))
 
-    pairs = set()
-    todo = []
-    for i in range(len(basis)):
-        for j in range(i):
-            if lts[i][0] == lts[j][0]:
-                pairs.add((j, i))
-                todo.append((j, i))
-    done = set()
-    while todo:
-        todo.sort(key=lambda ij: (pair_degree(*ij), ij))
-        i, j = todo.pop(0)
-        pairs.discard((i, j))
-        done.add((i, j))
-        # chain criterion
-        li, lj = lts[i][1], lts[j][1]
-        lcm = mono_lcm(li, lj)
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or lts[k][0] != lts[i][0]:
-                continue
-            if mono_divides(lts[k][1], lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = vec_add_scaled(
-            vec_add_scaled({}, basis[i], 1, mono_div(lcm, li), p),
-            basis[j], -1, mono_div(lcm, lj), p)
-        r = reduce_vec(s, basis, lts, key, p)
-        if r:
-            push(r)
-            n = len(basis) - 1
-            for k in range(n):
-                if lts[k][0] == lts[n][0]:
-                    pairs.add((k, n))
-                    todo.append((k, n))
+def buchberger_vecs(vecs, key, ctx: RingContext):
+    """Auto-reduced monic Groebner basis of the span of vecs, sorted by
+    descending leading term.
+
+    Completion by ``_complete``: pairs are taken by lcm degree from a heap,
+    ties by index, so the output is deterministic.
+    """
+    p = ctx.characteristic
+    basis = []
+    lts = []
+    _reduce_into(basis, lts, vecs, key, ctx)
+    _complete(basis, lts, 0, key, ctx)
     # auto-reduce: drop redundant leading terms, then tail-reduce
     keep = []
     for i in range(len(basis)):
@@ -210,7 +223,8 @@ def buchberger_vecs(vecs, key, ctx: RingContext):
 
 @dataclass
 class GroebnerBasis:
-    """Auto-reduced Groebner basis of a submodule of a graded free module."""
+    """Groebner basis of a submodule of a graded free module: auto-reduced
+    when it comes from ``buchberger_vecs``, not after ``extend``."""
 
     ctx: RingContext
     generators: list          # list of Vec, monic
@@ -228,6 +242,17 @@ class GroebnerBasis:
 
     def contains_vec(self, v: dict) -> bool:
         return not self.normal_form_vec(v)
+
+    def extend(self, vecs) -> "GroebnerBasis":
+        """Groebner basis of this span plus ``vecs``, grown from this basis:
+        only pairs with a new element are formed.  The result is not
+        auto-reduced; it serves membership tests."""
+        basis = list(self.generators)
+        lts = list(self.leading_terms)
+        start = len(basis)
+        _reduce_into(basis, lts, vecs, self.key, self.ctx)
+        _complete(basis, lts, start, self.key, self.ctx)
+        return GroebnerBasis(self.ctx, basis, self.key, lts)
 
 
 def buchberger(vecs, ctx: RingContext) -> GroebnerBasis:

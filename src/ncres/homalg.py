@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .ring import AlgebraError, Polynomial
+from .ring import AlgebraError, EngineError, Polynomial
 from .groebner import FreeModuleMap, buchberger, columns_to_vec, lift_solve
 from .modules import (FPModule, ModuleMorphism, INFINITE, _shifted, cokernel,
                       direct_sum, free_module, homology, kernel,
@@ -80,6 +80,7 @@ class HomModule:
             self._incl = incl.matrix
         self.basis_morphisms = [self._realize(j)
                                 for j in range(self.module.rank)]
+        self._lift_block = None
 
     def _realize(self, j: int) -> ModuleMorphism:
         ctx = self.ctx
@@ -99,6 +100,13 @@ class HomModule:
         return ModuleMorphism(self.source, self.target, mat, degree=deg,
                               check=False)
 
+    def _block(self) -> FreeModuleMap:
+        """Generators beside the ambient relations, built once so that every
+        lift reuses its cached elimination basis."""
+        if self._lift_block is None:
+            self._lift_block = self._incl.hstack(self._ambient.relations)
+        return self._lift_block
+
     def coords_of_morphism(self, f: ModuleMorphism):
         """Column of f in terms of the presentation generators.
 
@@ -115,10 +123,9 @@ class HomModule:
                     vec[(jblk * nr + i, mono)] = c
         target_vec = FreeModuleMap.from_vecs(
             ctx, [vec], self._ambient.gen_degrees, degrees=[f.degree])
-        block = self._incl.hstack(self._ambient.relations)
-        sol = lift_solve(block, target_vec)
+        sol = lift_solve(self._block(), target_vec)
         if sol is None:
-            raise AlgebraError("morphism does not lie in its Hom module")
+            raise EngineError("morphism does not lie in its Hom module")
         return sol.cols[0][:self.module.rank]
 
     def morphism_from_element(self, coords, degree: int) -> ModuleMorphism:
@@ -187,7 +194,7 @@ def grade(m: FPModule, max_search: int | None = None):
     for i in range(max_search + 1):
         if not ext(i, m, R).is_zero():
             return i
-    raise AlgebraError("nonzero module with no Ext against R; engine bug")
+    raise EngineError("nonzero module with no Ext against R; engine bug")
 
 
 def is_d_torsionfree(m: FPModule, d: int) -> bool:
@@ -223,7 +230,7 @@ def generator_split_pair(m: FPModule):
                                    check=False)
                 if f.compose(g) == ModuleMorphism.identity(R):
                     return f, g
-                raise AlgebraError("split pair failed to verify; engine bug")
+                raise EngineError("split pair failed to verify; engine bug")
     return None
 
 
@@ -356,7 +363,7 @@ def omega_on_morphism(phi: ModuleMorphism) -> ModuleMorphism:
     rhs = psi.matrix.compose(_shifted(d1x, phi.degree))
     lifted = lift_solve(d1y, rhs)
     if lifted is None:
-        raise AlgebraError("chain lift failed against a free target; engine bug")
+        raise EngineError("chain lift failed against a free target; engine bug")
     mat = FreeModuleMap(phi.ctx,
                         tuple(d + phi.degree for d in ox.gen_degrees),
                         oy.gen_degrees, lifted.cols, check=False)
@@ -479,7 +486,7 @@ def hom_factorization(f: ModuleMorphism, g: ModuleMorphism):
     h = H.morphism_from_element(sol.cols[0][:len(vecs)],
                                 f.degree - g.degree)
     if g.compose(h) != f:
-        raise AlgebraError("factorization failed to verify; engine bug")
+        raise EngineError("factorization failed to verify; engine bug")
     return h
 
 
@@ -523,7 +530,7 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
             for i in minimal_generator_indices(hS.module):
                 cands.append((l, hS.basis_morphisms[i]))
         if not cands:
-            raise AlgebraError("Hom(m, K) vanished for a generator; engine bug")
+            raise EngineError("Hom(m, K) vanished for a generator; engine bug")
         # composites with Hom(m, S_l) generators R-span the image of
         # Hom(m, S_l-part of the cover) inside Hom(m, K)
         comp = []
@@ -542,8 +549,8 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
 
         kept = list(range(len(cands)))
         if not covers(kept):
-            raise AlgebraError("add-M candidates fail to cover Hom(m, K); "
-                               "engine bug")
+            raise EngineError("add-M candidates fail to cover Hom(m, K); "
+                              "engine bug")
         # Hom groups between summands carry negative degrees, so prune to a
         # fixed point rather than in a single ordered pass.
         changed = True
@@ -584,8 +591,8 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
             break
         ev = cover(K)
         if not cokernel(ev).is_zero():
-            raise AlgebraError("add-M approximation failed to surject; "
-                               "engine bug")
+            raise EngineError("add-M approximation failed to surject; "
+                              "engine bug")
         Knext, incl = kernel_with_inclusion(ev)
         # keep presentations small: replace the kernel by its minimal model
         Kmin, _, from_min = minimal_presentation(Knext)

@@ -11,9 +11,10 @@ from __future__ import annotations
 import itertools
 import math
 
-from .ring import (AlgebraError, RingContext, mono_degree, mono_divides,
-                   monomials_of_degree)
-from .groebner import FreeModuleMap, GroebnerBasis, buchberger, syzygy_basis
+from .ring import (AlgebraError, EngineError, RingContext, mono_degree,
+                   mono_divides, monomials_of_degree)
+from .groebner import (FreeModuleMap, GroebnerBasis, buchberger,
+                       make_order_key, syzygy_basis)
 
 INFINITE = math.inf
 
@@ -384,24 +385,24 @@ def homology(g: ModuleMorphism, f: ModuleMorphism) -> FPModule:
 
 # -- minimal presentations and resolutions ----------------------------------
 
-def _nakayama_keep(ctx: RingContext, base, cands, degrees):
+def _nakayama_keep(gb: GroebnerBasis, cands, degrees):
     """Graded Nakayama greedy pass: indices of the candidate vectors, taken
-    in (degree, index) order, that lie outside the span of ``base`` plus the
-    candidates kept before them."""
+    in (degree, index) order, that lie outside the span of ``gb`` plus the
+    candidates kept before them.  One basis grows by each kept candidate."""
     kept = []
-    span = list(base)
     for j in sorted(range(len(cands)), key=lambda j: (degrees[j], j)):
         v = cands[j]
-        if not v or (span and buchberger(span, ctx).contains_vec(v)):
+        if not v or gb.contains_vec(v):
             continue
         kept.append(j)
-        span.append(v)
+        gb = gb.extend([v])
     return kept
 
 
 def _trim_columns(m: FreeModuleMap) -> FreeModuleMap:
     """Minimal generating set of the column span."""
-    kept = _nakayama_keep(m.ctx, [], m.column_vecs(), m.source_degrees)
+    empty = GroebnerBasis(m.ctx, [], make_order_key(m.ctx))
+    kept = _nakayama_keep(empty, m.column_vecs(), m.source_degrees)
     return FreeModuleMap(m.ctx, [m.source_degrees[j] for j in kept],
                          m.target_degrees, [m.cols[j] for j in kept],
                          check=False)
@@ -530,7 +531,7 @@ def minimal_resolution(m: FPModule, max_len: int) -> FreeResolution:
         else:
             m._res_maps.append(nxt)
             if len(m._res_maps) > m.ctx.nvars:
-                raise AlgebraError(
+                raise EngineError(
                     "resolution exceeded the Hilbert syzygy bound; "
                     "this is an engine bug")
     return FreeResolution(m, m_min, m._res_maps[:max_len],
@@ -562,5 +563,4 @@ def minimal_generator_indices(m: FPModule):
     (degree, index) order."""
     zero_mono = (0,) * m.ctx.nvars
     units = [{(i, zero_mono): 1} for i in range(m.rank)]
-    return _nakayama_keep(m.ctx, m.relations.column_vecs(), units,
-                          m.gen_degrees)
+    return _nakayama_keep(m.rel_gb(), units, m.gen_degrees)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ring import AlgebraError, Polynomial
+from .ring import AlgebraError, EngineError, Polynomial
 from .groebner import columns_to_vec
 from .modules import (FPModule, ModuleMorphism, INFINITE, cokernel,
                       direct_sum, free_module, homology, kernel,
@@ -319,8 +319,8 @@ def corollary_build(r: int, N: FPModule, cs, gldim_end_N: int) -> NCRReport:
         prev_d = c
     closed = (2 ** n) * r + (2 ** n - 1) * (gldim_end_N + 1)
     if bound != closed:
-        raise AlgebraError("recursive bound disagrees with the closed form; "
-                           "engine bug")
+        raise EngineError("recursive bound disagrees with the closed form; "
+                          "engine bug")
     report.bound = bound
     report.closed_form = closed
     return report

@@ -25,6 +25,11 @@ class ParseError(AlgebraError):
     """Malformed polynomial or job text."""
 
 
+class EngineError(AlgebraError):
+    """An internal consistency check failed: a fault of the engine, not of
+    its input."""
+
+
 GREVLEX = "grevlex"
 LEX = "lex"
 ORDERS = (GREVLEX, LEX)
@@ -208,11 +213,12 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ctx(other)
-        if (not self.is_zero() and not other.is_zero()
-                and self.is_homogeneous() and other.is_homogeneous()
-                and self.degree != other.degree):
-            raise DegreeError(
-                f"cannot add homogeneous degrees {self.degree} and {other.degree}")
+        if self.terms and other.terms:
+            degs = {mono_degree(m) for m in self.terms}
+            degs.update(mono_degree(m) for m in other.terms)
+            if len(degs) > 1:
+                raise DegreeError(
+                    f"cannot add terms of degrees {sorted(degs)}")
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from ncres.ring import ParseError
+from ncres import cli
+from ncres.ring import EngineError, ParseError
 from ncres.cli import (CANONICAL_MARK, TIMING_MARK, JobSpec, main, parse_job,
                        print_job, run_job)
 
@@ -126,6 +127,16 @@ def test_main_parse_error_exit_two(tmp_path, capsys):
     assert main(["--job", path]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["--job", str(tmp_path / "missing.yml")]) == 2
+
+
+def test_main_engine_error_exit_three(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise EngineError("simulated fault")
+
+    monkeypatch.setattr(cli, "grade", broken)
+    path = write_job(tmp_path, GRADE_JOB)
+    assert main(["--job", path]) == 3
+    assert "internal error: simulated fault" in capsys.readouterr().err
 
 
 def test_canonical_section_stable_across_processes(tmp_path):

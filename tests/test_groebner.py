@@ -166,3 +166,71 @@ def test_buchberger_random_ideals_agree_with_oracle(seed):
             probe = {(0, m): 1}
             assert gb.contains_vec(probe) == \
                 membership_oracle(vecs, probe, (0,), CTX)
+
+
+# -- sympy as a second oracle ------------------------------------------------
+
+def _sparse_form(ctx, rng, d, nterms):
+    monos = rng.sample(list(monomials_of_degree(ctx.nvars, d)), nterms)
+    return {(0, m): rng.randrange(1, ctx.characteristic) for m in monos}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_rank_one_basis_matches_sympy(seed):
+    """The reduced basis is unique: ours equals sympy's as monic polys."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    p = 32003
+    names = ("x", "y", "z", "w")[:rng.choice((3, 4))]
+    ctx = RingContext(p, names)
+    vecs = [_sparse_form(ctx, rng, rng.choice((2, 2, 3)), rng.randrange(2, 5))
+            for _ in range(rng.randrange(2, 5))]
+    ours = {frozenset((m, c) for (_, m), c in g.items())
+            for g in buchberger(vecs, ctx).generators}
+    gens = sympy.symbols(names)
+    polys = [sympy.Poly.from_dict({m: c for (_, m), c in v.items()}, *gens,
+                                  modulus=p).as_expr() for v in vecs]
+    theirs = set()
+    for g in sympy.groebner(polys, *gens, modulus=p, order="grevlex").exprs:
+        terms = sympy.Poly(g, *gens, modulus=p).terms(order="grevlex")
+        lead = int(terms[0][1]) % p
+        inv = pow(lead, p - 2, p)
+        theirs.add(frozenset((m, int(c) * inv % p) for m, c in terms))
+    assert ours == theirs
+
+
+# -- growing a basis ---------------------------------------------------------
+
+def _random_module_vecs(ctx, rng, rank, n):
+    vecs = []
+    for _ in range(n):
+        d = rng.randrange(1, 3)
+        v = {(pos, m): rng.randrange(ctx.characteristic)
+             for pos in range(rank) if rng.random() < 0.7
+             for m in monomials_of_degree(ctx.nvars, d)}
+        v = {k: c for k, c in v.items() if c}
+        if v:
+            vecs.append(v)
+    return vecs
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_extend_agrees_with_rebuild(seed):
+    rng = random.Random(seed)
+    ctx = CTX3 if seed % 2 else CTX
+    rank = rng.randrange(1, 3)
+    a = _random_module_vecs(ctx, rng, rank, rng.randrange(1, 4))
+    b = _random_module_vecs(ctx, rng, rank, rng.randrange(1, 4))
+    grown = buchberger(a, ctx).extend(b)
+    rebuilt = buchberger(a + b, ctx)
+    for v in a + b:
+        assert grown.contains_vec(v) and rebuilt.contains_vec(v)
+    for _ in range(20):
+        d = rng.randrange(1, 4)
+        probe = {(rng.randrange(rank), m): rng.randrange(101)
+                 for m in rng.sample(list(monomials_of_degree(ctx.nvars, d)),
+                                     2)}
+        probe = {k: c for k, c in probe.items() if c}
+        want = rebuilt.contains_vec(probe)
+        assert grown.contains_vec(probe) == want
+        assert want == membership_oracle(a + b, probe, (0,) * rank, ctx)

@@ -5,7 +5,8 @@ import pytest
 from conftest import maximal_ideal, module_family, residue_field, square_quotient
 from oracles import grade_oracle, hom_k_dimension_oracle, koszul_ext_dims
 from ncres.ring import AlgebraError, RingContext
-from ncres.groebner import FreeModuleMap, columns_to_vec
+from ncres import groebner
+from ncres.groebner import FreeModuleMap, columns_to_vec, lift_solve
 from ncres.modules import (INFINITE, ModuleMorphism, cokernel, direct_sum,
                            free_module, kernel, minimal_resolution, syzygy)
 from ncres.homalg import (add_M_resolution, check_lift_exactness, ext,
@@ -63,6 +64,31 @@ def test_hom_module_round_trip(ctx2):
 
 
 # -- Ext, grade, torsionfreeness --------------------------------------------
+
+def test_coords_of_morphism_builds_one_lift_basis(ctx2, ctx3, monkeypatch):
+    for ctx in (ctx2, ctx3):
+        h = hom_module(maximal_ideal(ctx), square_quotient(ctx))
+        calls = []
+        real = groebner.buchberger_vecs
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(groebner, "buchberger_vecs", counting)
+        coords = [h.coords_of_morphism(f) for f in h.basis_morphisms]
+        monkeypatch.setattr(groebner, "buchberger_vecs", real)
+        assert h.module.rank >= 2 and len(calls) == 1
+        nr = h.target.rank
+        for f, got in zip(h.basis_morphisms, coords):
+            vec = {(jblk * nr + i, mono): c
+                   for jblk, col in enumerate(f.matrix.cols)
+                   for i, g in enumerate(col) for mono, c in g.terms.items()}
+            rhs = FreeModuleMap.from_vecs(ctx, [vec], h._ambient.gen_degrees,
+                                          degrees=[f.degree])
+            fresh = h._incl.hstack(h._ambient.relations)
+            assert got == lift_solve(fresh, rhs).cols[0][:h.module.rank]
+
 
 def test_ext_of_k_matches_koszul_oracle(ctx1, ctx2, ctx3):
     for ctx in (ctx1, ctx2, ctx3):

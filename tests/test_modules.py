@@ -8,11 +8,12 @@ from oracles import (complex_homology_dim, hilbert_oracle, koszul_betti,
                      membership_oracle)
 from ncres.ring import (AlgebraError, Polynomial, RingContext,
                         monomials_of_degree, parse_polynomial)
-from ncres.groebner import FreeModuleMap
+from ncres.groebner import FreeModuleMap, buchberger
 from ncres.modules import (FPModule, INFINITE, ModuleMorphism, cokernel,
                            cokernel_with_projection, direct_sum,
                            direct_sum_with_maps, free_module, homology, image,
-                           kernel, kernel_with_inclusion, make_module,
+                           _nakayama_keep, kernel, kernel_with_inclusion,
+                           make_module,
                            minimal_generator_indices, minimal_presentation,
                            minimal_resolution, syzygy)
 
@@ -212,6 +213,35 @@ def test_greedy_minimal_generators_and_relations_match_oracle(ctx2, ctx3,
             assert not membership_oracle(rel[:j] + rel[j + 1:], v,
                                          m_min.gen_degrees, ctx)
         assert m_min.hilbert_function(4) == m.hilbert_function(4)
+
+
+def _rebuild_keep(ctx, base, cands, degrees):
+    """Reference pass: a new basis of the whole span for every candidate."""
+    kept, span = [], list(base)
+    for j in sorted(range(len(cands)), key=lambda j: (degrees[j], j)):
+        v = cands[j]
+        if not v or (span and buchberger(span, ctx).contains_vec(v)):
+            continue
+        kept.append(j)
+        span.append(v)
+    return kept
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nakayama_pass_matches_rebuild_per_candidate(ctx2, ctx3, seed):
+    for ctx in (ctx2, ctx3):
+        m = _redundant_module(ctx, seed)
+        rel = m.relations.column_vecs()
+        units = [{(i, (0,) * ctx.nvars): 1} for i in range(m.rank)]
+        degs = m.relations.source_degrees
+        cases = [([], rel, degs), (rel, units, m.gen_degrees),
+                 # relation columns again, shuffled: every one is redundant
+                 (rel, rel[::-1], degs[::-1]),
+                 (rel[:1], rel[1:] + units,
+                  degs[1:] + m.gen_degrees)]
+        for base, cands, degrees in cases:
+            got = _nakayama_keep(buchberger(base, ctx), cands, degrees)
+            assert got == _rebuild_keep(ctx, base, cands, degrees)
 
 
 def test_koszul_betti_numbers(ctx1, ctx2, ctx3):

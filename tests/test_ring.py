@@ -184,6 +184,16 @@ def test_strict_homogeneous_addition():
         _ = x + x * y
     assert (x + y).is_homogeneous()
     assert (x + CTX.zero()) == x
+    # an inhomogeneous operand is refused too, whichever side it is on
+    mixed = parse_polynomial("x + y^2", CTX)
+    with pytest.raises(DegreeError):
+        _ = x + mixed
+    with pytest.raises(DegreeError):
+        _ = mixed + x
+    with pytest.raises(DegreeError):
+        _ = mixed - x
+    assert (x + (-x)).is_zero()
+    assert mixed + CTX.zero() == mixed
 
 
 def test_leading_data():
