@@ -14,7 +14,7 @@ from .modules import (FPModule, FreeResolution, INFINITE, ModuleMorphism,
                       make_module, minimal_generator_indices,
                       minimal_presentation, minimal_resolution, syzygy)
 from .homalg import (AddMResolution, HomModule, LiftExactnessVerdict,
-                     StableHom, Submodule, add_M_resolution,
+                     StableHom, add_M_resolution,
                      check_lift_exactness, ext, factor_ideal,
                      generator_split_pair, grade, hom_factorization,
                      hom_module, induced_post_hom, is_d_torsionfree,

@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .ring import AlgebraError, EngineError, Polynomial
+from .ring import AlgebraError, EngineError
 from .groebner import FreeModuleMap, buchberger, columns_to_vec, lift_solve
 from .modules import (FPModule, ModuleMorphism, INFINITE, _shifted, cokernel,
                       direct_sum, free_module, homology, kernel,
@@ -78,23 +78,17 @@ class HomModule:
             K, incl = kernel_with_inclusion(phi)
             self.module = K
             self._incl = incl.matrix
-        self.basis_morphisms = [self._realize(j)
-                                for j in range(self.module.rank)]
+        self.basis_morphisms = [
+            self._morphism(col, deg)
+            for col, deg in zip(self._incl.cols, self.module.gen_degrees)]
         self._lift_block = None
 
-    def _realize(self, j: int) -> ModuleMorphism:
-        ctx = self.ctx
+    def _morphism(self, col, deg: int) -> ModuleMorphism:
+        """Morphism of the given degree whose matrix columns, joined end to
+        end, form the ambient column ``col``."""
         nr = self.target.rank
-        deg = self.module.gen_degrees[j]
-        vec = self._incl.column_vec(j)
-        entries = [[dict() for _ in range(self.source.rank)]
-                   for _ in range(nr)]
-        for (pos, mono), c in vec.items():
-            jblk, i = divmod(pos, nr)
-            entries[i][jblk][mono] = c
-        cols = [[Polynomial(ctx, entries[i][jblk]) for i in range(nr)]
-                for jblk in range(self.source.rank)]
-        mat = FreeModuleMap(ctx,
+        cols = [col[j * nr:(j + 1) * nr] for j in range(self.source.rank)]
+        mat = FreeModuleMap(self.ctx,
                             tuple(d + deg for d in self.source.gen_degrees),
                             self.target.gen_degrees, cols, check=False)
         return ModuleMorphism(self.source, self.target, mat, degree=deg,
@@ -114,39 +108,30 @@ class HomModule:
         realized generators modulo the ambient relations; failure to lift is
         an engine fault.
         """
-        ctx = self.ctx
-        nr = self.target.rank
-        vec = {}
-        for jblk in range(self.source.rank):
-            for i in range(nr):
-                for mono, c in f.matrix.cols[jblk][i].terms.items():
-                    vec[(jblk * nr + i, mono)] = c
-        target_vec = FreeModuleMap.from_vecs(
-            ctx, [vec], self._ambient.gen_degrees, degrees=[f.degree])
-        sol = lift_solve(self._block(), target_vec)
+        col = [e for c in f.matrix.cols for e in c]
+        target = FreeModuleMap(self.ctx, (f.degree,),
+                               self._ambient.gen_degrees, [col], check=False)
+        sol = lift_solve(self._block(), target)
         if sol is None:
             raise EngineError("morphism does not lie in its Hom module")
         return sol.cols[0][:self.module.rank]
 
+    def coords_map(self, morphisms) -> FreeModuleMap:
+        """Map whose column j is the coordinate column of the j-th morphism,
+        in the morphism's degree; ``morphisms`` is consumed one at a time."""
+        cols = []
+        degs = []
+        for f in morphisms:
+            cols.append(self.coords_of_morphism(f))
+            degs.append(f.degree)
+        return FreeModuleMap(self.ctx, degs, self.module.gen_degrees, cols,
+                             check=False)
+
     def morphism_from_element(self, coords, degree: int) -> ModuleMorphism:
         """Realize a cover element (coefficients on the generators)."""
-        ctx = self.ctx
-        nr, ns = self.target.rank, self.source.rank
-        acc = [[ctx.zero() for _ in range(nr)] for _ in range(ns)]
-        for k, c in enumerate(coords):
-            if c.is_zero():
-                continue
-            bm = self.basis_morphisms[k]
-            for jblk in range(ns):
-                for i in range(nr):
-                    e = bm.matrix.cols[jblk][i]
-                    if not e.is_zero():
-                        acc[jblk][i] = acc[jblk][i] + c * e
-        mat = FreeModuleMap(ctx,
-                            tuple(d + degree for d in self.source.gen_degrees),
-                            self.target.gen_degrees, acc, check=False)
-        return ModuleMorphism(self.source, self.target, mat, degree=degree,
-                              check=False)
+        elem = FreeModuleMap(self.ctx, (degree,), self.module.gen_degrees,
+                             [coords], check=False)
+        return self._morphism(self._incl.compose(elem).cols[0], degree)
 
 
 def hom_module(m: FPModule, n: FPModule) -> HomModule:
@@ -181,17 +166,16 @@ def transpose(m: FPModule) -> FPModule:
     return FPModule(m.ctx, at.target_degrees, at, check=False)
 
 
-def grade(m: FPModule, max_search: int | None = None):
-    """Least i with Ext^i(m, R) nonzero; INFINITE for the zero module."""
-    r = m.ctx.nvars
-    if max_search is None:
-        max_search = r
-    if max_search < r:
-        raise AlgebraError("max_search below the variable count is incomplete")
+def grade(m: FPModule):
+    """Least i with Ext^i(m, R) nonzero; INFINITE for the zero module.
+
+    A nonzero module has grade at most the number of variables r, so Ext^0
+    through Ext^r decide it.
+    """
     if m.is_zero():
         return INFINITE
     R = free_module(m.ctx)
-    for i in range(max_search + 1):
+    for i in range(m.ctx.nvars + 1):
         if not ext(i, m, R).is_zero():
             return i
     raise EngineError("nonzero module with no Ext against R; engine bug")
@@ -239,49 +223,20 @@ def is_generator(m: FPModule) -> bool:
     return generator_split_pair(m) is not None
 
 
-# -- submodules of a presented module ----------------------------------------
-
-class Submodule:
-    """Submodule of an FPModule given by generator columns in its cover."""
-
-    def __init__(self, ambient: FPModule, columns: FreeModuleMap):
-        if columns.target_degrees != ambient.gen_degrees:
-            raise AlgebraError("submodule columns do not match the ambient cover")
-        self.ambient = ambient
-        self.columns = columns
-        self._gb = None
-
-    def _full_gb(self):
-        if self._gb is None:
-            vecs = (self.columns.column_vecs()
-                    + self.ambient.relations.column_vecs())
-            self._gb = buchberger(vecs, self.ambient.ctx)
-        return self._gb
-
-    def contains_vec(self, v: dict) -> bool:
-        return self._full_gb().contains_vec(v)
-
-    def contains(self, other: "Submodule") -> bool:
-        return all(self.contains_vec(other.columns.column_vec(j))
-                   for j in range(other.columns.source_rank))
-
-    def equals(self, other: "Submodule") -> bool:
-        return self.contains(other) and other.contains(self)
-
-    def quotient(self) -> FPModule:
-        return FPModule(self.ambient.ctx, self.ambient.gen_degrees,
-                        self.columns.hstack(self.ambient.relations),
-                        check=False)
-
-
 # -- stable Hom --------------------------------------------------------------
+
+def _quotient(h: HomModule, cols: FreeModuleMap) -> FPModule:
+    """Hom module modulo the submodule spanned by ``cols``; the generator
+    columns come before the relations of ``h.module``."""
+    return FPModule(h.ctx, h.module.gen_degrees,
+                    cols.hstack(h.module.relations), check=False)
+
 
 @dataclass
 class StableHom:
-    """Hom(w, z) together with its through-projectives part."""
+    """Hom(w, z) and its quotient by the morphisms through projectives."""
 
     total: HomModule
-    projective_part: Submodule
     quotient: FPModule
 
 
@@ -299,27 +254,20 @@ def stable_hom(w: FPModule, z: FPModule,
         F = free_module(ctx, z.gen_degrees)
         cover = ModuleMorphism(
             F, z, FreeModuleMap.identity(ctx, z.gen_degrees), check=False)
-    F = cover.source
-    hwf = hom_module(w, F)
-    cols = []
-    degs = []
-    for psi in hwf.basis_morphisms:
-        coords = total.coords_of_morphism(cover.compose(psi))
-        cols.append(coords)
-        degs.append(psi.degree + cover.degree)
-    colmap = FreeModuleMap(ctx, degs, total.module.gen_degrees, cols,
-                           check=False)
-    sub = Submodule(total.module, colmap)
-    return StableHom(total, sub, sub.quotient())
+    cols = total.coords_map(
+        cover.compose(psi)
+        for psi in hom_module(w, cover.source).basis_morphisms)
+    return StableHom(total, _quotient(total, cols))
 
 
 def factor_ideal(z: FPModule, m: FPModule,
-                 end: HomModule | None = None) -> Submodule:
-    """Sub-bimodule [m] of End(z): morphisms factoring through add m.
+                 end: HomModule | None = None) -> FPModule:
+    """Quotient End(z)/[m] by the morphisms factoring through add m.
 
-    Generated as an R-submodule by the composites of the Hom(z, m) and
-    Hom(m, z) generators; bilinearity of composition makes that span the
-    whole two-sided ideal.
+    The ideal [m] is generated as an R-submodule by the composites of the
+    Hom(z, m) and Hom(m, z) generators; bilinearity of composition makes
+    that span the whole two-sided ideal.  A morphism lies in [m] exactly
+    when the normal form of its coordinates in the quotient is zero.
     """
     if end is None:
         end = hom_module(z, z)
@@ -329,18 +277,9 @@ def factor_ideal(z: FPModule, m: FPModule,
             for i in minimal_generator_indices(hzm.module)]
     ins = [hmz.basis_morphisms[i]
            for i in minimal_generator_indices(hmz.module)]
-    cols = []
-    degs = []
-    for f in outs:
-        for g in ins:
-            comp = g.compose(f)
-            if comp.is_zero():
-                continue
-            cols.append(end.coords_of_morphism(comp))
-            degs.append(comp.degree)
-    colmap = FreeModuleMap(z.ctx, degs, end.module.gen_degrees, cols,
-                           check=False)
-    return Submodule(end.module, colmap)
+    comps = (g.compose(f) for f in outs for g in ins)
+    cols = end.coords_map(c for c in comps if not c.is_zero())
+    return _quotient(end, cols)
 
 
 # -- syzygy action on morphisms ----------------------------------------------
@@ -379,14 +318,7 @@ def omega_power_on_morphism(phi: ModuleMorphism, c: int) -> ModuleMorphism:
 def induced_post_hom(f: ModuleMorphism, src: "HomModule",
                      tgt: "HomModule") -> ModuleMorphism:
     """Hom(w, f): Hom(w, source(f)) -> Hom(w, target(f)), on presentations."""
-    cols = []
-    degs = []
-    for b in src.basis_morphisms:
-        comp = f.compose(b)
-        cols.append(tgt.coords_of_morphism(comp))
-        degs.append(comp.degree)
-    mat = FreeModuleMap(f.ctx, degs, tgt.module.gen_degrees, cols,
-                        check=False)
+    mat = tgt.coords_map(f.compose(b) for b in src.basis_morphisms)
     return ModuleMorphism(src.module, tgt.module, mat, degree=f.degree,
                           check=False)
 
@@ -467,23 +399,13 @@ def hom_factorization(f: ModuleMorphism, g: ModuleMorphism):
     image of Hom(source(f), g); a bare cover-level lift is not enough because
     the lifted matrix need not respect the relations of source(f).
     """
-    ctx = f.ctx
     H = hom_module(f.source, g.source)
     HT = hom_module(f.source, g.target)
-    vecs = []
-    degs = []
-    for psi in H.basis_morphisms:
-        vecs.append(columns_to_vec(HT.coords_of_morphism(g.compose(psi))))
-        degs.append(psi.degree + g.degree)
-    block = FreeModuleMap.from_vecs(ctx, vecs, HT.module.gen_degrees,
-                                    degrees=degs)
-    target = FreeModuleMap.from_vecs(
-        ctx, [columns_to_vec(HT.coords_of_morphism(f))],
-        HT.module.gen_degrees, degrees=[f.degree])
-    sol = lift_solve(block.hstack(HT.module.relations), target)
+    block = HT.coords_map(g.compose(psi) for psi in H.basis_morphisms)
+    sol = lift_solve(block.hstack(HT.module.relations), HT.coords_map((f,)))
     if sol is None:
         return None
-    h = H.morphism_from_element(sol.cols[0][:len(vecs)],
+    h = H.morphism_from_element(sol.cols[0][:H.module.rank],
                                 f.degree - g.degree)
     if g.compose(h) != f:
         raise EngineError("factorization failed to verify; engine bug")
@@ -536,8 +458,8 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
         comp = []
         for l, g in cands:
             vecs = []
-            for psi in hom_m_s[l]:
-                v = columns_to_vec(hmk.coords_of_morphism(g.compose(psi)))
+            for v in hmk.coords_map(g.compose(psi)
+                                    for psi in hom_m_s[l]).column_vecs():
                 if v and v not in vecs:
                     vecs.append(v)
             comp.append(vecs)
@@ -551,16 +473,13 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
         if not covers(kept):
             raise EngineError("add-M candidates fail to cover Hom(m, K); "
                               "engine bug")
-        # Hom groups between summands carry negative degrees, so prune to a
-        # fixed point rather than in a single ordered pass.
-        changed = True
-        while changed:
-            changed = False
-            for j in sorted(kept, key=lambda j: (-cands[j][1].degree, j)):
-                trial = [i for i in kept if i != j]
-                if covers(trial):
-                    kept = trial
-                    changed = True
+        # Covering is monotone in the selection: a candidate that cannot be
+        # dropped from a selection cannot be dropped from any subset of it,
+        # so one pass leaves a selection from which nothing can be dropped.
+        for j in sorted(kept, key=lambda j: (-cands[j][1].degree, j)):
+            trial = [i for i in kept if i != j]
+            if covers(trial):
+                kept = trial
         morphs = [cands[j] for j in kept]
         blocks = [summands[l].twist(g.degree) for l, g in morphs]
         Mi = functools.reduce(direct_sum, blocks)
@@ -574,7 +493,7 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
         end = hom_module(K, K)
         ident = columns_to_vec(
             end.coords_of_morphism(ModuleMorphism.identity(K)))
-        return factor_ideal(K, m, end=end).contains_vec(ident)
+        return not factor_ideal(K, m, end=end).element_nf(ident)
 
     modules = [z]
     approximations = []

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import membership_oracle
+from oracles import membership_oracle, rank_mod_p
 from ncres.ring import RingContext, monomials_of_degree, parse_polynomial
 from ncres.groebner import (FreeModuleMap, buchberger, lift_solve,
                             syzygy_basis)
@@ -234,3 +234,24 @@ def test_extend_agrees_with_rebuild(seed):
         want = rebuilt.contains_vec(probe)
         assert grown.contains_vec(probe) == want
         assert want == membership_oracle(a + b, probe, (0,) * rank, ctx)
+
+
+def test_constant_vector_basis_size_is_rank():
+    """For constant vectors the reduced basis is the row echelon form, so
+    its size is the rank over F_p."""
+    ctx = RingContext(32003, ("x", "y", "z"))
+    p = ctx.characteristic
+    zero = (0,) * ctx.nvars
+    rng = random.Random(7)
+    for _ in range(50):
+        width = rng.randrange(1, 7)
+        rows = [[rng.randrange(p) if rng.random() < 0.6 else 0
+                 for _ in range(width)] for _ in range(rng.randrange(5))]
+        if rng.random() < 0.5:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * width)
+        if len(rows) >= 2 and rng.random() < 0.7:
+            a, b = rng.randrange(p), rng.randrange(p)
+            rows.append([(a * u + b * v) % p for u, v in zip(*rows[:2])])
+        vecs = [{(j, zero): c for j, c in enumerate(row) if c}
+                for row in rows]
+        assert len(buchberger(vecs, ctx).generators) == rank_mod_p(rows, p)
