@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .ring import (AlgebraError, EngineError, ParseError, RingContext,
-                   format_polynomial, parse_polynomial)
+from .ring import (_VAR_RE, AlgebraError, EngineError, ParseError,
+                   RingContext, format_polynomial, parse_polynomial)
 from .groebner import FreeModuleMap
 from .modules import (FPModule, INFINITE, ModuleMorphism, free_module,
                       minimal_resolution, syzygy)
@@ -33,10 +33,6 @@ from .ncr import (ENGINE_VERSION, NCRHypotheses, Verdict, _ring_summary,
 
 CANONICAL_MARK = "# --- report (canonical) ---"
 TIMING_MARK = "# --- timing (non-canonical) ---"
-
-COMMANDS = ("grade", "syzygy", "torsionfree", "ext", "hom", "stablehom",
-            "transpose", "build", "verify-claim1", "verify-exact2",
-            "verify-lemmas")
 
 
 @dataclass
@@ -71,6 +67,11 @@ def _parse_ring(desc) -> RingContext:
     variables = desc.get("vars")
     if not isinstance(variables, list) or not variables:
         raise ParseError("ring.vars: expected a non-empty list")
+    for name in variables:
+        # a name the polynomial grammar reads as one variable, no power
+        m = _VAR_RE.match(name) if isinstance(name, str) else None
+        if m is None or m.group(2):
+            raise ParseError(f"ring.vars: {name!r} is not a variable name")
     if len(set(variables)) != len(variables):
         raise ParseError("ring.vars: duplicate variable")
     order = desc.get("order", "grevlex")
@@ -223,7 +224,86 @@ def _builtin_lemma_family(ctx: RingContext):
     return FPModule(ctx, (0,), rel, check=False)
 
 
-def _run_verify_lemmas(job: JobSpec, report: dict) -> bool:
+# -- commands ----------------------------------------------------------------
+# Each command fills the report and returns whether every verdict is verified.
+
+def _run_grade(job, report, max_degree, depth):
+    report["grade"] = _clean(grade(_need_module(job, "module")))
+    return True
+
+
+def _run_syzygy(job, report, max_degree, depth):
+    m = _need_module(job, "module")
+    c = _need_int(job, "c")
+    report["betti"] = list(minimal_resolution(m, min(c + 1, job.ring.nvars)).betti)
+    report["syzygy"] = _module_desc(syzygy(m, c))
+    return True
+
+
+def _run_torsionfree(job, report, max_degree, depth):
+    m = _need_module(job, "module")
+    report["torsionfree"] = is_d_torsionfree(m, _need_int(job, "d"))
+    return True
+
+
+def _run_ext(job, report, max_degree, depth):
+    m = _need_module(job, "module")
+    n = _need_module(job, "target")
+    e = ext(_need_int(job, "i"), m, n)
+    report["ext"] = _module_desc(e)
+    report["k_dimension"] = _clean(e.k_dimension())
+    report["hilbert"] = e.hilbert_function(max_degree)
+    return True
+
+
+def _run_hom(job, report, max_degree, depth):
+    h = hom_module(_need_module(job, "source"), _need_module(job, "target"))
+    report["hom"] = _module_desc(h.module)
+    report["k_dimension"] = _clean(h.module.k_dimension())
+    report["hilbert"] = h.module.hilbert_function(max_degree)
+    return True
+
+
+def _run_stablehom(job, report, max_degree, depth):
+    sh = stable_hom(_need_module(job, "source"), _need_module(job, "target"))
+    report["quotient"] = _module_desc(sh.quotient)
+    report["quotient_is_zero"] = sh.quotient.is_zero()
+    report["k_dimension"] = _clean(sh.quotient.k_dimension())
+    return True
+
+
+def _run_transpose(job, report, max_degree, depth):
+    report["transpose"] = _module_desc(transpose(_need_module(job, "module")))
+    return True
+
+
+def _run_build(job, report, max_degree, depth):
+    N = _need_module(job, "module")
+    cs = job.params.get("cs")
+    if not (isinstance(cs, list) and all(_is_int(c) for c in cs)):
+        raise AlgebraError("parameter 'cs': expected a list of integers")
+    rep = corollary_build(job.ring.nvars, N, cs,
+                          _need_int(job, "gldim_end_N", 0))
+    report["bound"] = rep.bound
+    report["closed_form"] = rep.closed_form
+    report["trace"] = _clean(rep.trace)
+    report["verdicts"] = [_verdict_desc(v) for v in rep.hypothesis_results]
+    return rep.all_verified()
+
+
+def _run_verify_claim1(job, report, max_degree, depth):
+    v = verify_claim1(_hypotheses(job))
+    report["verdict"] = _verdict_desc(v)
+    return v.ok
+
+
+def _run_verify_exact2(job, report, max_degree, depth):
+    v = verify_exact2(_hypotheses(job), _need_int(job, "depth", depth))
+    report["verdict"] = _verdict_desc(v)
+    return v.ok
+
+
+def _run_verify_lemmas(job, report, max_degree, depth):
     ctx = job.ring
     r = ctx.nvars
     k = _builtin_lemma_family(ctx)
@@ -260,6 +340,17 @@ def _run_verify_lemmas(job: JobSpec, report: dict) -> bool:
     return ok
 
 
+_HANDLERS = {
+    "grade": _run_grade, "syzygy": _run_syzygy,
+    "torsionfree": _run_torsionfree, "ext": _run_ext, "hom": _run_hom,
+    "stablehom": _run_stablehom, "transpose": _run_transpose,
+    "build": _run_build, "verify-claim1": _run_verify_claim1,
+    "verify-exact2": _run_verify_exact2, "verify-lemmas": _run_verify_lemmas,
+}
+# a tuple, so that ``in COMMANDS`` also answers for unhashable YAML values
+COMMANDS = tuple(_HANDLERS)
+
+
 def run_job(job: JobSpec, max_degree: int = 6, depth: int = 4):
     """Execute a job; returns (canonical_text, timing_text, all_verified)."""
     start = time.perf_counter()
@@ -268,64 +359,7 @@ def run_job(job: JobSpec, max_degree: int = 6, depth: int = 4):
               "command": job.command,
               "modules": {name: _module_desc(m)
                           for name, m in sorted(job.modules.items())}}
-    ok = True
-    cmd = job.command
-    if cmd == "grade":
-        m = _need_module(job, "module")
-        report["grade"] = _clean(grade(m))
-    elif cmd == "syzygy":
-        m = _need_module(job, "module")
-        c = _need_int(job, "c")
-        report["betti"] = list(minimal_resolution(m, min(c + 1, job.ring.nvars)).betti)
-        report["syzygy"] = _module_desc(syzygy(m, c))
-    elif cmd == "torsionfree":
-        m = _need_module(job, "module")
-        report["torsionfree"] = is_d_torsionfree(m, _need_int(job, "d"))
-    elif cmd == "ext":
-        m = _need_module(job, "module")
-        n = _need_module(job, "target")
-        e = ext(_need_int(job, "i"), m, n)
-        report["ext"] = _module_desc(e)
-        report["k_dimension"] = _clean(e.k_dimension())
-        report["hilbert"] = e.hilbert_function(max_degree)
-    elif cmd == "hom":
-        h = hom_module(_need_module(job, "source"), _need_module(job, "target"))
-        report["hom"] = _module_desc(h.module)
-        report["k_dimension"] = _clean(h.module.k_dimension())
-        report["hilbert"] = h.module.hilbert_function(max_degree)
-    elif cmd == "stablehom":
-        sh = stable_hom(_need_module(job, "source"),
-                        _need_module(job, "target"))
-        report["quotient"] = _module_desc(sh.quotient)
-        report["quotient_is_zero"] = sh.quotient.is_zero()
-        report["k_dimension"] = _clean(sh.quotient.k_dimension())
-    elif cmd == "transpose":
-        report["transpose"] = _module_desc(transpose(_need_module(job, "module")))
-    elif cmd == "build":
-        N = _need_module(job, "module")
-        cs = job.params.get("cs")
-        if not (isinstance(cs, list) and all(_is_int(c) for c in cs)):
-            raise AlgebraError("parameter 'cs': expected a list of integers")
-        rep = corollary_build(job.ring.nvars, N, cs,
-                              _need_int(job, "gldim_end_N", 0))
-        report["bound"] = rep.bound
-        report["closed_form"] = rep.closed_form
-        report["trace"] = _clean(rep.trace)
-        report["verdicts"] = [_verdict_desc(v) for v in rep.hypothesis_results]
-        ok = rep.all_verified()
-    elif cmd == "verify-claim1":
-        v = verify_claim1(_hypotheses(job))
-        report["verdict"] = _verdict_desc(v)
-        ok = v.ok
-    elif cmd == "verify-exact2":
-        v = verify_exact2(_hypotheses(job),
-                          _need_int(job, "depth", depth))
-        report["verdict"] = _verdict_desc(v)
-        ok = v.ok
-    elif cmd == "verify-lemmas":
-        ok = _run_verify_lemmas(job, report)
-    else:  # pragma: no cover - parse_job rejects unknown commands
-        raise AlgebraError(f"unknown command {cmd!r}")
+    ok = _HANDLERS[job.command](job, report, max_degree, depth)
     elapsed = time.perf_counter() - start
     canonical = (CANONICAL_MARK + "\n"
                  + yaml.safe_dump(_clean(report), sort_keys=True,

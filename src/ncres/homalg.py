@@ -8,7 +8,7 @@ import functools
 from dataclasses import dataclass
 
 from .ring import AlgebraError, EngineError
-from .groebner import FreeModuleMap, buchberger, columns_to_vec, lift_solve
+from .groebner import FreeModuleMap, columns_to_vec, lift_solve
 from .modules import (FPModule, ModuleMorphism, INFINITE, _shifted, cokernel,
                       direct_sum, free_module, homology, kernel,
                       kernel_with_inclusion, minimal_generator_indices,
@@ -433,8 +433,6 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
         summands = tuple(summands)
         if functools.reduce(direct_sum, summands) != m:
             raise AlgebraError("summands do not present the direct sum m")
-    ctx = m.ctx
-    zero_mono = (0,) * ctx.nvars
     hom_m_s = []
     for S in summands:
         hS = hom_module(m, S)
@@ -443,9 +441,6 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
 
     def cover(K):
         hmk = hom_module(m, K)
-        base = hmk.module.relations.column_vecs()
-        targets = [{(i, zero_mono): 1}
-                   for i in minimal_generator_indices(hmk.module)]
         cands = []
         for l, S in enumerate(summands):
             hS = hmk if S is m else hom_module(S, K)
@@ -455,19 +450,14 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
             raise EngineError("Hom(m, K) vanished for a generator; engine bug")
         # composites with Hom(m, S_l) generators R-span the image of
         # Hom(m, S_l-part of the cover) inside Hom(m, K)
-        comp = []
-        for l, g in cands:
-            vecs = []
-            for v in hmk.coords_map(g.compose(psi)
-                                    for psi in hom_m_s[l]).column_vecs():
-                if v and v not in vecs:
-                    vecs.append(v)
-            comp.append(vecs)
+        comp = [hmk.coords_map(g.compose(psi) for psi in hom_m_s[l])
+                for l, g in cands]
+        none = FreeModuleMap.zero_map(hmk.ctx, (), hmk.module.gen_degrees)
 
         def covers(sel):
-            vecs = base + [v for j in sel for v in comp[j]]
-            gb = buchberger(vecs, ctx)
-            return all(gb.contains_vec(t) for t in targets)
+            cols = functools.reduce(FreeModuleMap.hstack,
+                                    (comp[j] for j in sel), none)
+            return _quotient(hmk, cols).is_zero()
 
         kept = list(range(len(cands)))
         if not covers(kept):

@@ -83,9 +83,7 @@ class FPModule:
         return self.rel_gb().normal_form_vec(vec)
 
     def is_zero(self) -> bool:
-        zero_mono = (0,) * self.ctx.nvars
-        return all(not self.element_nf({(i, zero_mono): 1})
-                   for i in range(self.rank))
+        return not minimal_generator_indices(self)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FPModule) and self.ctx == other.ctx
@@ -311,21 +309,24 @@ def direct_sum(a: FPModule, b: FPModule) -> FPModule:
 
 # -- kernels, images, cokernels ---------------------------------------------
 
-def kernel_with_inclusion(f: ModuleMorphism):
-    S, T = f.source, f.target
-    ctx = f.ctx
-    pre = column_relations(f.matrix, T.relations)
-    # pre lives over the shifted cover of S; shift generator degrees back
-    gen_degrees = tuple(d - f.degree for d in pre.source_degrees)
-    srel = _shifted(S.relations, f.degree)
-    rel = column_relations(pre, srel)
-    rel = FreeModuleMap(ctx, tuple(d - f.degree for d in rel.source_degrees),
+def _kernel_modulo(g: ModuleMorphism, sub: FreeModuleMap):
+    """(K, pre): the kernel of g modulo the span of the columns ``sub`` on
+    the cover of g's source, and the columns ``pre`` of K's generators."""
+    ctx = g.ctx
+    pre = column_relations(g.matrix, g.target.relations)
+    # pre lives over the shifted cover of the source; shift degrees back
+    gen_degrees = tuple(d - g.degree for d in pre.source_degrees)
+    rel = column_relations(pre, _shifted(sub, g.degree))
+    rel = FreeModuleMap(ctx, tuple(d - g.degree for d in rel.source_degrees),
                         gen_degrees, rel.cols, check=False)
-    K = FPModule(ctx, gen_degrees, rel, check=False)
-    incl_mat = FreeModuleMap(ctx, gen_degrees, S.gen_degrees, pre.cols,
-                             check=False)
-    incl = ModuleMorphism(K, S, incl_mat, check=False)
-    return K, incl
+    return FPModule(ctx, gen_degrees, rel, check=False), pre
+
+
+def kernel_with_inclusion(f: ModuleMorphism):
+    K, pre = _kernel_modulo(f, f.source.relations)
+    incl_mat = FreeModuleMap(f.ctx, K.gen_degrees, f.source.gen_degrees,
+                             pre.cols, check=False)
+    return K, ModuleMorphism(K, f.source, incl_mat, check=False)
 
 
 def kernel(f: ModuleMorphism) -> FPModule:
@@ -372,15 +373,7 @@ def homology(g: ModuleMorphism, f: ModuleMorphism) -> FPModule:
     B = g.source
     if f.target is not B and f.target != B:
         raise AlgebraError("maps are not composable")
-    ctx = g.ctx
-    pre = column_relations(g.matrix, g.target.relations)
-    gen_degrees = tuple(d - g.degree for d in pre.source_degrees)
-    v = _shifted(f.matrix, g.degree).hstack(
-        _shifted(B.relations, g.degree))
-    rel = column_relations(pre, v)
-    rel = FreeModuleMap(ctx, tuple(d - g.degree for d in rel.source_degrees),
-                        gen_degrees, rel.cols, check=False)
-    return FPModule(ctx, gen_degrees, rel, check=False)
+    return _kernel_modulo(g, f.matrix.hstack(B.relations))[0]
 
 
 # -- minimal presentations and resolutions ----------------------------------
@@ -560,7 +553,13 @@ def syzygy(m: FPModule, c: int) -> FPModule:
 
 def minimal_generator_indices(m: FPModule):
     """Indices of a minimal generating subset of m's given generators, in
-    (degree, index) order."""
+    (degree, index) order.  By graded Nakayama this is the greedy pass over
+    m/(x_1..x_r)m: k^rank modulo the constant entries of the relation
+    columns, so it row-reduces constant vectors and never uses rel_gb()."""
     zero_mono = (0,) * m.ctx.nvars
+    constant_parts = [{(i, zero_mono): f.constant_term()
+                       for i, f in enumerate(col) if f.constant_term()}
+                      for col in m.relations.cols]
     units = [{(i, zero_mono): 1} for i in range(m.rank)]
-    return _nakayama_keep(m.rel_gb(), units, m.gen_degrees)
+    return _nakayama_keep(buchberger(constant_parts, m.ctx), units,
+                          m.gen_degrees)

@@ -50,6 +50,15 @@ def test_parse_job_basic():
      "expected 1 entries"),
     (RING + "module k: {gens: [true], relations: []}\ncommand: grade\n",
      "expected a list of integers"),
+    ("ring: {char: 101, vars: [x, 1]}\n"
+     "module k: {gens: [0], relations: [[x], [1]]}\ncommand: grade\n"
+     "module: k\n", "ring.vars: 1 is not a variable name"),
+    ("ring: {char: 101, vars: [true, y]}\ncommand: grade\n",
+     "ring.vars: True is not a variable name"),
+    ("ring: {char: 101, vars: [x, y^2]}\ncommand: grade\n",
+     "ring.vars: 'y^2' is not a variable name"),
+    ("ring: {char: 101, vars: [[x]]}\ncommand: grade\n",
+     "ring.vars: ['x'] is not a variable name"),
 ])
 def test_parse_job_errors(doc, fragment):
     with pytest.raises(ParseError) as err:

@@ -1,0 +1,93 @@
+"""Canonical reports pinned byte for byte.
+
+Each job below runs through ``parse_job`` and ``run_job``; its canonical
+section must equal ``tests/golden/<name>.yml`` exactly.  There is one small
+job for every command, and ``verify-claim1`` and ``verify-exact2`` also run
+on acceptance scenarios 1-4 over F_101 in the coordinates x, y, z.  A change
+that is meant to alter a report rewrites the files with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+and the diff of ``tests/golden/`` shows what changed.
+"""
+
+import pathlib
+import sys
+
+import pytest
+
+from ncres.cli import COMMANDS, parse_job, run_job
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+RING2 = "ring: {char: 101, vars: [x, y]}\n"
+RING3 = "ring: {char: 101, vars: [x, y, z]}\n"
+K3 = "module k: {gens: [0], relations: [[x], [y], [z]]}\n"
+R_MOD = "module R: {gens: [0], relations: []}\n"
+MODULES3 = (
+    K3 + R_MOD
+    + "module Rm2: {gens: [0], relations: "
+      "[[x^2], [x*y], [y^2], [x*z], [y*z], [z^2]]}\n"
+    + "module CI3: {gens: [0], relations: [[x^3], [y^3], [z^3]]}\n"
+    + "module W3: {gens: [3, 3, 3], relations: "
+      "[[y^3, -x^3, 0], [z^3, 0, -x^3], [0, z^3, -y^3]]}\n"
+    + "module O2: {gens: [2, 2, 2], relations: [[x, y, z]]}\n"
+    + "module T: {gens: [0, 1], relations: "
+      "[[x, 0], [y, 0], [z^2, z], [0, x], [0, y]]}\n"
+)
+# acceptance scenarios 1-4: X = k, M = R, and M = R + Omega^2 k in scenario 4
+SCENARIOS = {
+    "s1": (RING2 + "module k: {gens: [0], relations: [[x], [y]]}\n"
+           + R_MOD + "M: R\nc: 1\nd: 2\ngldim_end_M: 2\n"),
+    "s2": RING3 + K3 + R_MOD + "M: R\nc: 1\nd: 3\ngldim_end_M: 3\n",
+    "s3": RING3 + K3 + R_MOD + "M: R\nc: 2\nd: 3\ngldim_end_M: 3\n",
+    "s4": (RING3 + K3 + R_MOD
+           + "module O2: {gens: [2, 2, 2], relations: [[x, y, z]]}\n"
+           + "module M: {gens: [0, 2, 2, 2], relations: [[0, x, y, z]]}\n"
+           + "M: M\nc: 1\nd: 2\ngldim_end_M: 7\nsummands: [R, O2]\n"),
+}
+
+JOBS = {
+    "grade-T": RING3 + MODULES3 + "command: grade\nmodule: T\n",
+    "syzygy-Rm2-2": RING3 + MODULES3 + "command: syzygy\nmodule: Rm2\nc: 2\n",
+    "torsionfree-O2-2": (RING3 + MODULES3
+                         + "command: torsionfree\nmodule: O2\nd: 2\n"),
+    "ext2-T-R": (RING3 + MODULES3
+                 + "command: ext\nmodule: T\ntarget: R\ni: 2\n"),
+    "hom-O2-k": RING3 + MODULES3 + "command: hom\nsource: O2\ntarget: k\n",
+    "stablehom-T-T": (RING3 + MODULES3
+                      + "command: stablehom\nsource: T\ntarget: T\n"),
+    "transpose-W3": RING3 + MODULES3 + "command: transpose\nmodule: W3\n",
+    "build-k-21": (RING3 + K3 + "command: build\nmodule: k\ncs: [2, 1]\n"
+                   "gldim_end_N: 0\n"),
+    "verify-claim1-failing": (RING3 + MODULES3 + "command: verify-claim1\n"
+                              "M: k\nX: k\nc: 1\nd: 2\n"),
+    "verify-exact2-failing": (RING3 + MODULES3 + "command: verify-exact2\n"
+                              "M: O2\nX: k\nc: 1\nd: 2\ndepth: 2\n"),
+    "verify-lemmas-r2": RING2 + "command: verify-lemmas\n",
+}
+for _tag, _doc in SCENARIOS.items():
+    JOBS[f"claim1-{_tag}"] = _doc + "X: k\ncommand: verify-claim1\n"
+    JOBS[f"exact2-{_tag}"] = _doc + "X: k\ncommand: verify-exact2\ndepth: 4\n"
+
+
+def canonical(doc):
+    return run_job(parse_job(doc))[0]
+
+
+def test_every_command_has_a_job():
+    assert {parse_job(doc).command for doc in JOBS.values()} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_canonical_report_matches_golden(name):
+    want = (GOLDEN / f"{name}.yml").read_text(encoding="utf-8")
+    assert canonical(JOBS[name]) == want
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    GOLDEN.mkdir(exist_ok=True)
+    for name, doc in sorted(JOBS.items()):
+        (GOLDEN / f"{name}.yml").write_text(canonical(doc), encoding="utf-8")

@@ -244,6 +244,44 @@ def test_nakayama_pass_matches_rebuild_per_candidate(ctx2, ctx3, seed):
             assert got == _rebuild_keep(ctx, base, cands, degrees)
 
 
+def _zero_by_reduction(m):
+    """Reference zero test: every generator reduces to 0 modulo rel_gb()."""
+    zero_mono = (0,) * m.ctx.nvars
+    return all(not m.rel_gb().normal_form_vec({(i, zero_mono): 1})
+               for i in range(m.rank))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_is_zero_matches_reduction_of_every_generator(ctx2, ctx3, seed):
+    for ctx in (ctx2, ctx3):
+        m = _redundant_module(ctx, seed)
+        # m modulo its first n generators, for every n; the quotient by all
+        # the generators that do not come from combinations is zero
+        for n in range(m.rank + 1):
+            units = [[ctx.one() if i == j else ctx.zero()
+                      for i in range(m.rank)] for j in range(n)]
+            kill = FreeModuleMap(ctx, m.gen_degrees[:n], m.gen_degrees, units)
+            q = FPModule(ctx, m.gen_degrees, kill.hstack(m.relations))
+            got = q.is_zero(), minimal_generator_indices(q)
+            assert q._rel_gb is None
+            assert got[0] == _zero_by_reduction(q) == (not got[1])
+
+
+@pytest.mark.parametrize("cols,zero,kept", [
+    ([(1, 1), (1, 2)], True, []),
+    ([(1, 1), (2, 2)], False, [0]),
+])
+def test_is_zero_needs_a_combination_of_constant_relations(ctx2, cols, zero,
+                                                           kept):
+    rel = FreeModuleMap(ctx2, (0, 0), (0, 0),
+                        [[ctx2.constant(c) for c in col] for col in cols])
+    m = make_module([0, 0], rel, ctx2)
+    assert m.is_zero() == zero
+    assert minimal_generator_indices(m) == kept
+    assert m._rel_gb is None
+    assert _zero_by_reduction(m) == zero
+
+
 def test_koszul_betti_numbers(ctx1, ctx2, ctx3):
     """[DERIVED] binomial Betti numbers of k for r = 1, 2, 3."""
     for ctx in (ctx1, ctx2, ctx3):
