@@ -44,14 +44,6 @@ class JobSpec:
     command: str
     params: dict = field(default_factory=dict)
 
-    def __eq__(self, other):
-        return (isinstance(other, JobSpec) and self.ring == other.ring
-                and self.command == other.command
-                and self.params == other.params
-                and set(self.modules) == set(other.modules)
-                and all(self.modules[k] == other.modules[k]
-                        for k in self.modules))
-
 
 def _is_int(value) -> bool:
     # YAML reads true/false as bool, which is a subclass of int

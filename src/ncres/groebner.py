@@ -17,17 +17,26 @@ from .ring import (AlgebraError, DegreeError, Polynomial, RingContext,
 # Vec: dict[(position, exponent-tuple)] -> coefficient in 1..p-1
 
 
-def vec_add_scaled(v: dict, w: dict, coeff: int, mono: tuple, p: int) -> dict:
-    """v + coeff * x^mono * w, reduced mod p."""
-    out = dict(v)
+def vec_add_scaled(v: dict, w: dict, coeff: int, mono: tuple, p: int,
+                   fresh: list | None = None) -> dict:
+    """v += coeff * x^mono * w, reduced mod p, in place; returns v.  Terms
+    that enter v are appended to ``fresh`` when it is given."""
     for (pos, m), c in w.items():
         key = (pos, mono_mul(m, mono))
-        val = (out.get(key, 0) + coeff * c) % p
-        if val:
-            out[key] = val
+        old = v.get(key)
+        if old is None:
+            val = coeff * c % p
+            if val:
+                v[key] = val
+                if fresh is not None:
+                    fresh.append(key)
         else:
-            out.pop(key, None)
-    return out
+            val = (old + coeff * c) % p
+            if val:
+                v[key] = val
+            else:
+                del v[key]
+    return v
 
 
 def vec_scale(v: dict, coeff: int, p: int) -> dict:
@@ -64,69 +73,93 @@ def vec_to_column(v: dict, rank: int, ctx: RingContext):
 # -- term orders on free modules --------------------------------------------
 
 def make_order_key(ctx: RingContext):
-    """Term-over-position key on (position, monomial); larger key = larger
-    term, lower position winning ties."""
-    mk = ctx.mono_key
+    """Term-over-position key on (position, monomial) whose ascending order
+    is descending term order; of two terms with the same monomial the lower
+    position is the larger.  The smallest key is the leading term, and a
+    heap pops terms largest first."""
+    mk = ctx.mono_desc_key
 
     def key(t):
         pos, m = t
-        return (mk(m), -pos)
+        return (mk(m), pos)
     return key
 
 
 def make_elim_key(ctx: RingContext, split: int):
-    """Any term in positions < split beats any term in positions >= split."""
-    base = make_order_key(ctx)
+    """Any term in positions < split beats any term in positions >= split;
+    within each side, the order of ``make_order_key``."""
+    mk = ctx.mono_desc_key
 
     def key(t):
         pos, m = t
-        return (1 if pos < split else 0, base(t))
+        return (pos >= split, mk(m), pos)
     return key
 
 
 # -- reduction and Buchberger ------------------------------------------------
 
 def leading_term(v: dict, key):
-    t = max(v, key=key)
+    t = min(v, key=key)
     return t, v[t]
 
 
-def _find_reducer(term, lts):
-    pos, m = term
-    for i, (lpos, lm) in enumerate(lts):
-        if lpos == pos and mono_divides(lm, m):
-            return i
-    return -1
+def by_position(lts) -> dict:
+    """Index of leading terms: position -> [(monomial, basis index)], each
+    list in basis order."""
+    index = {}
+    for i, (pos, lm) in enumerate(lts):
+        index.setdefault(pos, []).append((lm, i))
+    return index
 
 
-def reduce_vec(v: dict, basis, lts, key, p: int) -> dict:
-    """Full normal form of v against basis (monic elements assumed)."""
-    result = {}
+def reduce_vec(v: dict, basis, reducers, key, p: int) -> dict:
+    """Full normal form of v against basis (monic elements assumed), whose
+    leading terms are indexed by ``by_position`` in ``reducers``.
+
+    Terms come off a heap largest first (Monagan & Pearce's heap division):
+    a term is pushed when it enters the working vector, and an entry whose
+    term has since cancelled is skipped.  Every term added by a step is
+    smaller than the term it removes, so the heap order is the order in
+    which a rescan of the whole vector would find leading terms.  The
+    reducer of a term is the lowest-index basis element whose leading term
+    divides it.
+    """
     work = dict(v)
-    while work:
-        t, c = leading_term(work, key)
-        i = _find_reducer(t, lts)
-        if i < 0:
+    heap = [(key(t), t) for t in work]
+    heapq.heapify(heap)
+    result = {}
+    fresh = []
+    while heap:
+        t = heapq.heappop(heap)[1]
+        c = work.get(t)
+        if c is None:
+            continue
+        pos, m = t
+        for lm, i in reducers.get(pos, ()):
+            if mono_divides(lm, m):
+                vec_add_scaled(work, basis[i], -c, mono_div(m, lm), p, fresh)
+                for u in fresh:
+                    heapq.heappush(heap, (key(u), u))
+                fresh.clear()
+                break
+        else:
             result[t] = c
             del work[t]
-            continue
-        g = basis[i]
-        lpos, lm = lts[i]
-        quot = mono_div(t[1], lm)
-        work = vec_add_scaled(work, g, -c, quot, p)
     return result
 
 
-def _push(basis, lts, v, key, ctx: RingContext):
-    """Append v, made monic, and its leading term."""
+def _push(basis, lts, reducers, v, key, ctx: RingContext):
+    """Append v, made monic, and its leading term to the basis, its leading
+    terms and their index."""
     t, c = leading_term(v, key)
+    reducers.setdefault(t[0], []).append((t[1], len(basis)))
     basis.append(vec_scale(v, ctx.inv(c), ctx.characteristic))
     lts.append(t)
 
 
-def _complete(basis, lts, start: int, key, ctx: RingContext):
-    """Grow ``basis`` (monic, leading terms ``lts``) in place to a Groebner
-    basis of its span.
+def _complete(basis, lts, reducers, start: int, key, ctx: RingContext):
+    """Grow ``basis`` (monic, leading terms ``lts`` indexed in ``reducers``)
+    in place to a Groebner basis of its span.
 
     ``basis[:start]`` must already be a Groebner basis: only pairs with an
     element at or after ``start`` are formed, and pairs among the older
@@ -141,9 +174,9 @@ def _complete(basis, lts, start: int, key, ctx: RingContext):
 
     def add_pairs(n):
         pos, ln = lts[n]
-        for k in range(n):
-            if lts[k][0] == pos:
-                lcm = mono_lcm(lts[k][1], ln)
+        for lm, k in reducers[pos]:
+            if k < n:
+                lcm = mono_lcm(lm, ln)
                 heapq.heappush(heap, (mono_degree(lcm), k, n, lcm))
 
     for n in range(start, len(basis)):
@@ -152,10 +185,9 @@ def _complete(basis, lts, start: int, key, ctx: RingContext):
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
         done.add((i, j))
-        pos = lts[i][0]
         skip = False
-        for k, (kpos, km) in enumerate(lts):
-            if k == i or k == j or kpos != pos or not mono_divides(km, lcm):
+        for km, k in reducers[lts[i][0]]:
+            if k == i or k == j or not mono_divides(km, lcm):
                 continue
             pik = (i, k) if i < k else (k, i)
             pjk = (j, k) if j < k else (k, j)
@@ -168,21 +200,21 @@ def _complete(basis, lts, start: int, key, ctx: RingContext):
         s = vec_add_scaled(
             vec_add_scaled({}, basis[i], 1, mono_div(lcm, lts[i][1]), p),
             basis[j], -1, mono_div(lcm, lts[j][1]), p)
-        r = reduce_vec(s, basis, lts, key, p)
+        r = reduce_vec(s, basis, reducers, key, p)
         if r:
-            _push(basis, lts, r, key, ctx)
+            _push(basis, lts, reducers, r, key, ctx)
             add_pairs(len(basis) - 1)
 
 
-def _reduce_into(basis, lts, vecs, key, ctx: RingContext):
+def _reduce_into(basis, lts, reducers, vecs, key, ctx: RingContext):
     """Append the nonzero normal forms of vecs, each against the basis so
     far."""
     p = ctx.characteristic
     for v in vecs:
         if v:
-            r = reduce_vec(v, basis, lts, key, p)
+            r = reduce_vec(v, basis, reducers, key, p)
             if r:
-                _push(basis, lts, r, key, ctx)
+                _push(basis, lts, reducers, r, key, ctx)
 
 
 def buchberger_vecs(vecs, key, ctx: RingContext):
@@ -195,29 +227,31 @@ def buchberger_vecs(vecs, key, ctx: RingContext):
     p = ctx.characteristic
     basis = []
     lts = []
-    _reduce_into(basis, lts, vecs, key, ctx)
-    _complete(basis, lts, 0, key, ctx)
+    reducers = {}
+    _reduce_into(basis, lts, reducers, vecs, key, ctx)
+    _complete(basis, lts, reducers, 0, key, ctx)
     # auto-reduce: drop redundant leading terms, then tail-reduce
     keep = []
-    for i in range(len(basis)):
-        lt = lts[i]
+    for i, (pos, m) in enumerate(lts):
         redundant = any(
-            j != i and lts[j][0] == lt[0]
-            and mono_divides(lts[j][1], lt[1])
-            and (lts[j][1] != lt[1] or j < i)
-            for j in range(len(basis)))
+            j != i and mono_divides(lm, m) and (lm != m or j < i)
+            for lm, j in reducers[pos])
         if not redundant:
             keep.append(i)
     basis = [basis[i] for i in keep]
     lts = [lts[i] for i in keep]
+    reducers = by_position(lts)
     out = []
-    for i in range(len(basis)):
-        others = basis[:i] + basis[i + 1:]
-        olts = lts[:i] + lts[i + 1:]
-        r = reduce_vec(basis[i], others, olts, key, p)
-        t, c = leading_term(r, key)
-        out.append(vec_scale(r, ctx.inv(c), p))
-    order = sorted(range(len(out)), key=lambda i: key(lts[i]), reverse=True)
+    for g, lt in zip(basis, lts):
+        # No other leading term divides lt, and lt divides no smaller term,
+        # so the tail reduces against the whole basis as against the others
+        # and lt stays with coefficient 1.
+        tail = dict(g)
+        del tail[lt]
+        r = {lt: 1}
+        r.update(reduce_vec(tail, basis, reducers, key, p))
+        out.append(r)
+    order = sorted(range(len(out)), key=lambda i: key(lts[i]))
     return [out[i] for i in order]
 
 
@@ -230,14 +264,16 @@ class GroebnerBasis:
     generators: list          # list of Vec, monic
     key: object               # term-order key function
     leading_terms: list = field(default=None)
+    reducers: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.leading_terms is None:
             self.leading_terms = [leading_term(g, self.key)[0]
                                   for g in self.generators]
+        self.reducers = by_position(self.leading_terms)
 
     def normal_form_vec(self, v: dict) -> dict:
-        return reduce_vec(v, self.generators, self.leading_terms, self.key,
+        return reduce_vec(v, self.generators, self.reducers, self.key,
                           self.ctx.characteristic)
 
     def contains_vec(self, v: dict) -> bool:
@@ -249,9 +285,10 @@ class GroebnerBasis:
         auto-reduced; it serves membership tests."""
         basis = list(self.generators)
         lts = list(self.leading_terms)
+        reducers = by_position(lts)
         start = len(basis)
-        _reduce_into(basis, lts, vecs, self.key, self.ctx)
-        _complete(basis, lts, start, self.key, self.ctx)
+        _reduce_into(basis, lts, reducers, vecs, self.key, self.ctx)
+        _complete(basis, lts, reducers, start, self.key, self.ctx)
         return GroebnerBasis(self.ctx, basis, self.key, lts)
 
 
@@ -317,6 +354,21 @@ class FreeModuleMap:
 
     def column_vecs(self):
         return [self.column_vec(j) for j in range(self.source_rank)]
+
+    def constant_vecs(self):
+        """Degree-0 (constant) parts of the columns as sparse vectors, the
+        columns with none left out."""
+        zero = (0,) * self.ctx.nvars
+        out = []
+        for col in self.cols:
+            v = {}
+            for i, f in enumerate(col):
+                c = f.constant_term()
+                if c:
+                    v[(i, zero)] = c
+            if v:
+                out.append(v)
+        return out
 
     def compose(self, other: "FreeModuleMap") -> "FreeModuleMap":
         """self o other (other feeds into self)."""

@@ -8,7 +8,7 @@ import functools
 from dataclasses import dataclass
 
 from .ring import AlgebraError, EngineError
-from .groebner import FreeModuleMap, columns_to_vec, lift_solve
+from .groebner import FreeModuleMap, buchberger, columns_to_vec, lift_solve
 from .modules import (FPModule, ModuleMorphism, INFINITE, _shifted, cokernel,
                       direct_sum, free_module, homology, kernel,
                       kernel_with_inclusion, minimal_generator_indices,
@@ -412,6 +412,39 @@ def hom_factorization(f: ModuleMorphism, g: ModuleMorphism):
     return h
 
 
+def _cover_selection(hmk: HomModule, comp, degrees):
+    """Indices of the candidate blocks ``comp`` (coordinate columns in
+    ``hmk``) kept by the add-M cover prune, which drops blocks in
+    (-degree, index) order while the rest still generate ``hmk.module``.
+
+    By graded Nakayama a selection generates exactly when the constant
+    parts of its columns and of the relations span k^rank, so each trial is
+    the rank of constant vectors, read off their reduced basis; the constant
+    parts are taken once.
+    """
+    ctx = hmk.ctx
+    rank = hmk.module.rank
+    base = hmk.module.relations.constant_vecs()
+    blocks = [c.constant_vecs() for c in comp]
+
+    def covers(sel):
+        vecs = base + [v for j in sel for v in blocks[j]]
+        return len(buchberger(vecs, ctx).generators) == rank
+
+    kept = list(range(len(comp)))
+    if not covers(kept):
+        raise EngineError("add-M candidates fail to cover Hom(m, K); "
+                          "engine bug")
+    # Covering is monotone in the selection: a candidate that cannot be
+    # dropped from a selection cannot be dropped from any subset of it,
+    # so one pass leaves a selection from which nothing can be dropped.
+    for j in sorted(kept, key=lambda j: (-degrees[j], j)):
+        trial = [i for i in kept if i != j]
+        if covers(trial):
+            kept = trial
+    return kept
+
+
 def add_M_resolution(z: FPModule, m: FPModule, depth: int,
                      summands=None) -> AddMResolution:
     """Right add-M approximation resolution of z, to the requested depth.
@@ -431,6 +464,8 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
         summands = (m,)
     else:
         summands = tuple(summands)
+        if not summands:
+            raise AlgebraError("summands: expected at least one module")
         if functools.reduce(direct_sum, summands) != m:
             raise AlgebraError("summands do not present the direct sum m")
     hom_m_s = []
@@ -452,24 +487,7 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
         # Hom(m, S_l-part of the cover) inside Hom(m, K)
         comp = [hmk.coords_map(g.compose(psi) for psi in hom_m_s[l])
                 for l, g in cands]
-        none = FreeModuleMap.zero_map(hmk.ctx, (), hmk.module.gen_degrees)
-
-        def covers(sel):
-            cols = functools.reduce(FreeModuleMap.hstack,
-                                    (comp[j] for j in sel), none)
-            return _quotient(hmk, cols).is_zero()
-
-        kept = list(range(len(cands)))
-        if not covers(kept):
-            raise EngineError("add-M candidates fail to cover Hom(m, K); "
-                              "engine bug")
-        # Covering is monotone in the selection: a candidate that cannot be
-        # dropped from a selection cannot be dropped from any subset of it,
-        # so one pass leaves a selection from which nothing can be dropped.
-        for j in sorted(kept, key=lambda j: (-cands[j][1].degree, j)):
-            trial = [i for i in kept if i != j]
-            if covers(trial):
-                kept = trial
+        kept = _cover_selection(hmk, comp, [g.degree for _, g in cands])
         morphs = [cands[j] for j in kept]
         blocks = [summands[l].twist(g.degree) for l, g in morphs]
         Mi = functools.reduce(direct_sum, blocks)

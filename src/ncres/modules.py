@@ -557,9 +557,6 @@ def minimal_generator_indices(m: FPModule):
     m/(x_1..x_r)m: k^rank modulo the constant entries of the relation
     columns, so it row-reduces constant vectors and never uses rel_gb()."""
     zero_mono = (0,) * m.ctx.nvars
-    constant_parts = [{(i, zero_mono): f.constant_term()
-                       for i, f in enumerate(col) if f.constant_term()}
-                      for col in m.relations.cols]
     units = [{(i, zero_mono): 1} for i in range(m.rank)]
-    return _nakayama_keep(buchberger(constant_parts, m.ctx), units,
-                          m.gen_degrees)
+    return _nakayama_keep(buchberger(m.relations.constant_vecs(), m.ctx),
+                          units, m.gen_degrees)

@@ -187,11 +187,11 @@ def verify_exact2(h: NCRHypotheses, depth: int) -> Verdict:
     evidence.update({"depth_used": n, "kernel_ranks": kernel_ranks,
                      "quotient_dimension": D1})
     if n == 0:
-        evidence.update({"cokernel_dimension": 0 if D1 == 0 else D1,
-                         "interior_exact": [], "left_injective": True,
-                         "stable_hom_vanishing": []})
-        status = VERIFIED if D1 == 0 else HYPOTHESIS_FAILED
-        return Verdict(status, evidence)
+        # the first add-M step is always taken, so only a zero Omega^c X
+        # ends here, and its End quotient D1 is 0
+        evidence.update({"cokernel_dimension": 0, "interior_exact": [],
+                         "left_injective": True, "stable_hom_vanishing": []})
+        return Verdict(VERIFIED, evidence)
     hom_mods = [HZ] + [hom_module(Z, ev.source) for ev in amr.approximations]
     maps = [induced_post_hom(amr.approximations[0], hom_mods[1], hom_mods[0])]
     for i in range(1, n):

@@ -8,6 +8,7 @@ after construction.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -73,21 +74,21 @@ def mono_degree(m: tuple) -> int:
 
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a: tuple, b: tuple) -> bool:
     """True when a divides b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def mono_div(a: tuple, b: tuple) -> tuple:
     """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomials_of_degree(nvars: int, d: int) -> Iterator[tuple]:
@@ -135,6 +136,13 @@ class RingContext:
         if self.order == GREVLEX:
             return (sum(m), tuple(-e for e in reversed(m)))
         return tuple(m)
+
+    def mono_desc_key(self, m: tuple):
+        """Sort key whose ascending order is descending ring order: the
+        componentwise negation of ``mono_key``."""
+        if self.order == GREVLEX:
+            return (-sum(m), m[::-1])
+        return tuple(-e for e in m)
 
     # -- element constructors ------------------------------------------------
 

@@ -167,7 +167,9 @@ def test_canonical_section_stable_across_processes(tmp_path):
     "command: verify-claim1\nM: R\nX: k\nc: 1\nd: 2\nsummands: 5\n",
     "command: build\nmodule: k\ncs: [true]\ngldim_end_N: 0\n",
     "command: syzygy\nmodule: k\nc: true\n",
-], ids=["module-list", "cs-strings", "summands-int", "cs-bool", "c-bool"])
+    "command: verify-exact2\nM: R\nX: k\nc: 1\nd: 2\nsummands: []\n",
+], ids=["module-list", "cs-strings", "summands-int", "cs-bool", "c-bool",
+        "summands-empty"])
 def test_main_malformed_parameters_exit_two(tmp_path, capsys, params):
     path = write_job(tmp_path, RING + K_MOD + R_MOD + params)
     assert main(["--job", path]) == 2

@@ -6,7 +6,10 @@ from hypothesis import strategies as st
 
 from oracles import membership_oracle, rank_mod_p
 from ncres.ring import RingContext, monomials_of_degree, parse_polynomial
-from ncres.groebner import (FreeModuleMap, buchberger, lift_solve,
+from ncres import groebner
+from ncres.groebner import (FreeModuleMap, buchberger, buchberger_vecs,
+                            by_position, leading_term, lift_solve,
+                            make_elim_key, make_order_key, reduce_vec,
                             syzygy_basis)
 
 CTX = RingContext(101, ("x", "y"))
@@ -255,3 +258,115 @@ def test_constant_vector_basis_size_is_rank():
         vecs = [{(j, zero): c for j, c in enumerate(row) if c}
                 for row in rows]
         assert len(buchberger(vecs, ctx).generators) == rank_mod_p(rows, p)
+
+
+# -- the reduction kernel ----------------------------------------------------
+
+def _rescan_reduce(v, basis, lts, larger, p):
+    """Reference normal form: every step takes the maximum term of the whole
+    working vector under ``larger`` and scans every leading term for the
+    first that divides it."""
+    work = dict(v)
+    result = {}
+    while work:
+        t = max(work, key=larger)
+        c = work[t]
+        for g, (lpos, lm) in zip(basis, lts):
+            if lpos == t[0] and all(a <= b for a, b in zip(lm, t[1])):
+                q = tuple(a - b for a, b in zip(t[1], lm))
+                for (pos, m), gc in g.items():
+                    u = (pos, tuple(a + b for a, b in zip(m, q)))
+                    val = (work.get(u, 0) - c * gc) % p
+                    if val:
+                        work[u] = val
+                    else:
+                        work.pop(u, None)
+                break
+        else:
+            result[t] = c
+            del work[t]
+    return result
+
+
+def _random_homogeneous(ctx, rng, rank, d, nterms):
+    monos = list(monomials_of_degree(ctx.nvars, d))
+    terms = [(rng.randrange(rank), rng.choice(monos)) for _ in range(nterms)]
+    return {t: rng.randrange(1, ctx.characteristic) for t in terms}
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+@pytest.mark.parametrize("order", ["term", "elim"])
+def test_heap_reduction_matches_rescan_reference(nvars, order):
+    """reduce_vec against the rescanning reference on seeded vectors in
+    several positions, under both key functions; the bases are Groebner
+    bases and also plain monic lists whose leading terms repeat, where the
+    lowest-index divisor must be the reducer."""
+    ctx = RingContext(32003, ("a", "b", "c", "d")[:nvars])
+    p = ctx.characteristic
+    rank = 3
+    split = 1
+    if order == "term":
+        key = make_order_key(ctx)
+
+        def larger(t):
+            return (ctx.mono_key(t[1]), -t[0])
+    else:
+        key = make_elim_key(ctx, split)
+
+        def larger(t):
+            return (t[0] < split, ctx.mono_key(t[1]), -t[0])
+    rng = random.Random(100 * nvars + len(order))
+    for _ in range(6):
+        gens = [_random_homogeneous(ctx, rng, rank, rng.randrange(1, 3), 4)
+                for _ in range(rng.randrange(2, 6))]
+        gens = [g for g in gens if g]
+        # the key sorts terms in descending order of the reference order
+        terms = sorted({t for g in gens for t in g}, key=key)
+        assert terms == sorted(terms, key=larger, reverse=True)
+        # each of the first two generators again, with its leading term
+        # kept and other lower terms added
+        twins = []
+        for g in gens[:2]:
+            lt = max(g, key=larger)
+            d = sum(lt[1])
+            extra = _random_homogeneous(ctx, rng, rank, d, 4)
+            twin = dict(g)
+            twin.update((t, c) for t, c in extra.items()
+                        if larger(t) < larger(lt))
+            twins.append(twin)
+        plain = []
+        for g in gens + twins:
+            c = g[max(g, key=larger)]
+            plain.append({t: v * pow(c, p - 2, p) % p for t, v in g.items()})
+        gb = buchberger_vecs(gens, key, ctx)
+        for basis in (gb, plain):
+            lts = [leading_term(g, key)[0] for g in basis]
+            assert lts == [max(g, key=larger) for g in basis]
+            for _ in range(8):
+                v = _random_homogeneous(ctx, rng, rank, 3, 10)
+                assert reduce_vec(v, basis, by_position(lts), key, p) == \
+                    _rescan_reduce(v, basis, lts, larger, p)
+
+
+def test_one_vec_add_scaled_call_per_reduction_step(monkeypatch):
+    """Each reduction step is one call of ``vec_add_scaled``, looked up in
+    the module, so a wrapper there counts reduction steps.  By hand, with
+    g1 = x - y and g2 = y^2 over F_101 in grevlex: x^2 -> x*y (by x*g1)
+    -> y^2 (by y*g1) -> 0 (by g2), while x in position 1 has no reducer;
+    three steps."""
+    calls = []
+    original = groebner.vec_add_scaled
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "vec_add_scaled", counting)
+    key = make_order_key(CTX)
+    g1 = {(0, (1, 0)): 1, (0, (0, 1)): 100}
+    g2 = {(0, (0, 2)): 1}
+    v = {(0, (2, 0)): 1, (1, (1, 0)): 5}
+    out = reduce_vec(v, [g1, g2], by_position([(0, (1, 0)), (0, (0, 2))]),
+                     key, 101)
+    assert out == {(1, (1, 0)): 5}
+    assert calls == [(1, 0), (0, 1), (0, 0)]

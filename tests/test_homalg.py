@@ -1,14 +1,17 @@
+import functools
 import random
 
 import pytest
 
 from conftest import maximal_ideal, module_family, residue_field, square_quotient
-from oracles import grade_oracle, hom_k_dimension_oracle, koszul_ext_dims
+from oracles import (grade_oracle, hom_k_dimension_oracle, koszul_ext_dims,
+                     rank_mod_p)
 from ncres.ring import AlgebraError, RingContext
-from ncres import groebner
+from ncres import groebner, homalg
 from ncres.groebner import FreeModuleMap, columns_to_vec, lift_solve
 from ncres.modules import (INFINITE, ModuleMorphism, cokernel, direct_sum,
-                           free_module, kernel, minimal_resolution, syzygy)
+                           free_module, kernel, make_module,
+                           minimal_resolution, syzygy)
 from ncres.homalg import (add_M_resolution, check_lift_exactness, ext,
                           factor_ideal, grade, hom_factorization, hom_module,
                           induced_post_hom, is_d_torsionfree, is_generator,
@@ -406,3 +409,70 @@ def test_add_M_resolution_rejects_bad_summands(ctx3):
     M = direct_sum(R, syzygy(k, 2))
     with pytest.raises(AlgebraError):
         add_M_resolution(syzygy(k, 1), M, 2, summands=(R, R))
+
+
+def _seeded_residue_field(ctx, rng):
+    """k = R/(l_1..l_r) for seeded linearly independent linear forms."""
+    p = ctx.characteristic
+    while True:
+        rows = [[rng.randrange(p) for _ in ctx.variables]
+                for _ in ctx.variables]
+        if rank_mod_p(rows, p) == ctx.nvars:
+            break
+    forms = [sum((ctx.constant(c) * ctx.variable(v)
+                  for c, v in zip(row, ctx.variables)), ctx.zero())
+             for row in rows]
+    rel = FreeModuleMap(ctx, (1,) * ctx.nvars, (0,), [[l] for l in forms])
+    return make_module([0], rel, ctx)
+
+
+def _quotient_rule_selection(hmk, comp, degrees):
+    """The add-M cover prune with the module rule: a selection covers when
+    Hom(m, K) modulo its composite columns is the zero module."""
+    none = FreeModuleMap.zero_map(hmk.ctx, (), hmk.module.gen_degrees)
+
+    def covers(sel):
+        cols = functools.reduce(FreeModuleMap.hstack,
+                                (comp[j] for j in sel), none)
+        return homalg._quotient(hmk, cols).is_zero()
+
+    kept = list(range(len(comp)))
+    assert covers(kept)
+    for j in sorted(kept, key=lambda j: (-degrees[j], j)):
+        trial = [i for i in kept if i != j]
+        if covers(trial):
+            kept = trial
+    return kept
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cover_by_constant_rank_matches_quotient_rule(seed, monkeypatch):
+    """On the add-M resolutions of the exact2 scenarios (X = k in seeded
+    coordinates; M = R over 2 and 3 variables with c = 1, 2, and
+    M = R + Omega^2 k with its summands), every cover keeps the selection
+    that the zero-quotient rule keeps."""
+    calls = []
+    original = homalg._cover_selection
+
+    def recording(hmk, comp, degrees):
+        kept = original(hmk, comp, degrees)
+        calls.append((hmk, comp, degrees, kept))
+        return kept
+
+    monkeypatch.setattr(homalg, "_cover_selection", recording)
+    rng = random.Random(seed)
+    ctx2 = RingContext(101, ("x", "y"))
+    ctx3 = RingContext(101, ("x", "y", "z"))
+    k2, k3 = _seeded_residue_field(ctx2, rng), _seeded_residue_field(ctx3, rng)
+    R2, R3 = free_module(ctx2), free_module(ctx3)
+    o2 = syzygy(k3, 2)
+    cases = [(k2, R2, 1, None), (k3, R3, 1, None), (k3, R3, 2, None),
+             (k3, direct_sum(R3, o2), 1, (R3, o2))]
+    for k, M, c, summands in cases:
+        amr = add_M_resolution(syzygy(k, c), M, 4, summands=summands)
+        assert amr.terminated
+    assert len(calls) >= len(cases)
+    for hmk, comp, degrees, kept in calls:
+        assert kept == _quotient_rule_selection(hmk, comp, degrees)
+    # the prune is not vacuous: some cover drops a candidate
+    assert any(len(kept) < len(comp) for _, comp, _, kept in calls)

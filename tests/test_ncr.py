@@ -2,7 +2,7 @@ import pytest
 
 from conftest import residue_field
 from ncres.ring import AlgebraError
-from ncres.modules import direct_sum, free_module, syzygy
+from ncres.modules import FPModule, direct_sum, free_module, syzygy
 from ncres.ncr import (DEPTH_EXHAUSTED, HYPOTHESIS_FAILED, NCRHypotheses,
                        VERIFIED, Verdict, check_theorem_part1, corollary_build,
                        normalize_cs, theorem_bound, verify_claim1,
@@ -93,6 +93,18 @@ def test_verify_exact2_small(ctx2):
     assert v.evidence["left_injective"]
     assert all(v.evidence["interior_exact"])
     assert all(v.evidence["stable_hom_vanishing"])
+
+
+def test_verify_exact2_zero_syzygy_needs_no_step(ctx2):
+    # X = 0 is the only way Omega^c X is zero: no add-M step is taken, and
+    # both dimensions are 0
+    v = verify_exact2(NCRHypotheses(M=free_module(ctx2),
+                                    X=FPModule(ctx2, (), None), c=1, d=2,
+                                    gldim_end_M=2, gldim_end_X=0), 2)
+    assert v.ok
+    assert v.evidence["depth_used"] == 0
+    assert v.evidence["quotient_dimension"] == \
+        v.evidence["cokernel_dimension"] == 0
 
 
 def test_verify_exact2_depth_exhaustion(ctx3):

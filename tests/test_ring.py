@@ -126,6 +126,14 @@ def test_grevlex_is_graded(a, b):
         assert ctx.mono_key(a) < ctx.mono_key(b)
 
 
+@given(a=monos3, b=monos3)
+def test_descending_key_reverses_the_order(a, b):
+    for order in ("grevlex", "lex"):
+        ctx = RingContext(101, ("x", "y", "z"), order=order)
+        assert (ctx.mono_desc_key(a) < ctx.mono_desc_key(b)) == \
+            (ctx.mono_key(a) > ctx.mono_key(b))
+
+
 def test_grevlex_vs_lex_disagree():
     grev = RingContext(101, ("x", "y"), order="grevlex")
     lex = RingContext(101, ("x", "y"), order="lex")
