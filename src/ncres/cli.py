@@ -166,9 +166,8 @@ def _clean(value):
 
 def _module_desc(m: FPModule) -> dict:
     return {"gens": list(m.gen_degrees),
-            "relations": [[format_polynomial(m.relations.cols[j][i])
-                           for i in range(m.rank)]
-                          for j in range(m.relations.source_rank)]}
+            "relations": [[format_polynomial(f) for f in col]
+                          for col in m.relations.cols]}
 
 
 def _verdict_desc(v: Verdict) -> dict:

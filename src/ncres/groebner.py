@@ -54,20 +54,23 @@ def vec_degree(v: dict, degrees) -> int:
     return mono_degree(m) + degrees[pos]
 
 
-def columns_to_vec(col) -> dict:
-    """Column of Polynomials -> sparse vector."""
-    v = {}
-    for pos, poly in enumerate(col):
-        for m, c in poly.terms.items():
-            v[(pos, m)] = c
-    return v
-
-
 def vec_to_column(v: dict, rank: int, ctx: RingContext):
+    """Sparse vector -> column of ``rank`` Polynomials."""
     cols = [dict() for _ in range(rank)]
     for (pos, m), c in v.items():
         cols[pos][m] = c
     return [Polynomial(ctx, t) for t in cols]
+
+
+def _vec_apply(cols, v: dict, p: int) -> dict:
+    """Sum of c * x^m * cols[k] over the terms (k, m): c of v, the image of
+    v under the map whose columns are ``cols``.  Not a reduction step."""
+    acc = {}
+    for (k, m), c in v.items():
+        for (i, n), d in cols[k].items():
+            t = (i, mono_mul(n, m))
+            acc[t] = acc.get(t, 0) + c * d
+    return {t: r for t, c in acc.items() if (r := c % p)}
 
 
 # -- term orders on free modules --------------------------------------------
@@ -307,36 +310,72 @@ def buchberger(vecs, ctx: RingContext) -> GroebnerBasis:
 class FreeModuleMap:
     """Graded matrix between free modules with degree twists.
 
-    Stored column-major: ``cols[j][i]`` is the entry in target position i of
-    source basis vector j.  Every nonzero entry must be homogeneous of degree
-    source_degrees[j] - target_degrees[i].
+    Stored as one sparse vector per column: column j maps (i, monomial) to
+    the coefficient of that monomial in the entry in target position i of
+    source basis vector j.  Every nonzero entry must be homogeneous of
+    degree source_degrees[j] - target_degrees[i].  Stored vectors are never
+    mutated; a caller that needs to change one copies it first.
+
+    The constructor takes columns of Polynomials and converts them once;
+    ``from_vecs`` keeps the vectors it is given, and ``cols`` rebuilds the
+    Polynomial columns for printing and tests.
     """
 
     def __init__(self, ctx: RingContext, source_degrees, target_degrees,
                  cols, check: bool = True):
-        self.ctx = ctx
-        self.source_degrees = tuple(source_degrees)
-        self.target_degrees = tuple(target_degrees)
-        self.cols = [list(col) for col in cols]
-        self._ext_gb = None
-        if len(self.cols) != len(self.source_degrees):
+        source_degrees = tuple(source_degrees)
+        target_degrees = tuple(target_degrees)
+        cols = [list(col) for col in cols]
+        if len(cols) != len(source_degrees):
             raise AlgebraError("column count does not match source rank")
-        for col in self.cols:
-            if len(col) != len(self.target_degrees):
-                raise AlgebraError("column length does not match target rank")
+        if any(len(col) != len(target_degrees) for col in cols):
+            raise AlgebraError("column length does not match target rank")
+        vecs = [{(i, m): c for i, f in enumerate(col)
+                 for m, c in f.terms.items()} for col in cols]
+        self._set(ctx, source_degrees, target_degrees, vecs)
         if check:
             self._check_homogeneous()
 
+    def _set(self, ctx, source_degrees, target_degrees, vecs):
+        self.ctx = ctx
+        self.source_degrees = tuple(source_degrees)
+        self.target_degrees = tuple(target_degrees)
+        self._vecs = vecs
+        self._ext_gb = None
+
+    @classmethod
+    def from_vecs(cls, ctx: RingContext, vecs, target_degrees,
+                  degrees=None) -> "FreeModuleMap":
+        """Map whose columns are the given sparse vectors, kept as given;
+        ``degrees`` defaults to the degrees of the (nonzero) vectors."""
+        vecs = list(vecs)
+        if degrees is None:
+            degrees = [vec_degree(v, target_degrees) for v in vecs]
+        m = cls.__new__(cls)
+        m._set(ctx, degrees, target_degrees, vecs)
+        return m
+
+    def regraded(self, source_degrees, target_degrees) -> "FreeModuleMap":
+        """The same columns between free modules with other twists."""
+        return FreeModuleMap.from_vecs(self.ctx, self._vecs, target_degrees,
+                                       source_degrees)
+
     def _check_homogeneous(self):
-        for j, col in enumerate(self.cols):
-            for i, f in enumerate(col):
-                if f.is_zero():
-                    continue
+        for j, v in enumerate(self._vecs):
+            for i, m in v:
                 want = self.source_degrees[j] - self.target_degrees[i]
-                if not f.is_homogeneous() or f.degree != want:
+                if mono_degree(m) != want:
+                    f = self.cols[j][i]
                     raise DegreeError(
                         f"entry ({i},{j}) = {f} has degree {f.degree}, "
                         f"expected {want}")
+
+    @property
+    def cols(self):
+        """Polynomial columns, ``cols[j][i]`` the entry in target position i
+        of source basis vector j; built on each read."""
+        return [vec_to_column(v, self.target_rank, self.ctx)
+                for v in self._vecs]
 
     @property
     def source_rank(self) -> int:
@@ -347,92 +386,63 @@ class FreeModuleMap:
         return len(self.target_degrees)
 
     def is_zero(self) -> bool:
-        return all(f.is_zero() for col in self.cols for f in col)
+        return not any(self._vecs)
 
     def column_vec(self, j: int) -> dict:
-        return columns_to_vec(self.cols[j])
+        return self._vecs[j]
 
     def column_vecs(self):
-        return [self.column_vec(j) for j in range(self.source_rank)]
+        return list(self._vecs)
 
     def constant_vecs(self):
         """Degree-0 (constant) parts of the columns as sparse vectors, the
         columns with none left out."""
-        zero = (0,) * self.ctx.nvars
         out = []
-        for col in self.cols:
-            v = {}
-            for i, f in enumerate(col):
-                c = f.constant_term()
-                if c:
-                    v[(i, zero)] = c
-            if v:
-                out.append(v)
+        for v in self._vecs:
+            w = {t: c for t, c in v.items() if not any(t[1])}
+            if w:
+                out.append(w)
         return out
 
     def compose(self, other: "FreeModuleMap") -> "FreeModuleMap":
         """self o other (other feeds into self)."""
         if other.target_degrees != self.source_degrees:
             raise AlgebraError("inner degree lists do not match in composition")
-        zero = self.ctx.zero()
-        cols = []
-        for j in range(other.source_rank):
-            col = [zero] * self.target_rank
-            for k in range(self.source_rank):
-                f = other.cols[j][k]
-                if f.is_zero():
-                    continue
-                for i in range(self.target_rank):
-                    g = self.cols[k][i]
-                    if not g.is_zero():
-                        col[i] = col[i] + g * f
-            cols.append(col)
-        return FreeModuleMap(self.ctx, other.source_degrees,
-                             self.target_degrees, cols, check=False)
+        p = self.ctx.characteristic
+        return FreeModuleMap.from_vecs(
+            self.ctx, [_vec_apply(self._vecs, v, p) for v in other._vecs],
+            self.target_degrees, other.source_degrees)
 
     def hstack(self, other: "FreeModuleMap") -> "FreeModuleMap":
         if other.target_degrees != self.target_degrees:
             raise AlgebraError("cannot stack maps with different targets")
-        return FreeModuleMap(self.ctx,
-                             self.source_degrees + other.source_degrees,
-                             self.target_degrees,
-                             self.cols + other.cols, check=False)
+        return FreeModuleMap.from_vecs(
+            self.ctx, self._vecs + other._vecs, self.target_degrees,
+            self.source_degrees + other.source_degrees)
 
     def transpose(self) -> "FreeModuleMap":
         """Dual map between the dual free modules (degrees negated)."""
-        cols = [[self.cols[j][i] for j in range(self.source_rank)]
-                for i in range(self.target_rank)]
-        return FreeModuleMap(self.ctx,
-                             tuple(-d for d in self.target_degrees),
-                             tuple(-d for d in self.source_degrees),
-                             cols, check=False)
+        vecs = [{} for _ in self.target_degrees]
+        for j, v in enumerate(self._vecs):
+            for (i, m), c in v.items():
+                vecs[i][(j, m)] = c
+        return FreeModuleMap.from_vecs(
+            self.ctx, vecs, tuple(-d for d in self.source_degrees),
+            tuple(-d for d in self.target_degrees))
 
     @classmethod
     def identity(cls, ctx: RingContext, degrees) -> "FreeModuleMap":
+        zero = (0,) * ctx.nvars
         degrees = tuple(degrees)
-        one, zero = ctx.one(), ctx.zero()
-        cols = [[one if i == j else zero for i in range(len(degrees))]
-                for j in range(len(degrees))]
-        return cls(ctx, degrees, degrees, cols, check=False)
+        units = [{(j, zero): 1} for j in range(len(degrees))]
+        return cls.from_vecs(ctx, units, degrees, degrees)
 
     @classmethod
     def zero_map(cls, ctx: RingContext, source_degrees,
                  target_degrees) -> "FreeModuleMap":
-        zero = ctx.zero()
-        cols = [[zero] * len(tuple(target_degrees))
-                for _ in range(len(tuple(source_degrees)))]
-        return cls(ctx, source_degrees, target_degrees, cols, check=False)
-
-    @classmethod
-    def from_vecs(cls, ctx: RingContext, vecs, target_degrees,
-                  degrees=None) -> "FreeModuleMap":
-        """Build a map whose columns are the given sparse vectors."""
-        target_degrees = tuple(target_degrees)
-        rank = len(target_degrees)
-        cols = [vec_to_column(v, rank, ctx) for v in vecs]
-        if degrees is None:
-            degrees = [vec_degree(v, target_degrees) for v in vecs]
-        return cls(ctx, degrees, target_degrees, cols, check=False)
+        source_degrees = tuple(source_degrees)
+        return cls.from_vecs(ctx, [{} for _ in source_degrees],
+                             target_degrees, source_degrees)
 
     # -- membership machinery ------------------------------------------------
 
@@ -447,8 +457,8 @@ class FreeModuleMap:
             return self._ext_gb
         t = self.target_rank
         vecs = []
-        for j in range(self.source_rank):
-            v = self.column_vec(j)
+        for j, col in enumerate(self._vecs):
+            v = dict(col)
             v[(t + j, (0,) * self.ctx.nvars)] = 1
             vecs.append(v)
         key = make_elim_key(self.ctx, t)
@@ -457,10 +467,10 @@ class FreeModuleMap:
         return self._ext_gb
 
     def __repr__(self):
+        cols = self.cols
         rows = []
         for i in range(self.target_rank):
-            rows.append("[" + ", ".join(str(self.cols[j][i])
-                                        for j in range(self.source_rank)) + "]")
+            rows.append("[" + ", ".join(str(col[i]) for col in cols) + "]")
         return "FreeModuleMap(" + "; ".join(rows) + ")"
 
 
@@ -485,8 +495,7 @@ def lift_solve(a: FreeModuleMap, b: FreeModuleMap):
     t = a.target_rank
     p = a.ctx.characteristic
     xcols = []
-    for j in range(b.source_rank):
-        v = b.column_vec(j)
+    for v in b.column_vecs():
         r = gb.normal_form_vec(v)
         if any(pos < t for pos, _ in r):
             return None

@@ -8,7 +8,7 @@ import functools
 from dataclasses import dataclass
 
 from .ring import AlgebraError, EngineError
-from .groebner import FreeModuleMap, buchberger, columns_to_vec, lift_solve
+from .groebner import FreeModuleMap, buchberger, lift_solve
 from .modules import (FPModule, ModuleMorphism, INFINITE, _shifted, cokernel,
                       direct_sum, free_module, homology, kernel,
                       kernel_with_inclusion, minimal_generator_indices,
@@ -24,37 +24,28 @@ def hom_free(degrees, n: FPModule) -> FPModule:
     of F sent to generator i of n.
     """
     ctx = n.ctx
-    degrees = tuple(degrees)
-    gens = [n.gen_degrees[i] - d for d in degrees for i in range(n.rank)]
-    zero = ctx.zero()
-    cols = []
+    nr = n.rank
+    gens = [n.gen_degrees[i] - d for d in degrees for i in range(nr)]
+    vecs = []
     col_degs = []
     for jblk, d in enumerate(degrees):
-        for j in range(n.relations.source_rank):
-            col = [zero] * len(gens)
-            for i in range(n.rank):
-                col[jblk * n.rank + i] = n.relations.cols[j][i]
-            cols.append(col)
-            col_degs.append(n.relations.source_degrees[j] - d)
-    rel = FreeModuleMap(ctx, col_degs, gens, cols, check=False)
+        for v, e in zip(n.relations.column_vecs(),
+                        n.relations.source_degrees):
+            vecs.append({(jblk * nr + i, m): c for (i, m), c in v.items()})
+            col_degs.append(e - d)
+    rel = FreeModuleMap.from_vecs(ctx, vecs, gens, col_degs)
     return FPModule(ctx, gens, rel, check=False)
 
 
 def induced_hom_map(d: FreeModuleMap, n: FPModule) -> ModuleMorphism:
     """Hom(target(d), n) -> Hom(source(d), n), composition with d."""
-    ctx = n.ctx
     hb = hom_free(d.target_degrees, n)
     ha = hom_free(d.source_degrees, n)
-    zero = ctx.zero()
-    cols = []
-    for j in range(d.target_rank):
-        for i in range(n.rank):
-            col = [zero] * ha.rank
-            for j2 in range(d.source_rank):
-                col[j2 * n.rank + i] = d.cols[j2][j]
-            cols.append(col)
-    mat = FreeModuleMap(ctx, hb.gen_degrees, ha.gen_degrees, cols,
-                        check=False)
+    nr = n.rank
+    # basis vector (j, i) goes to row j of d, placed at the offsets i
+    vecs = [{(j2 * nr + i, m): c for (j2, m), c in row.items()}
+            for row in d.transpose().column_vecs() for i in range(nr)]
+    mat = FreeModuleMap.from_vecs(n.ctx, vecs, ha.gen_degrees, hb.gen_degrees)
     return ModuleMorphism(hb, ha, mat, check=False)
 
 
@@ -79,18 +70,22 @@ class HomModule:
             self.module = K
             self._incl = incl.matrix
         self.basis_morphisms = [
-            self._morphism(col, deg)
-            for col, deg in zip(self._incl.cols, self.module.gen_degrees)]
+            self._morphism(v, deg)
+            for v, deg in zip(self._incl.column_vecs(),
+                              self.module.gen_degrees)]
         self._lift_block = None
 
-    def _morphism(self, col, deg: int) -> ModuleMorphism:
+    def _morphism(self, vec: dict, deg: int) -> ModuleMorphism:
         """Morphism of the given degree whose matrix columns, joined end to
-        end, form the ambient column ``col``."""
+        end, form the ambient vector ``vec``."""
         nr = self.target.rank
-        cols = [col[j * nr:(j + 1) * nr] for j in range(self.source.rank)]
-        mat = FreeModuleMap(self.ctx,
-                            tuple(d + deg for d in self.source.gen_degrees),
-                            self.target.gen_degrees, cols, check=False)
+        cols = [{} for _ in range(self.source.rank)]
+        for (pos, m), c in vec.items():
+            j, i = divmod(pos, nr)
+            cols[j][(i, m)] = c
+        mat = FreeModuleMap.from_vecs(
+            self.ctx, cols, self.target.gen_degrees,
+            tuple(d + deg for d in self.source.gen_degrees))
         return ModuleMorphism(self.source, self.target, mat, degree=deg,
                               check=False)
 
@@ -101,37 +96,47 @@ class HomModule:
             self._lift_block = self._incl.hstack(self._ambient.relations)
         return self._lift_block
 
-    def coords_of_morphism(self, f: ModuleMorphism):
-        """Column of f in terms of the presentation generators.
+    def coords_of_morphism(self, f: ModuleMorphism) -> dict:
+        """Coordinate vector of f on the presentation generators.
 
         Any well-defined morphism source -> target is a combination of the
         realized generators modulo the ambient relations; failure to lift is
         an engine fault.
         """
-        col = [e for c in f.matrix.cols for e in c]
-        target = FreeModuleMap(self.ctx, (f.degree,),
-                               self._ambient.gen_degrees, [col], check=False)
+        nr = self.target.rank
+        vec = {(j * nr + i, m): c
+               for j, v in enumerate(f.matrix.column_vecs())
+               for (i, m), c in v.items()}
+        target = FreeModuleMap.from_vecs(self.ctx, [vec],
+                                         self._ambient.gen_degrees,
+                                         (f.degree,))
         sol = lift_solve(self._block(), target)
         if sol is None:
             raise EngineError("morphism does not lie in its Hom module")
-        return sol.cols[0][:self.module.rank]
+        return _generator_part(sol.column_vec(0), self.module.rank)
 
     def coords_map(self, morphisms) -> FreeModuleMap:
-        """Map whose column j is the coordinate column of the j-th morphism,
+        """Map whose column j is the coordinate vector of the j-th morphism,
         in the morphism's degree; ``morphisms`` is consumed one at a time."""
-        cols = []
+        vecs = []
         degs = []
         for f in morphisms:
-            cols.append(self.coords_of_morphism(f))
+            vecs.append(self.coords_of_morphism(f))
             degs.append(f.degree)
-        return FreeModuleMap(self.ctx, degs, self.module.gen_degrees, cols,
-                             check=False)
+        return FreeModuleMap.from_vecs(self.ctx, vecs,
+                                       self.module.gen_degrees, degs)
 
-    def morphism_from_element(self, coords, degree: int) -> ModuleMorphism:
-        """Realize a cover element (coefficients on the generators)."""
-        elem = FreeModuleMap(self.ctx, (degree,), self.module.gen_degrees,
-                             [coords], check=False)
-        return self._morphism(self._incl.compose(elem).cols[0], degree)
+    def morphism_from_element(self, coords: dict,
+                              degree: int) -> ModuleMorphism:
+        """Realize a cover element (a coordinate vector on the generators)."""
+        elem = FreeModuleMap.from_vecs(self.ctx, [coords],
+                                       self.module.gen_degrees, (degree,))
+        return self._morphism(self._incl.compose(elem).column_vec(0), degree)
+
+
+def _generator_part(vec: dict, rank: int) -> dict:
+    """The terms of ``vec`` in positions below ``rank``."""
+    return {t: c for t, c in vec.items() if t[0] < rank}
 
 
 def hom_module(m: FPModule, n: FPModule) -> HomModule:
@@ -182,12 +187,18 @@ def grade(m: FPModule):
 
 
 def is_d_torsionfree(m: FPModule, d: int) -> bool:
-    """Ext^i(Tr m, R) = 0 for 1 <= i <= d; d = 2 is the reflexivity test."""
+    """Ext^i(Tr m, R) = 0 for 1 <= i <= d; d = 2 is the reflexivity test.
+
+    Every module has a free resolution of length at most r, the number of
+    variables, so Ext^i(·, R) vanishes for i > r and only i <= min(d, r)
+    are computed.
+    """
     if d < 1:
         raise AlgebraError("torsionfree index must be >= 1")
     tr = transpose(m)
     R = free_module(m.ctx)
-    return all(ext(i, tr, R).is_zero() for i in range(1, d + 1))
+    return all(ext(i, tr, R).is_zero()
+               for i in range(1, min(d, m.ctx.nvars) + 1))
 
 
 def generator_split_pair(m: FPModule):
@@ -201,15 +212,14 @@ def generator_split_pair(m: FPModule):
     ctx = m.ctx
     R = free_module(ctx)
     h = hom_module(m, R)
+    zero = (0,) * ctx.nvars
     for f in h.basis_morphisms:
-        for j in range(m.rank):
-            c = f.matrix.cols[j][0].constant_term()
+        for j, v in enumerate(f.matrix.column_vecs()):
+            c = v.get((0, zero))
             if c:
-                zero = ctx.zero()
-                col = [zero] * m.rank
-                col[j] = ctx.constant(ctx.inv(c))
-                mat = FreeModuleMap(ctx, (m.gen_degrees[j],), m.gen_degrees,
-                                    [col], check=False)
+                mat = FreeModuleMap.from_vecs(
+                    ctx, [{(j, zero): ctx.inv(c)}], m.gen_degrees,
+                    (m.gen_degrees[j],))
                 g = ModuleMorphism(R, m, mat, degree=m.gen_degrees[j],
                                    check=False)
                 if f.compose(g) == ModuleMorphism.identity(R):
@@ -303,9 +313,8 @@ def omega_on_morphism(phi: ModuleMorphism) -> ModuleMorphism:
     lifted = lift_solve(d1y, rhs)
     if lifted is None:
         raise EngineError("chain lift failed against a free target; engine bug")
-    mat = FreeModuleMap(phi.ctx,
-                        tuple(d + phi.degree for d in ox.gen_degrees),
-                        oy.gen_degrees, lifted.cols, check=False)
+    mat = lifted.regraded(tuple(d + phi.degree for d in ox.gen_degrees),
+                          oy.gen_degrees)
     return ModuleMorphism(ox, oy, mat, degree=phi.degree, check=False)
 
 
@@ -405,8 +414,8 @@ def hom_factorization(f: ModuleMorphism, g: ModuleMorphism):
     sol = lift_solve(block.hstack(HT.module.relations), HT.coords_map((f,)))
     if sol is None:
         return None
-    h = H.morphism_from_element(sol.cols[0][:H.module.rank],
-                                f.degree - g.degree)
+    h = H.morphism_from_element(
+        _generator_part(sol.column_vec(0), H.module.rank), f.degree - g.degree)
     if g.compose(h) != f:
         raise EngineError("factorization failed to verify; engine bug")
     return h
@@ -499,8 +508,7 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
         # K is a summand of a sum of twists of m exactly when its identity
         # factors through add m, i.e. lies in the factor ideal [m] of End(K).
         end = hom_module(K, K)
-        ident = columns_to_vec(
-            end.coords_of_morphism(ModuleMorphism.identity(K)))
+        ident = end.coords_of_morphism(ModuleMorphism.identity(K))
         return not factor_ideal(K, m, end=end).element_nf(ident)
 
     modules = [z]

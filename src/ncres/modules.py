@@ -22,10 +22,8 @@ INFINITE = math.inf
 def _shifted(m: FreeModuleMap, e: int) -> FreeModuleMap:
     if e == 0:
         return m
-    return FreeModuleMap(m.ctx,
-                         tuple(d + e for d in m.source_degrees),
-                         tuple(d + e for d in m.target_degrees),
-                         m.cols, check=False)
+    return m.regraded(tuple(d + e for d in m.source_degrees),
+                      tuple(d + e for d in m.target_degrees))
 
 
 def column_relations(x: FreeModuleMap, y: FreeModuleMap | None) -> FreeModuleMap:
@@ -40,8 +38,7 @@ def column_relations(x: FreeModuleMap, y: FreeModuleMap | None) -> FreeModuleMap
     syz = syzygy_basis(block)
     k = x.source_rank
     vecs = []
-    for j in range(syz.source_rank):
-        v = syz.column_vec(j)
+    for v in syz.column_vecs():
         proj = {(p, m): c for (p, m), c in v.items() if p < k}
         if proj:
             vecs.append(proj)
@@ -89,9 +86,8 @@ class FPModule:
         return (isinstance(other, FPModule) and self.ctx == other.ctx
                 and self.gen_degrees == other.gen_degrees
                 and self.relations.source_degrees == other.relations.source_degrees
-                and all(self.relations.cols[j][i] == other.relations.cols[j][i]
-                        for j in range(self.relations.source_rank)
-                        for i in range(self.rank)))
+                and (self.relations.column_vecs()
+                     == other.relations.column_vecs()))
 
     __hash__ = None
 
@@ -191,15 +187,14 @@ class ModuleMorphism:
         pushed = self.matrix.compose(_shifted(self.source.relations,
                                               self.degree))
         gb = self.target.rel_gb()
-        for j in range(pushed.source_rank):
-            if not gb.contains_vec(pushed.column_vec(j)):
+        for v in pushed.column_vecs():
+            if not gb.contains_vec(v):
                 raise AlgebraError(
                     "matrix does not descend to a morphism of modules")
 
     def is_zero(self) -> bool:
         gb = self.target.rel_gb()
-        return all(gb.contains_vec(self.matrix.column_vec(j))
-                   for j in range(self.matrix.source_rank))
+        return all(gb.contains_vec(v) for v in self.matrix.column_vecs())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleMorphism):
@@ -223,11 +218,16 @@ class ModuleMorphism:
     def _entrywise(self, other, sign: int) -> "ModuleMorphism":
         if self.degree != other.degree:
             raise AlgebraError("cannot add morphisms of different degrees")
-        cols = [[self.matrix.cols[j][i] + sign * other.matrix.cols[j][i]
-                 for i in range(self.matrix.target_rank)]
-                for j in range(self.matrix.source_rank)]
-        mat = FreeModuleMap(self.ctx, self.matrix.source_degrees,
-                            self.matrix.target_degrees, cols, check=False)
+        p = self.ctx.characteristic
+        vecs = []
+        for v, w in zip(self.matrix.column_vecs(), other.matrix.column_vecs()):
+            acc = dict(v)
+            for t, c in w.items():
+                acc[t] = (acc.get(t, 0) + sign * c) % p
+            vecs.append({t: c for t, c in acc.items() if c})
+        mat = FreeModuleMap.from_vecs(self.ctx, vecs,
+                                      self.matrix.target_degrees,
+                                      self.matrix.source_degrees)
         return ModuleMorphism(self.source, self.target, mat, self.degree,
                               check=False)
 
@@ -266,40 +266,33 @@ def direct_sum_with_maps(a: FPModule, b: FPModule):
     if a.ctx != b.ctx:
         raise AlgebraError("context mismatch in direct sum")
     ctx = a.ctx
-    zero = ctx.zero()
+    zero = (0,) * ctx.nvars
     gens = a.gen_degrees + b.gen_degrees
     ra, rb = a.rank, b.rank
-    cols = []
-    for j in range(a.relations.source_rank):
-        cols.append(a.relations.cols[j] + [zero] * rb)
-    for j in range(b.relations.source_rank):
-        cols.append([zero] * ra + b.relations.cols[j])
-    rel = FreeModuleMap(ctx,
-                        a.relations.source_degrees + b.relations.source_degrees,
-                        gens, cols, check=False)
+    vecs = a.relations.column_vecs() + [
+        {(i + ra, m): c for (i, m), c in v.items()}
+        for v in b.relations.column_vecs()]
+    rel = FreeModuleMap.from_vecs(
+        ctx, vecs, gens,
+        a.relations.source_degrees + b.relations.source_degrees)
     s = FPModule(ctx, gens, rel, check=False)
 
-    def block(src_deg, tgt_deg, row_off, col_off, n):
-        c = [[zero] * len(tgt_deg) for _ in range(len(src_deg))]
-        for i in range(n):
-            c[col_off + i][row_off + i] = ctx.one()
-        return FreeModuleMap(ctx, src_deg, tgt_deg, c, check=False)
+    def units(positions, target_degrees, source_degrees):
+        """Map sending basis vector j to e_positions[j], or to 0 at None."""
+        return FreeModuleMap.from_vecs(
+            ctx, [{} if i is None else {(i, zero): 1} for i in positions],
+            target_degrees, source_degrees)
 
-    ia = ModuleMorphism(a, s, block(a.gen_degrees, gens, 0, 0, ra),
+    ia = ModuleMorphism(a, s, units(range(ra), gens, a.gen_degrees),
                         check=False)
-    ib = ModuleMorphism(b, s, block(b.gen_degrees, gens, ra, 0, rb),
+    ib = ModuleMorphism(b, s, units(range(ra, ra + rb), gens, b.gen_degrees),
                         check=False)
-    pa_mat = FreeModuleMap(ctx, gens, a.gen_degrees,
-                           [[ctx.one() if i == j else zero
-                             for i in range(ra)] for j in range(ra)]
-                           + [[zero] * ra for _ in range(rb)], check=False)
-    pb_mat = FreeModuleMap(ctx, gens, b.gen_degrees,
-                           [[zero] * rb for _ in range(ra)]
-                           + [[ctx.one() if i == j else zero
-                               for i in range(rb)] for j in range(rb)],
-                           check=False)
-    pa = ModuleMorphism(s, a, pa_mat, check=False)
-    pb = ModuleMorphism(s, b, pb_mat, check=False)
+    pa = ModuleMorphism(
+        s, a, units(list(range(ra)) + [None] * rb, a.gen_degrees, gens),
+        check=False)
+    pb = ModuleMorphism(
+        s, b, units([None] * ra + list(range(rb)), b.gen_degrees, gens),
+        check=False)
     return s, ia, ib, pa, pb
 
 
@@ -317,15 +310,14 @@ def _kernel_modulo(g: ModuleMorphism, sub: FreeModuleMap):
     # pre lives over the shifted cover of the source; shift degrees back
     gen_degrees = tuple(d - g.degree for d in pre.source_degrees)
     rel = column_relations(pre, _shifted(sub, g.degree))
-    rel = FreeModuleMap(ctx, tuple(d - g.degree for d in rel.source_degrees),
-                        gen_degrees, rel.cols, check=False)
+    rel = rel.regraded(tuple(d - g.degree for d in rel.source_degrees),
+                       gen_degrees)
     return FPModule(ctx, gen_degrees, rel, check=False), pre
 
 
 def kernel_with_inclusion(f: ModuleMorphism):
     K, pre = _kernel_modulo(f, f.source.relations)
-    incl_mat = FreeModuleMap(f.ctx, K.gen_degrees, f.source.gen_degrees,
-                             pre.cols, check=False)
+    incl_mat = pre.regraded(K.gen_degrees, f.source.gen_degrees)
     return K, ModuleMorphism(K, f.source, incl_mat, check=False)
 
 
@@ -339,12 +331,10 @@ def image_with_maps(f: ModuleMorphism):
     ctx = f.ctx
     gen_degrees = tuple(d + f.degree for d in S.gen_degrees)
     rel = column_relations(f.matrix, T.relations)
-    rel = FreeModuleMap(ctx, rel.source_degrees, gen_degrees, rel.cols,
-                        check=False)
+    rel = rel.regraded(rel.source_degrees, gen_degrees)
     I = FPModule(ctx, gen_degrees, rel, check=False)
     incl = ModuleMorphism(
-        I, T, FreeModuleMap(ctx, gen_degrees, T.gen_degrees, f.matrix.cols,
-                            check=False), check=False)
+        I, T, f.matrix.regraded(gen_degrees, T.gen_degrees), check=False)
     proj = ModuleMorphism(
         S, I, FreeModuleMap.identity(ctx, gen_degrees), degree=f.degree,
         check=False)
@@ -395,10 +385,11 @@ def _nakayama_keep(gb: GroebnerBasis, cands, degrees):
 def _trim_columns(m: FreeModuleMap) -> FreeModuleMap:
     """Minimal generating set of the column span."""
     empty = GroebnerBasis(m.ctx, [], make_order_key(m.ctx))
-    kept = _nakayama_keep(empty, m.column_vecs(), m.source_degrees)
-    return FreeModuleMap(m.ctx, [m.source_degrees[j] for j in kept],
-                         m.target_degrees, [m.cols[j] for j in kept],
-                         check=False)
+    vecs = m.column_vecs()
+    kept = _nakayama_keep(empty, vecs, m.source_degrees)
+    return FreeModuleMap.from_vecs(m.ctx, [vecs[j] for j in kept],
+                                   m.target_degrees,
+                                   [m.source_degrees[j] for j in kept])
 
 
 def minimal_presentation(m: FPModule):
@@ -411,57 +402,38 @@ def minimal_presentation(m: FPModule):
         return m._min
     ctx = m.ctx
     p = ctx.characteristic
-    gens = list(m.gen_degrees)
-    cols = [list(col) for col in m.relations.cols]
-    col_degs = list(m.relations.source_degrees)
-    rho = FreeModuleMap.identity(ctx, m.gen_degrees)
-    iota = FreeModuleMap.identity(ctx, m.gen_degrees)
-    zero = ctx.zero()
+    zero = (0,) * ctx.nvars
+    gens = m.gen_degrees
+    rel = m.relations
+    rho = FreeModuleMap.identity(ctx, gens)
+    iota = FreeModuleMap.identity(ctx, gens)
     while True:
-        hit = None
-        for j in range(len(cols)):
-            for i in range(len(gens)):
-                c = cols[j][i].constant_term()
-                if c:
-                    hit = (i, j, c)
-                    break
-            if hit:
+        # the first constant entry of the first column that has one
+        for col in rel.column_vecs():
+            units = [i for i, mono in col if mono == zero]
+            if units:
                 break
-        if hit is None:
+        else:
             break
-        i, j, u = hit
-        uinv = ctx.inv(u)
-        # g_i = -u^{-1} * sum_{i' != i} cols[j][i'] g_{i'}
-        expr = [(-uinv) * cols[j][i2] for i2 in range(len(gens))]
+        i = min(units)
+        uinv = ctx.inv(col[(i, zero)])
         keep = [i2 for i2 in range(len(gens)) if i2 != i]
-        newgens = [gens[i2] for i2 in keep]
-        # substitution old cover -> new cover
-        sub_cols = []
-        for i2 in range(len(gens)):
-            if i2 == i:
-                sub_cols.append([expr[i3] for i3 in keep])
-            else:
-                sub_cols.append([ctx.one() if i3 == i2 else zero
-                                 for i3 in keep])
-        sub = FreeModuleMap(ctx, gens, newgens, sub_cols, check=False)
-        # inclusion new cover -> old cover
-        inc_cols = [[ctx.one() if i3 == i2 else zero
-                     for i3 in range(len(gens))] for i2 in keep]
-        inc = FreeModuleMap(ctx, newgens, gens, inc_cols, check=False)
-        newcols = []
-        newdegs = []
-        for j2 in range(len(cols)):
-            if j2 == j:
-                continue
-            col = cols[j2]
-            newcol = [col[i3] + col[i] * expr[i3] for i3 in keep]
-            if any(not f.is_zero() for f in newcol):
-                newcols.append(newcol)
-                newdegs.append(col_degs[j2])
-        gens, cols, col_degs = newgens, newcols, newdegs
+        new = {i2: n for n, i2 in enumerate(keep)}
+        newgens = tuple(gens[i2] for i2 in keep)
+        # g_i = -u^{-1} * sum_{i' != i} col[i'] g_{i'}: the substitution old
+        # cover -> new cover, and the inclusion new cover -> old cover
+        expr = {(new[i2], mono): (-uinv * c) % p
+                for (i2, mono), c in col.items() if i2 != i}
+        sub = FreeModuleMap.from_vecs(
+            ctx, [expr if i2 == i else {(new[i2], zero): 1}
+                  for i2 in range(len(gens))], newgens, gens)
+        inc = FreeModuleMap.from_vecs(
+            ctx, [{(i2, zero): 1} for i2 in keep], gens, newgens)
+        # the column used becomes zero; _trim_columns drops zero columns
+        rel = sub.compose(rel)
+        gens = newgens
         rho = sub.compose(rho)
         iota = iota.compose(inc)
-    rel = FreeModuleMap(ctx, col_degs, gens, cols, check=False)
     rel = _trim_columns(rel)
     m_min = FPModule(ctx, gens, rel, check=False)
     to_min = ModuleMorphism(m, m_min, rho, check=False)
@@ -491,11 +463,8 @@ class FreeResolution:
         for a, b in zip(self.maps, self.maps[1:]):
             if not a.compose(b).is_zero():
                 raise AlgebraError("resolution differentials do not compose to 0")
-        for d in self.maps:
-            for col in d.cols:
-                for f in col:
-                    if f.constant_term():
-                        raise AlgebraError("resolution is not minimal")
+        if any(d.constant_vecs() for d in self.maps):
+            raise AlgebraError("resolution is not minimal")
 
     @property
     def length(self) -> int:

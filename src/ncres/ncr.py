@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ring import AlgebraError, EngineError, Polynomial
-from .groebner import buchberger, columns_to_vec
+from .ring import AlgebraError, EngineError
+from .groebner import buchberger
 from .modules import (FPModule, ModuleMorphism, INFINITE, cokernel,
                       direct_sum, free_module, homology, kernel,
                       minimal_presentation, minimal_resolution, syzygy)
@@ -59,16 +59,10 @@ class NCRHypotheses:
 
     def validate(self) -> Verdict:
         """Check the hypothesis clause; hypothesis-failed lists violations."""
-        r = self.M.ctx.nvars
         problems = []
-        # free modules are d-torsionfree for every d; cap the test depth
-        d_test = self.d
-        m_min, _, _ = minimal_presentation(self.M)
-        if m_min.relations.source_rank == 0:
-            d_test = min(d_test, r)
         if not is_generator(self.M):
             problems.append("M is not a generator")
-        if d_test >= 1 and not is_d_torsionfree(self.M, d_test):
+        if self.d >= 1 and not is_d_torsionfree(self.M, self.d):
             problems.append(f"M is not {self.d}-torsionfree")
         gx = grade(self.X)
         if not (0 <= self.c and self.c < min(self.d, gx)):
@@ -146,12 +140,10 @@ def verify_claim1(h: NCRHypotheses) -> Verdict:
     zero_mono = (0,) * ctx.nvars
     rows = []
     for pos, mono in EX.standard_monomials():
-        coords = [ctx.zero()] * EX.rank
-        coords[pos] = Polynomial(ctx, {mono: 1})
         deg = EX.gen_degrees[pos] + sum(mono)
-        phi = end_x.morphism_from_element(coords, deg)
+        phi = end_x.morphism_from_element({(pos, mono): 1}, deg)
         psi = _transport_to_syzygy(phi, h.c)
-        nf = Q.element_nf(columns_to_vec(end_z.coords_of_morphism(psi)))
+        nf = Q.element_nf(end_z.coords_of_morphism(psi))
         rows.append({(index[key], zero_mono): c for key, c in nf.items()})
     # constant vectors: the reduced basis is the row echelon form
     rank = len(buchberger(rows, ctx).generators)
@@ -257,6 +249,8 @@ def corollary_build(r: int, N: FPModule, cs, gldim_end_N: int) -> NCRReport:
     kd = _require_finite_length(N)
     if kd == 0:
         raise AlgebraError("N must be nonzero")
+    if gldim_end_N < 0:
+        raise AlgebraError("gldim_end_N must be >= 0")
     cs_norm = normalize_cs(cs)
     for c in cs_norm:
         if not 0 <= c < r:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -168,9 +169,25 @@ def test_canonical_section_stable_across_processes(tmp_path):
     "command: build\nmodule: k\ncs: [true]\ngldim_end_N: 0\n",
     "command: syzygy\nmodule: k\nc: true\n",
     "command: verify-exact2\nM: R\nX: k\nc: 1\nd: 2\nsummands: []\n",
+    "command: build\nmodule: k\ncs: [1]\ngldim_end_N: -100\n",
 ], ids=["module-list", "cs-strings", "summands-int", "cs-bool", "c-bool",
-        "summands-empty"])
+        "summands-empty", "gldim-negative"])
 def test_main_malformed_parameters_exit_two(tmp_path, capsys, params):
     path = write_job(tmp_path, RING + K_MOD + R_MOD + params)
     assert main(["--job", path]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", [
+    "module F: {gens: [0], relations: []}\n",
+    "module F: {gens: [0, 1], relations: [[x, -1]]}\n",
+], ids=["R", "R-non-minimal"])
+def test_torsionfree_of_free_module_does_not_grow_with_d(module):
+    """Ext^i(Tr F, R) = 0 needs no test past i = r: d = 10^9 answers at
+    once, for a free module given minimally or with a unit relation."""
+    job = parse_job(RING + module + "command: torsionfree\nmodule: F\n"
+                    "d: 1000000000\n")
+    start = time.perf_counter()
+    canonical, _, ok = run_job(job)
+    assert time.perf_counter() - start < 1.0
+    assert ok and "torsionfree: true\n" in canonical

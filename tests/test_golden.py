@@ -3,7 +3,8 @@
 Each job below runs through ``parse_job`` and ``run_job``; its canonical
 section must equal ``tests/golden/<name>.yml`` exactly.  There is one small
 job for every command, and ``verify-claim1`` and ``verify-exact2`` also run
-on acceptance scenarios 1-4 over F_101 in the coordinates x, y, z.  A change
+on acceptance scenarios 1-4 over F_101 in the coordinates x, y, z.  One r=4
+job, ``examples/r4/O3-2.yml``, pins the 4-variable add-M path.  A change
 that is meant to alter a report rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -19,6 +20,7 @@ import pytest
 from ncres.cli import COMMANDS, parse_job, run_job
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 RING2 = "ring: {char: 101, vars: [x, y]}\n"
 RING3 = "ring: {char: 101, vars: [x, y, z]}\n"
@@ -69,6 +71,8 @@ JOBS = {
 for _tag, _doc in SCENARIOS.items():
     JOBS[f"claim1-{_tag}"] = _doc + "X: k\ncommand: verify-claim1\n"
     JOBS[f"exact2-{_tag}"] = _doc + "X: k\ncommand: verify-exact2\ndepth: 4\n"
+JOBS["exact2-r4-O3-2"] = (EXAMPLES / "r4" / "O3-2.yml").read_text(
+    encoding="utf-8")
 
 
 def canonical(doc):

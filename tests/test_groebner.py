@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import membership_oracle, rank_mod_p
-from ncres.ring import RingContext, monomials_of_degree, parse_polynomial
+from ncres.ring import (Polynomial, RingContext, monomials_of_degree,
+                        parse_polynomial)
 from ncres import groebner
 from ncres.groebner import (FreeModuleMap, buchberger, buchberger_vecs,
                             by_position, leading_term, lift_solve,
@@ -148,6 +149,90 @@ def test_free_module_map_algebra():
     t = a.transpose()
     assert t.source_rank == 1 and t.target_rank == 2
     assert t.cols[0] == [x, y]
+
+
+# -- sparse column storage ---------------------------------------------------
+
+def random_map(ctx, rng, source_degrees, target_degrees, zero_cols=()):
+    """Homogeneous map with random dense entries; the columns listed in
+    ``zero_cols`` and entries of negative degree are zero."""
+    p = ctx.characteristic
+    cols = []
+    for j, dj in enumerate(source_degrees):
+        col = []
+        for di in target_degrees:
+            e = dj - di
+            terms = {}
+            if e >= 0 and j not in zero_cols:
+                terms = {m: rng.randrange(p)
+                         for m in monomials_of_degree(ctx.nvars, e)}
+            col.append(Polynomial(ctx, terms))
+        cols.append(col)
+    return FreeModuleMap(ctx, source_degrees, target_degrees, cols)
+
+
+def random_chain(seed):
+    """(ctx, a, b) with a o b defined: 2-4 variables, ranks 1-4, some zero
+    columns in both maps."""
+    rng = random.Random(seed)
+    ctx = RingContext(101, ("x", "y", "z", "w")[:rng.randrange(2, 5)])
+    ranks = [rng.randrange(1, 5) for _ in range(3)]
+    d0 = [rng.randrange(0, 2) for _ in range(ranks[0])]
+    d1 = [rng.randrange(1, 3) for _ in range(ranks[1])]
+    d2 = [rng.randrange(2, 4) for _ in range(ranks[2])]
+    a = random_map(ctx, rng, d1, d0, zero_cols={rng.randrange(ranks[1])})
+    b = random_map(ctx, rng, d2, d1, zero_cols={rng.randrange(ranks[2])})
+    return ctx, a, b
+
+
+def frozen(m):
+    return [sorted(v.items()) for v in m.column_vecs()]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_compose_matches_polynomial_products(seed):
+    ctx, a, b = random_chain(seed)
+    got = a.compose(b)
+    want = [[sum((a.cols[k][i] * b.cols[j][k] for k in range(a.source_rank)),
+                 ctx.zero())
+             for i in range(a.target_rank)] for j in range(b.source_rank)]
+    assert got.cols == want
+    assert got.source_degrees == b.source_degrees
+    assert got.target_degrees == a.target_degrees
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_transpose_swaps_rows_and_columns(seed):
+    ctx, a, _ = random_chain(seed)
+    t = a.transpose()
+    assert t.source_degrees == tuple(-d for d in a.target_degrees)
+    assert t.target_degrees == tuple(-d for d in a.source_degrees)
+    assert t.cols == [[a.cols[j][i] for j in range(a.source_rank)]
+                      for i in range(a.target_rank)]
+    assert frozen(t.transpose()) == frozen(a)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_polynomial_columns_round_trip(seed):
+    ctx, a, b = random_chain(seed)
+    for m in (a, b, a.compose(b), a.transpose(), syzygy_basis(a)):
+        again = FreeModuleMap(ctx, m.source_degrees, m.target_degrees, m.cols)
+        assert again.column_vecs() == m.column_vecs()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_operations_leave_their_inputs_unchanged(seed):
+    """Stored vectors are shared, never mutated: syzygies, lifts and
+    composition leave the columns of their arguments as they were."""
+    ctx, a, b = random_chain(seed)
+    rhs = a.compose(b)
+    before = [frozen(m) for m in (a, b, rhs)]
+    syz = syzygy_basis(a)
+    sol = lift_solve(a, rhs)
+    assert sol is not None
+    assert a.compose(sol).column_vecs() == rhs.column_vecs()
+    assert a.compose(syz).is_zero()
+    assert [frozen(m) for m in (a, b, rhs)] == before
 
 
 @given(seed=st.integers(0, 10 ** 6))
