@@ -344,6 +344,11 @@ COMMANDS = tuple(_HANDLERS)
 
 def run_job(job: JobSpec, max_degree: int = 6, depth: int = 4):
     """Execute a job; returns (canonical_text, timing_text, all_verified)."""
+    if max_degree < 0:
+        raise AlgebraError(f"max degree {max_degree}: expected an integer "
+                           ">= 0")
+    if depth < 1:
+        raise AlgebraError(f"depth {depth}: expected an integer >= 1")
     start = time.perf_counter()
     report = {"engine": ENGINE_VERSION,
               "ring": _ring_summary(job.ring),

@@ -1,6 +1,6 @@
 """Buchberger's algorithm on submodules of graded free modules.
 
-Free-module elements are sparse dicts mapping (position, monomial) to a
+Free-module elements are sparse dicts mapping packed terms (below) to a
 coefficient.  Syzygies and lifts both come from one mechanism: a Groebner
 basis of the columns extended by unit-vector bookkeeping components under an
 elimination order, so membership certificates double as lift coefficients.
@@ -9,20 +9,152 @@ elimination order, so membership certificates double as lift coefficients.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field
 
-from .ring import (AlgebraError, DegreeError, Polynomial, RingContext,
-                   mono_degree, mono_div, mono_divides, mono_lcm, mono_mul)
+from .ring import (LEX, AlgebraError, DegreeError, Polynomial, RingContext,
+                   mono_degree, mono_div, mono_lcm)
 
-# Vec: dict[(position, exponent-tuple)] -> coefficient in 1..p-1
+# -- packed terms -------------------------------------------------------------
+# The term x^m e_pos of a free module over R = F_p[x_0..x_{n-1}] is one int
+#
+#     T = (D(m) << (POS_BITS + EB)) + (pos << EB) + E(m),  EB = n * FIELD_BITS
+#
+# E(m) holds exponent e_i in the FIELD_BITS-bit field at bit i * FIELD_BITS;
+# the top bit of each field is a guard bit.  D(m) is linear in m with
+# W = 2^FIELD_BITS: -deg(m) W^(n-1) + sum_{i>=1} e_i W^(i-1) for grevlex and
+# -sum_i e_i W^(n-1-i) for lex, so ascending D is descending ring order.
+# Hence:
+#   - ascending ints are descending terms, term over position, and of two
+#     terms with one monomial the lower position is the larger; ``min(v)`` is
+#     the leading term of v and a heap pops terms largest first;
+#   - T * x^a is T + shift(a), shift(a) the term of x^a at position 0, and a
+#     reduction step by leading term L of the same position shifts by T - L;
+#   - L divides T (same position) exactly when (T - L) & guard == 0: a field
+#     where L exceeds T borrows through its guard bit.
+# The elimination order of ``_extended_gb`` adds the layout's ``elim`` to
+# every term in a bookkeeping position, above any D, so those terms lose to
+# all others.
+#
+# Terms made from exponent tuples and S-pair lcms are checked against
+# MAX_EXPONENT; the 31 value bits of a field leave room for the products
+# formed between checks (a composition adds two degrees).  Only this module
+# reads the bits of a term; others use ``term``, ``split_term``,
+# ``term_pos``, ``shift_term`` and ``is_constant``.
+
+FIELD_BITS = 32
+POS_BITS = 24
+MAX_EXPONENT = (1 << 16) - 1
+MAX_POSITION = (1 << POS_BITS) - 1
 
 
-def vec_add_scaled(v: dict, w: dict, coeff: int, mono: tuple, p: int,
+class _Layout:
+    """Field positions and constants of the packed terms of one ring."""
+
+    __slots__ = ("nvars", "eb", "emask", "posmask", "guard", "fields",
+                 "vmasks", "variables", "elim", "elim_min")
+
+    def __init__(self, nvars: int, order: str):
+        fb = FIELD_BITS
+        w = 1 << fb
+        self.nvars = nvars
+        self.eb = eb = nvars * fb
+        shift = eb + POS_BITS
+        self.emask = (1 << eb) - 1
+        self.posmask = MAX_POSITION << eb
+        self.guard = sum(1 << (i * fb + fb - 1) for i in range(nvars))
+        self.fields = tuple(i * fb for i in range(nvars))
+        self.vmasks = ((1 << fb) - 1,) * nvars
+        if order == LEX:
+            weights = [-w ** (nvars - 1 - i) for i in range(nvars)]
+        else:
+            top = w ** (nvars - 1)
+            weights = [-top] + [w ** (i - 1) - top for i in range(1, nvars)]
+        # the term of x_i at position 0: D and E of one variable
+        self.variables = tuple((d << shift) + (1 << f)
+                               for d, f in zip(weights, self.fields))
+        # |D| < n 2^(fb n) while exponents fit their fields: far below the
+        # flag, whose half elim_min separates flagged from plain terms
+        self.elim = 1 << (fb * (nvars + 1) + shift)
+        self.elim_min = self.elim >> 1
+
+    def pack(self, pos: int, mono) -> int:
+        if not 0 <= pos <= MAX_POSITION:
+            raise AlgebraError(f"free-module position {pos} is out of range "
+                               f"0..{MAX_POSITION}")
+        if len(mono) != self.nvars or not all(
+                0 <= e <= MAX_EXPONENT for e in mono):
+            raise AlgebraError(f"monomial exponents {tuple(mono)} are out of "
+                               f"range 0..{MAX_EXPONENT}")
+        return (pos << self.eb) + sum(map(operator.mul, mono, self.variables))
+
+    def exponents(self, t: int) -> tuple:
+        return tuple(map(operator.and_, map(t.__rshift__, self.fields),
+                         self.vmasks))
+
+    def pos(self, t: int) -> int:
+        return (t & self.posmask) >> self.eb
+
+    def split(self, t: int):
+        return self.pos(t), self.exponents(t)
+
+    def lcm(self, a: int, b: int):
+        """(lcm, its degree) of two terms in one position."""
+        ea = self.exponents(a)
+        m = mono_lcm(ea, self.exponents(b))
+        if max(m) > MAX_EXPONENT:
+            raise AlgebraError(f"S-pair exponents {m} exceed {MAX_EXPONENT}")
+        return (a + sum(map(operator.mul, mono_div(m, ea), self.variables)),
+                mono_degree(m))
+
+
+def _layout(ctx: RingContext) -> _Layout:
+    """The layout of ``ctx``, kept on the context itself: a lookup keyed by
+    the context would compare equal contexts field by field."""
+    try:
+        return ctx._term_layout
+    except AttributeError:
+        lay = _Layout(ctx.nvars, ctx.order)
+        # not a dataclass field: equality, hash and repr do not see it
+        object.__setattr__(ctx, "_term_layout", lay)
+        return lay
+
+
+def term(ctx: RingContext, pos: int, mono) -> int:
+    """The packed term x^mono e_pos; AlgebraError when out of range."""
+    return _layout(ctx).pack(pos, mono)
+
+
+def split_term(ctx: RingContext, t: int):
+    """(position, exponent tuple) of a packed term."""
+    return _layout(ctx).split(t)
+
+
+def term_pos(ctx: RingContext, t: int) -> int:
+    return _layout(ctx).pos(t)
+
+
+def shift_term(ctx: RingContext, t: int, k: int) -> int:
+    """The term t moved from its position to that position + k."""
+    lay = _layout(ctx)
+    if not 0 <= lay.pos(t) + k <= MAX_POSITION:
+        raise AlgebraError(f"free-module position {lay.pos(t) + k} is out of "
+                           f"range 0..{MAX_POSITION}")
+    return t + (k << lay.eb)
+
+
+def is_constant(ctx: RingContext, t: int) -> bool:
+    """True when the monomial of t is 1."""
+    return not t & _layout(ctx).emask
+
+
+def vec_add_scaled(v: dict, w: dict, coeff: int, shift: int, p: int,
                    fresh: list | None = None) -> dict:
-    """v += coeff * x^mono * w, reduced mod p, in place; returns v.  Terms
-    that enter v are appended to ``fresh`` when it is given."""
-    for (pos, m), c in w.items():
-        key = (pos, mono_mul(m, mono))
+    """v += coeff * x^a * w, reduced mod p, in place, where ``shift`` is the
+    term of x^a at position 0; returns v.  Terms that enter v are appended
+    to ``fresh`` when it is given."""
+    for t, c in w.items():
+        key = t + shift
         old = v.get(key)
         if old is None:
             val = coeff * c % p
@@ -46,76 +178,50 @@ def vec_scale(v: dict, coeff: int, p: int) -> dict:
     return {t: (c * coeff) % p for t, c in v.items()}
 
 
-def vec_degree(v: dict, degrees) -> int:
+def vec_degree(v: dict, degrees, ctx: RingContext) -> int:
     """Common degree of a homogeneous vector; degrees are the basis twists."""
     if not v:
         raise AlgebraError("zero vector has no degree")
-    (pos, m), _ = next(iter(v.items()))
+    pos, m = split_term(ctx, next(iter(v)))
     return mono_degree(m) + degrees[pos]
 
 
 def vec_to_column(v: dict, rank: int, ctx: RingContext):
     """Sparse vector -> column of ``rank`` Polynomials."""
+    lay = _layout(ctx)
     cols = [dict() for _ in range(rank)]
-    for (pos, m), c in v.items():
+    for t, c in v.items():
+        pos, m = lay.split(t)
         cols[pos][m] = c
     return [Polynomial(ctx, t) for t in cols]
 
 
-def _vec_apply(cols, v: dict, p: int) -> dict:
-    """Sum of c * x^m * cols[k] over the terms (k, m): c of v, the image of
+def _vec_apply(cols, v: dict, lay: _Layout, p: int) -> dict:
+    """Sum of c * x^m * cols[k] over the terms c x^m e_k of v, the image of
     v under the map whose columns are ``cols``.  Not a reduction step."""
     acc = {}
-    for (k, m), c in v.items():
-        for (i, n), d in cols[k].items():
-            t = (i, mono_mul(n, m))
-            acc[t] = acc.get(t, 0) + c * d
+    for t, c in v.items():
+        k = lay.pos(t)
+        shift = t - (k << lay.eb)
+        for u, d in cols[k].items():
+            u += shift
+            acc[u] = acc.get(u, 0) + c * d
     return {t: r for t, c in acc.items() if (r := c % p)}
-
-
-# -- term orders on free modules --------------------------------------------
-
-def make_order_key(ctx: RingContext):
-    """Term-over-position key on (position, monomial) whose ascending order
-    is descending term order; of two terms with the same monomial the lower
-    position is the larger.  The smallest key is the leading term, and a
-    heap pops terms largest first."""
-    mk = ctx.mono_desc_key
-
-    def key(t):
-        pos, m = t
-        return (mk(m), pos)
-    return key
-
-
-def make_elim_key(ctx: RingContext, split: int):
-    """Any term in positions < split beats any term in positions >= split;
-    within each side, the order of ``make_order_key``."""
-    mk = ctx.mono_desc_key
-
-    def key(t):
-        pos, m = t
-        return (pos >= split, mk(m), pos)
-    return key
 
 
 # -- reduction and Buchberger ------------------------------------------------
 
-def leading_term(v: dict, key):
-    t = min(v, key=key)
-    return t, v[t]
-
-
-def by_position(lts) -> dict:
-    """Index of leading terms: position -> [(monomial, basis index)], each
-    list in basis order."""
+def by_position(lts, ctx: RingContext) -> dict:
+    """Index of leading terms: position bits -> [(leading term, basis
+    index)], each list in basis order."""
+    posmask = _layout(ctx).posmask
     index = {}
-    for i, (pos, lm) in enumerate(lts):
-        index.setdefault(pos, []).append((lm, i))
+    for i, t in enumerate(lts):
+        index.setdefault(t & posmask, []).append((t, i))
     return index
 
 
-def reduce_vec(v: dict, basis, reducers, key, p: int) -> dict:
+def reduce_vec(v: dict, basis, reducers, ctx: RingContext) -> dict:
     """Full normal form of v against basis (monic elements assumed), whose
     leading terms are indexed by ``by_position`` in ``reducers``.
 
@@ -127,22 +233,26 @@ def reduce_vec(v: dict, basis, reducers, key, p: int) -> dict:
     reducer of a term is the lowest-index basis element whose leading term
     divides it.
     """
+    lay = _layout(ctx)
+    guard, posmask = lay.guard, lay.posmask
+    p = ctx.characteristic
     work = dict(v)
-    heap = [(key(t), t) for t in work]
+    heap = list(work)
     heapq.heapify(heap)
+    pop, push, get = heapq.heappop, heapq.heappush, work.get
     result = {}
     fresh = []
     while heap:
-        t = heapq.heappop(heap)[1]
-        c = work.get(t)
+        t = pop(heap)
+        c = get(t)
         if c is None:
             continue
-        pos, m = t
-        for lm, i in reducers.get(pos, ()):
-            if mono_divides(lm, m):
-                vec_add_scaled(work, basis[i], -c, mono_div(m, lm), p, fresh)
+        for lt, i in reducers.get(t & posmask, ()):
+            shift = t - lt
+            if not shift & guard:
+                vec_add_scaled(work, basis[i], -c, shift, p, fresh)
                 for u in fresh:
-                    heapq.heappush(heap, (key(u), u))
+                    push(heap, u)
                 fresh.clear()
                 break
         else:
@@ -151,16 +261,16 @@ def reduce_vec(v: dict, basis, reducers, key, p: int) -> dict:
     return result
 
 
-def _push(basis, lts, reducers, v, key, ctx: RingContext):
+def _push(basis, lts, reducers, v, ctx: RingContext):
     """Append v, made monic, and its leading term to the basis, its leading
     terms and their index."""
-    t, c = leading_term(v, key)
-    reducers.setdefault(t[0], []).append((t[1], len(basis)))
-    basis.append(vec_scale(v, ctx.inv(c), ctx.characteristic))
+    t = min(v)
+    reducers.setdefault(t & _layout(ctx).posmask, []).append((t, len(basis)))
+    basis.append(vec_scale(v, ctx.inv(v[t]), ctx.characteristic))
     lts.append(t)
 
 
-def _complete(basis, lts, reducers, start: int, key, ctx: RingContext):
+def _complete(basis, lts, reducers, start: int, ctx: RingContext):
     """Grow ``basis`` (monic, leading terms ``lts`` indexed in ``reducers``)
     in place to a Groebner basis of its span.
 
@@ -172,15 +282,17 @@ def _complete(basis, lts, reducers, start: int, key, ctx: RingContext):
     pair whose lcm is divisible by a third leading term when both flanking
     pairs are handled.
     """
+    lay = _layout(ctx)
+    guard, posmask = lay.guard, lay.posmask
     p = ctx.characteristic
     heap = []
 
     def add_pairs(n):
-        pos, ln = lts[n]
-        for lm, k in reducers[pos]:
+        ln = lts[n]
+        for lm, k in reducers[ln & posmask]:
             if k < n:
-                lcm = mono_lcm(lm, ln)
-                heapq.heappush(heap, (mono_degree(lcm), k, n, lcm))
+                lcm, deg = lay.lcm(lm, ln)
+                heapq.heappush(heap, (deg, k, n, lcm))
 
     for n in range(start, len(basis)):
         add_pairs(n)
@@ -189,8 +301,8 @@ def _complete(basis, lts, reducers, start: int, key, ctx: RingContext):
         _, i, j, lcm = heapq.heappop(heap)
         done.add((i, j))
         skip = False
-        for km, k in reducers[lts[i][0]]:
-            if k == i or k == j or not mono_divides(km, lcm):
+        for km, k in reducers[lts[i] & posmask]:
+            if k == i or k == j or (lcm - km) & guard:
                 continue
             pik = (i, k) if i < k else (k, i)
             pjk = (j, k) if j < k else (k, j)
@@ -200,50 +312,48 @@ def _complete(basis, lts, reducers, start: int, key, ctx: RingContext):
                 break
         if skip:
             continue
-        s = vec_add_scaled(
-            vec_add_scaled({}, basis[i], 1, mono_div(lcm, lts[i][1]), p),
-            basis[j], -1, mono_div(lcm, lts[j][1]), p)
-        r = reduce_vec(s, basis, reducers, key, p)
+        s = vec_add_scaled(vec_add_scaled({}, basis[i], 1, lcm - lts[i], p),
+                           basis[j], -1, lcm - lts[j], p)
+        r = reduce_vec(s, basis, reducers, ctx)
         if r:
-            _push(basis, lts, reducers, r, key, ctx)
+            _push(basis, lts, reducers, r, ctx)
             add_pairs(len(basis) - 1)
 
 
-def _reduce_into(basis, lts, reducers, vecs, key, ctx: RingContext):
+def _reduce_into(basis, lts, reducers, vecs, ctx: RingContext):
     """Append the nonzero normal forms of vecs, each against the basis so
     far."""
-    p = ctx.characteristic
     for v in vecs:
         if v:
-            r = reduce_vec(v, basis, reducers, key, p)
+            r = reduce_vec(v, basis, reducers, ctx)
             if r:
-                _push(basis, lts, reducers, r, key, ctx)
+                _push(basis, lts, reducers, r, ctx)
 
 
-def buchberger_vecs(vecs, key, ctx: RingContext):
+def buchberger_vecs(vecs, ctx: RingContext):
     """Auto-reduced monic Groebner basis of the span of vecs, sorted by
     descending leading term.
 
     Completion by ``_complete``: pairs are taken by lcm degree from a heap,
     ties by index, so the output is deterministic.
     """
-    p = ctx.characteristic
+    lay = _layout(ctx)
     basis = []
     lts = []
     reducers = {}
-    _reduce_into(basis, lts, reducers, vecs, key, ctx)
-    _complete(basis, lts, reducers, 0, key, ctx)
+    _reduce_into(basis, lts, reducers, vecs, ctx)
+    _complete(basis, lts, reducers, 0, ctx)
     # auto-reduce: drop redundant leading terms, then tail-reduce
     keep = []
-    for i, (pos, m) in enumerate(lts):
+    for i, t in enumerate(lts):
         redundant = any(
-            j != i and mono_divides(lm, m) and (lm != m or j < i)
-            for lm, j in reducers[pos])
+            j != i and not (t - lm) & lay.guard and (lm != t or j < i)
+            for lm, j in reducers[t & lay.posmask])
         if not redundant:
             keep.append(i)
     basis = [basis[i] for i in keep]
     lts = [lts[i] for i in keep]
-    reducers = by_position(lts)
+    reducers = by_position(lts, ctx)
     out = []
     for g, lt in zip(basis, lts):
         # No other leading term divides lt, and lt divides no smaller term,
@@ -252,32 +362,30 @@ def buchberger_vecs(vecs, key, ctx: RingContext):
         tail = dict(g)
         del tail[lt]
         r = {lt: 1}
-        r.update(reduce_vec(tail, basis, reducers, key, p))
+        r.update(reduce_vec(tail, basis, reducers, ctx))
         out.append(r)
-    order = sorted(range(len(out)), key=lambda i: key(lts[i]))
+    order = sorted(range(len(out)), key=lts.__getitem__)
     return [out[i] for i in order]
 
 
 @dataclass
 class GroebnerBasis:
     """Groebner basis of a submodule of a graded free module: auto-reduced
-    when it comes from ``buchberger_vecs``, not after ``extend``."""
+    when it comes from ``buchberger_vecs``, not after ``extend``.  The term
+    order is the one packed into the terms."""
 
     ctx: RingContext
     generators: list          # list of Vec, monic
-    key: object               # term-order key function
     leading_terms: list = field(default=None)
     reducers: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.leading_terms is None:
-            self.leading_terms = [leading_term(g, self.key)[0]
-                                  for g in self.generators]
-        self.reducers = by_position(self.leading_terms)
+            self.leading_terms = [min(g) for g in self.generators]
+        self.reducers = by_position(self.leading_terms, self.ctx)
 
     def normal_form_vec(self, v: dict) -> dict:
-        return reduce_vec(v, self.generators, self.reducers, self.key,
-                          self.ctx.characteristic)
+        return reduce_vec(v, self.generators, self.reducers, self.ctx)
 
     def contains_vec(self, v: dict) -> bool:
         return not self.normal_form_vec(v)
@@ -288,11 +396,11 @@ class GroebnerBasis:
         auto-reduced; it serves membership tests."""
         basis = list(self.generators)
         lts = list(self.leading_terms)
-        reducers = by_position(lts)
+        reducers = by_position(lts, self.ctx)
         start = len(basis)
-        _reduce_into(basis, lts, reducers, vecs, self.key, self.ctx)
-        _complete(basis, lts, reducers, start, self.key, self.ctx)
-        return GroebnerBasis(self.ctx, basis, self.key, lts)
+        _reduce_into(basis, lts, reducers, vecs, self.ctx)
+        _complete(basis, lts, reducers, start, self.ctx)
+        return GroebnerBasis(self.ctx, basis, lts)
 
 
 def buchberger(vecs, ctx: RingContext) -> GroebnerBasis:
@@ -301,8 +409,7 @@ def buchberger(vecs, ctx: RingContext) -> GroebnerBasis:
     All elements must be homogeneous with respect to some common grading of
     the ambient free module.
     """
-    key = make_order_key(ctx)
-    return GroebnerBasis(ctx, buchberger_vecs(vecs, key, ctx), key)
+    return GroebnerBasis(ctx, buchberger_vecs(vecs, ctx))
 
 
 # -- graded free-module maps -------------------------------------------------
@@ -310,11 +417,12 @@ def buchberger(vecs, ctx: RingContext) -> GroebnerBasis:
 class FreeModuleMap:
     """Graded matrix between free modules with degree twists.
 
-    Stored as one sparse vector per column: column j maps (i, monomial) to
-    the coefficient of that monomial in the entry in target position i of
-    source basis vector j.  Every nonzero entry must be homogeneous of
-    degree source_degrees[j] - target_degrees[i].  Stored vectors are never
-    mutated; a caller that needs to change one copies it first.
+    Stored as one sparse vector per column: column j maps the term of a
+    monomial in position i to its coefficient in the entry in target
+    position i of source basis vector j.  Every nonzero entry must be
+    homogeneous of degree source_degrees[j] - target_degrees[i].  Stored
+    vectors are never mutated; a caller that needs to change one copies it
+    first.
 
     The constructor takes columns of Polynomials and converts them once;
     ``from_vecs`` keeps the vectors it is given, and ``cols`` rebuilds the
@@ -330,7 +438,8 @@ class FreeModuleMap:
             raise AlgebraError("column count does not match source rank")
         if any(len(col) != len(target_degrees) for col in cols):
             raise AlgebraError("column length does not match target rank")
-        vecs = [{(i, m): c for i, f in enumerate(col)
+        lay = _layout(ctx)
+        vecs = [{lay.pack(i, m): c for i, f in enumerate(col)
                  for m, c in f.terms.items()} for col in cols]
         self._set(ctx, source_degrees, target_degrees, vecs)
         if check:
@@ -350,7 +459,7 @@ class FreeModuleMap:
         ``degrees`` defaults to the degrees of the (nonzero) vectors."""
         vecs = list(vecs)
         if degrees is None:
-            degrees = [vec_degree(v, target_degrees) for v in vecs]
+            degrees = [vec_degree(v, target_degrees, ctx) for v in vecs]
         m = cls.__new__(cls)
         m._set(ctx, degrees, target_degrees, vecs)
         return m
@@ -361,8 +470,10 @@ class FreeModuleMap:
                                        source_degrees)
 
     def _check_homogeneous(self):
+        lay = _layout(self.ctx)
         for j, v in enumerate(self._vecs):
-            for i, m in v:
+            for t in v:
+                i, m = lay.split(t)
                 want = self.source_degrees[j] - self.target_degrees[i]
                 if mono_degree(m) != want:
                     f = self.cols[j][i]
@@ -397,9 +508,10 @@ class FreeModuleMap:
     def constant_vecs(self):
         """Degree-0 (constant) parts of the columns as sparse vectors, the
         columns with none left out."""
+        emask = _layout(self.ctx).emask
         out = []
         for v in self._vecs:
-            w = {t: c for t, c in v.items() if not any(t[1])}
+            w = {t: c for t, c in v.items() if not t & emask}
             if w:
                 out.append(w)
         return out
@@ -410,7 +522,9 @@ class FreeModuleMap:
             raise AlgebraError("inner degree lists do not match in composition")
         p = self.ctx.characteristic
         return FreeModuleMap.from_vecs(
-            self.ctx, [_vec_apply(self._vecs, v, p) for v in other._vecs],
+            self.ctx,
+            [_vec_apply(self._vecs, v, _layout(self.ctx), p)
+             for v in other._vecs],
             self.target_degrees, other.source_degrees)
 
     def hstack(self, other: "FreeModuleMap") -> "FreeModuleMap":
@@ -422,10 +536,12 @@ class FreeModuleMap:
 
     def transpose(self) -> "FreeModuleMap":
         """Dual map between the dual free modules (degrees negated)."""
+        lay = _layout(self.ctx)
         vecs = [{} for _ in self.target_degrees]
         for j, v in enumerate(self._vecs):
-            for (i, m), c in v.items():
-                vecs[i][(j, m)] = c
+            for t, c in v.items():
+                i = lay.pos(t)
+                vecs[i][t + ((j - i) << lay.eb)] = c
         return FreeModuleMap.from_vecs(
             self.ctx, vecs, tuple(-d for d in self.source_degrees),
             tuple(-d for d in self.target_degrees))
@@ -434,7 +550,7 @@ class FreeModuleMap:
     def identity(cls, ctx: RingContext, degrees) -> "FreeModuleMap":
         zero = (0,) * ctx.nvars
         degrees = tuple(degrees)
-        units = [{(j, zero): 1} for j in range(len(degrees))]
+        units = [{term(ctx, j, zero): 1} for j in range(len(degrees))]
         return cls.from_vecs(ctx, units, degrees, degrees)
 
     @classmethod
@@ -451,19 +567,21 @@ class FreeModuleMap:
 
         Elements supported purely on the bookkeeping block form a generating
         set of the syzygy module (Schreyer-style), and normal forms yield
-        explicit lift coefficients.
+        explicit lift coefficients.  The bookkeeping terms carry the
+        elimination flag, so every term in positions >= t loses to every
+        term in positions < t.
         """
         if self._ext_gb is not None:
             return self._ext_gb
         t = self.target_rank
+        zero = (0,) * self.ctx.nvars
+        elim = _layout(self.ctx).elim
         vecs = []
         for j, col in enumerate(self._vecs):
             v = dict(col)
-            v[(t + j, (0,) * self.ctx.nvars)] = 1
+            v[term(self.ctx, t + j, zero) + elim] = 1
             vecs.append(v)
-        key = make_elim_key(self.ctx, t)
-        basis = buchberger_vecs(vecs, key, self.ctx)
-        self._ext_gb = GroebnerBasis(self.ctx, basis, key)
+        self._ext_gb = buchberger(vecs, self.ctx)
         return self._ext_gb
 
     def __repr__(self):
@@ -474,16 +592,26 @@ class FreeModuleMap:
         return "FreeModuleMap(" + "; ".join(rows) + ")"
 
 
+def _unflag(m: FreeModuleMap) -> int:
+    """What to subtract from a bookkeeping term of ``m._extended_gb()`` for
+    the term of its column index."""
+    lay = _layout(m.ctx)
+    return lay.elim + (m.target_rank << lay.eb)
+
+
 def syzygy_basis(m: FreeModuleMap) -> FreeModuleMap:
-    """Map s with m o s = 0 and image(s) = kernel(m)."""
+    """Map s with m o s = 0 and image(s) = kernel(m), its columns sorted by
+    degree, then by their (position, monomial) items."""
     gb = m._extended_gb()
-    t = m.target_rank
+    lay = _layout(m.ctx)
+    off = _unflag(m)
     syz = []
     for g in gb.generators:
-        if all(pos >= t for pos, _ in g):
-            syz.append({(pos - t, mono): c for (pos, mono), c in g.items()})
-    syz.sort(key=lambda v: (vec_degree(v, m.source_degrees),
-                            sorted(v.items())))
+        # all of g is bookkeeping when its leading term is
+        if min(g) >= lay.elim_min:
+            syz.append({t - off: c for t, c in g.items()})
+    syz.sort(key=lambda v: (vec_degree(v, m.source_degrees, m.ctx),
+                            sorted((lay.split(t), c) for t, c in v.items())))
     return FreeModuleMap.from_vecs(m.ctx, syz, m.source_degrees)
 
 
@@ -492,14 +620,15 @@ def lift_solve(a: FreeModuleMap, b: FreeModuleMap):
     if a.target_degrees != b.target_degrees:
         raise AlgebraError("targets of a and b do not agree")
     gb = a._extended_gb()
-    t = a.target_rank
+    elim_min = _layout(a.ctx).elim_min
+    off = _unflag(a)
     p = a.ctx.characteristic
     xcols = []
     for v in b.column_vecs():
         r = gb.normal_form_vec(v)
-        if any(pos < t for pos, _ in r):
+        if r and min(r) < elim_min:
             return None
-        x = {(pos - t, mono): (-c) % p for (pos, mono), c in r.items()}
+        x = {t - off: (-c) % p for t, c in r.items()}
         xcols.append(x)
     return FreeModuleMap.from_vecs(a.ctx, xcols, a.source_degrees,
                                    degrees=b.source_degrees)

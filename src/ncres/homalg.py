@@ -8,7 +8,8 @@ import functools
 from dataclasses import dataclass
 
 from .ring import AlgebraError, EngineError
-from .groebner import FreeModuleMap, buchberger, lift_solve
+from .groebner import (FreeModuleMap, buchberger, lift_solve, shift_term,
+                       term, term_pos)
 from .modules import (FPModule, ModuleMorphism, INFINITE, _shifted, cokernel,
                       direct_sum, free_module, homology, kernel,
                       kernel_with_inclusion, minimal_generator_indices,
@@ -31,7 +32,8 @@ def hom_free(degrees, n: FPModule) -> FPModule:
     for jblk, d in enumerate(degrees):
         for v, e in zip(n.relations.column_vecs(),
                         n.relations.source_degrees):
-            vecs.append({(jblk * nr + i, m): c for (i, m), c in v.items()})
+            vecs.append({shift_term(ctx, t, jblk * nr): c
+                         for t, c in v.items()})
             col_degs.append(e - d)
     rel = FreeModuleMap.from_vecs(ctx, vecs, gens, col_degs)
     return FPModule(ctx, gens, rel, check=False)
@@ -42,10 +44,13 @@ def induced_hom_map(d: FreeModuleMap, n: FPModule) -> ModuleMorphism:
     hb = hom_free(d.target_degrees, n)
     ha = hom_free(d.source_degrees, n)
     nr = n.rank
-    # basis vector (j, i) goes to row j of d, placed at the offsets i
-    vecs = [{(j2 * nr + i, m): c for (j2, m), c in row.items()}
+    # basis vector (j, i) goes to row j of d, placed at the offsets i: the
+    # row's term in position j2 moves to position j2 * nr + i
+    ctx = n.ctx
+    vecs = [{shift_term(ctx, t, term_pos(ctx, t) * (nr - 1) + i): c
+             for t, c in row.items()}
             for row in d.transpose().column_vecs() for i in range(nr)]
-    mat = FreeModuleMap.from_vecs(n.ctx, vecs, ha.gen_degrees, hb.gen_degrees)
+    mat = FreeModuleMap.from_vecs(ctx, vecs, ha.gen_degrees, hb.gen_degrees)
     return ModuleMorphism(hb, ha, mat, check=False)
 
 
@@ -80,9 +85,9 @@ class HomModule:
         end, form the ambient vector ``vec``."""
         nr = self.target.rank
         cols = [{} for _ in range(self.source.rank)]
-        for (pos, m), c in vec.items():
-            j, i = divmod(pos, nr)
-            cols[j][(i, m)] = c
+        for t, c in vec.items():
+            j = term_pos(self.ctx, t) // nr
+            cols[j][shift_term(self.ctx, t, -j * nr)] = c
         mat = FreeModuleMap.from_vecs(
             self.ctx, cols, self.target.gen_degrees,
             tuple(d + deg for d in self.source.gen_degrees))
@@ -104,16 +109,16 @@ class HomModule:
         an engine fault.
         """
         nr = self.target.rank
-        vec = {(j * nr + i, m): c
+        vec = {shift_term(self.ctx, t, j * nr): c
                for j, v in enumerate(f.matrix.column_vecs())
-               for (i, m), c in v.items()}
+               for t, c in v.items()}
         target = FreeModuleMap.from_vecs(self.ctx, [vec],
                                          self._ambient.gen_degrees,
                                          (f.degree,))
         sol = lift_solve(self._block(), target)
         if sol is None:
             raise EngineError("morphism does not lie in its Hom module")
-        return _generator_part(sol.column_vec(0), self.module.rank)
+        return _generator_part(self.ctx, sol.column_vec(0), self.module.rank)
 
     def coords_map(self, morphisms) -> FreeModuleMap:
         """Map whose column j is the coordinate vector of the j-th morphism,
@@ -134,9 +139,9 @@ class HomModule:
         return self._morphism(self._incl.compose(elem).column_vec(0), degree)
 
 
-def _generator_part(vec: dict, rank: int) -> dict:
+def _generator_part(ctx, vec: dict, rank: int) -> dict:
     """The terms of ``vec`` in positions below ``rank``."""
-    return {t: c for t, c in vec.items() if t[0] < rank}
+    return {t: c for t, c in vec.items() if term_pos(ctx, t) < rank}
 
 
 def hom_module(m: FPModule, n: FPModule) -> HomModule:
@@ -215,10 +220,10 @@ def generator_split_pair(m: FPModule):
     zero = (0,) * ctx.nvars
     for f in h.basis_morphisms:
         for j, v in enumerate(f.matrix.column_vecs()):
-            c = v.get((0, zero))
+            c = v.get(term(ctx, 0, zero))
             if c:
                 mat = FreeModuleMap.from_vecs(
-                    ctx, [{(j, zero): ctx.inv(c)}], m.gen_degrees,
+                    ctx, [{term(ctx, j, zero): ctx.inv(c)}], m.gen_degrees,
                     (m.gen_degrees[j],))
                 g = ModuleMorphism(R, m, mat, degree=m.gen_degrees[j],
                                    check=False)
@@ -415,7 +420,8 @@ def hom_factorization(f: ModuleMorphism, g: ModuleMorphism):
     if sol is None:
         return None
     h = H.morphism_from_element(
-        _generator_part(sol.column_vec(0), H.module.rank), f.degree - g.degree)
+        _generator_part(H.ctx, sol.column_vec(0), H.module.rank),
+        f.degree - g.degree)
     if g.compose(h) != f:
         raise EngineError("factorization failed to verify; engine bug")
     return h

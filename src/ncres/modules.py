@@ -14,7 +14,8 @@ import math
 from .ring import (AlgebraError, EngineError, RingContext, mono_degree,
                    mono_divides, monomials_of_degree)
 from .groebner import (FreeModuleMap, GroebnerBasis, buchberger,
-                       make_order_key, syzygy_basis)
+                       is_constant, shift_term, split_term, syzygy_basis,
+                       term, term_pos)
 
 INFINITE = math.inf
 
@@ -39,7 +40,7 @@ def column_relations(x: FreeModuleMap, y: FreeModuleMap | None) -> FreeModuleMap
     k = x.source_rank
     vecs = []
     for v in syz.column_vecs():
-        proj = {(p, m): c for (p, m), c in v.items() if p < k}
+        proj = {t: c for t, c in v.items() if term_pos(x.ctx, t) < k}
         if proj:
             vecs.append(proj)
     return FreeModuleMap.from_vecs(x.ctx, vecs, x.source_degrees)
@@ -103,7 +104,8 @@ class FPModule:
 
     def _position_lts(self):
         lts = [[] for _ in range(self.rank)]
-        for pos, m in self.rel_gb().leading_terms:
+        for t in self.rel_gb().leading_terms:
+            pos, m = split_term(self.ctx, t)
             lts[pos].append(m)
         return lts
 
@@ -270,7 +272,7 @@ def direct_sum_with_maps(a: FPModule, b: FPModule):
     gens = a.gen_degrees + b.gen_degrees
     ra, rb = a.rank, b.rank
     vecs = a.relations.column_vecs() + [
-        {(i + ra, m): c for (i, m), c in v.items()}
+        {shift_term(ctx, t, ra): c for t, c in v.items()}
         for v in b.relations.column_vecs()]
     rel = FreeModuleMap.from_vecs(
         ctx, vecs, gens,
@@ -280,7 +282,8 @@ def direct_sum_with_maps(a: FPModule, b: FPModule):
     def units(positions, target_degrees, source_degrees):
         """Map sending basis vector j to e_positions[j], or to 0 at None."""
         return FreeModuleMap.from_vecs(
-            ctx, [{} if i is None else {(i, zero): 1} for i in positions],
+            ctx, [{} if i is None else {term(ctx, i, zero): 1}
+                  for i in positions],
             target_degrees, source_degrees)
 
     ia = ModuleMorphism(a, s, units(range(ra), gens, a.gen_degrees),
@@ -384,7 +387,7 @@ def _nakayama_keep(gb: GroebnerBasis, cands, degrees):
 
 def _trim_columns(m: FreeModuleMap) -> FreeModuleMap:
     """Minimal generating set of the column span."""
-    empty = GroebnerBasis(m.ctx, [], make_order_key(m.ctx))
+    empty = GroebnerBasis(m.ctx, [])
     vecs = m.column_vecs()
     kept = _nakayama_keep(empty, vecs, m.source_degrees)
     return FreeModuleMap.from_vecs(m.ctx, [vecs[j] for j in kept],
@@ -410,25 +413,28 @@ def minimal_presentation(m: FPModule):
     while True:
         # the first constant entry of the first column that has one
         for col in rel.column_vecs():
-            units = [i for i, mono in col if mono == zero]
+            units = [term_pos(ctx, t) for t in col if is_constant(ctx, t)]
             if units:
                 break
         else:
             break
         i = min(units)
-        uinv = ctx.inv(col[(i, zero)])
+        uinv = ctx.inv(col[term(ctx, i, zero)])
         keep = [i2 for i2 in range(len(gens)) if i2 != i]
         new = {i2: n for n, i2 in enumerate(keep)}
         newgens = tuple(gens[i2] for i2 in keep)
         # g_i = -u^{-1} * sum_{i' != i} col[i'] g_{i'}: the substitution old
         # cover -> new cover, and the inclusion new cover -> old cover
-        expr = {(new[i2], mono): (-uinv * c) % p
-                for (i2, mono), c in col.items() if i2 != i}
+        expr = {}
+        for t, c in col.items():
+            i2, mono = split_term(ctx, t)
+            if i2 != i:
+                expr[term(ctx, new[i2], mono)] = (-uinv * c) % p
         sub = FreeModuleMap.from_vecs(
-            ctx, [expr if i2 == i else {(new[i2], zero): 1}
+            ctx, [expr if i2 == i else {term(ctx, new[i2], zero): 1}
                   for i2 in range(len(gens))], newgens, gens)
         inc = FreeModuleMap.from_vecs(
-            ctx, [{(i2, zero): 1} for i2 in keep], gens, newgens)
+            ctx, [{term(ctx, i2, zero): 1} for i2 in keep], gens, newgens)
         # the column used becomes zero; _trim_columns drops zero columns
         rel = sub.compose(rel)
         gens = newgens
@@ -526,6 +532,6 @@ def minimal_generator_indices(m: FPModule):
     m/(x_1..x_r)m: k^rank modulo the constant entries of the relation
     columns, so it row-reduces constant vectors and never uses rel_gb()."""
     zero_mono = (0,) * m.ctx.nvars
-    units = [{(i, zero_mono): 1} for i in range(m.rank)]
+    units = [{term(m.ctx, i, zero_mono): 1} for i in range(m.rank)]
     return _nakayama_keep(buchberger(m.relations.constant_vecs(), m.ctx),
                           units, m.gen_degrees)

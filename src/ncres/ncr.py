@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ring import AlgebraError, EngineError
-from .groebner import buchberger
+from .groebner import buchberger, split_term, term
 from .modules import (FPModule, ModuleMorphism, INFINITE, cokernel,
                       direct_sum, free_module, homology, kernel,
                       minimal_presentation, minimal_resolution, syzygy)
@@ -141,10 +141,11 @@ def verify_claim1(h: NCRHypotheses) -> Verdict:
     rows = []
     for pos, mono in EX.standard_monomials():
         deg = EX.gen_degrees[pos] + sum(mono)
-        phi = end_x.morphism_from_element({(pos, mono): 1}, deg)
+        phi = end_x.morphism_from_element({term(ctx, pos, mono): 1}, deg)
         psi = _transport_to_syzygy(phi, h.c)
         nf = Q.element_nf(end_z.coords_of_morphism(psi))
-        rows.append({(index[key], zero_mono): c for key, c in nf.items()})
+        rows.append({term(ctx, index[split_term(ctx, t)], zero_mono): c
+                     for t, c in nf.items()})
     # constant vectors: the reduced basis is the row echelon form
     rank = len(buchberger(rows, ctx).generators)
     bijective = (rank == D1 == D2)

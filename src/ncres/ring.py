@@ -132,17 +132,11 @@ class RingContext:
         return pow(a, self.characteristic - 2, self.characteristic)
 
     def mono_key(self, m: tuple):
-        """Sort key: larger key = larger monomial in the ring order."""
+        """Sort key: larger key = larger monomial in the ring order.  Free
+        modules order their packed terms by the same order (groebner.py)."""
         if self.order == GREVLEX:
             return (sum(m), tuple(-e for e in reversed(m)))
         return tuple(m)
-
-    def mono_desc_key(self, m: tuple):
-        """Sort key whose ascending order is descending ring order: the
-        componentwise negation of ``mono_key``."""
-        if self.order == GREVLEX:
-            return (-sum(m), m[::-1])
-        return tuple(-e for e in m)
 
     # -- element constructors ------------------------------------------------
 

@@ -2,13 +2,26 @@
 
 Everything here works degree by degree over F_p with explicit monomial bases
 and Gaussian elimination; no Groebner machinery is used.  Homogeneity makes
-the degree-truncated answers exact in each inspected degree.
+the degree-truncated answers exact in each inspected degree.  Sparse vectors
+come in as the engine stores them, keyed by packed terms, and are read here
+as (position, exponent tuple) pairs.
 """
 
 import itertools
 from math import comb
 
+from ncres.groebner import split_term, term
 from ncres.ring import mono_degree, mono_mul, monomials_of_degree
+
+
+def tuple_vec(ctx, vec):
+    """Engine vector -> {(position, exponent tuple): coefficient}."""
+    return {split_term(ctx, t): c for t, c in vec.items()}
+
+
+def packed_vec(ctx, vec):
+    """{(position, exponent tuple): coefficient} -> engine vector."""
+    return {term(ctx, pos, m): c for (pos, m), c in vec.items()}
 
 
 # -- dense linear algebra over F_p -------------------------------------------
@@ -81,6 +94,7 @@ def multiples_in_degree(vecs, target_degrees, t, ctx):
     for v in vecs:
         if not v:
             continue
+        v = tuple_vec(ctx, v)
         (pos0, m0), c0 = next(iter(v.items()))
         vdeg = target_degrees[pos0] + mono_degree(m0)
         shift = t - vdeg
@@ -96,6 +110,7 @@ def membership_oracle(vecs, target, target_degrees, ctx):
     """Is the homogeneous sparse vec in the submodule generated by vecs?"""
     if not target:
         return True
+    target = tuple_vec(ctx, target)
     (pos0, m0) = next(iter(target))
     t = target_degrees[pos0] + mono_degree(m0)
     rows, basis = multiples_in_degree(vecs, target_degrees, t, ctx)
@@ -154,6 +169,7 @@ def hom_dimension_oracle(m, n, t):
     for rel in m.relations.column_vecs():
         if not rel:
             continue
+        rel = tuple_vec(m.ctx, rel)
         (pos0, m0) = next(iter(rel))
         rel_deg = m.gen_degrees[pos0] + mono_degree(m0)
         out = QuotientPiece(n, rel_deg + t)

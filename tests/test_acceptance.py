@@ -14,7 +14,7 @@ from oracles import (grade_oracle, hom_k_dimension_oracle, koszul_betti,
                      koszul_ext_dims, membership_oracle)
 from test_homalg import run_lift_exactness_harness
 from ncres.ring import RingContext, monomials_of_degree
-from ncres.groebner import buchberger
+from ncres.groebner import buchberger, term
 from ncres.modules import (direct_sum, free_module, minimal_resolution,
                            syzygy)
 from ncres.homalg import (ext, grade, hom_module, is_d_torsionfree,
@@ -153,7 +153,7 @@ def test_acceptance_09_engine_cross_validation():
                 pos = rng.randrange(m.rank)
                 if d - m.gen_degrees[pos] < 0:
                     continue
-                probe = {(pos, mono): rng.randrange(101)
+                probe = {term(ctx, pos, mono): rng.randrange(101)
                          for mono in monomials_of_degree(
                              ctx.nvars, d - m.gen_degrees[pos])}
                 probe = {key: c for key, c in probe.items() if c}

@@ -162,20 +162,62 @@ def test_canonical_section_stable_across_processes(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("params", [
-    "command: grade\nmodule: [k]\n",
-    "command: build\nmodule: k\ncs: [a]\ngldim_end_N: 0\n",
-    "command: verify-claim1\nM: R\nX: k\nc: 1\nd: 2\nsummands: 5\n",
-    "command: build\nmodule: k\ncs: [true]\ngldim_end_N: 0\n",
-    "command: syzygy\nmodule: k\nc: true\n",
-    "command: verify-exact2\nM: R\nX: k\nc: 1\nd: 2\nsummands: []\n",
-    "command: build\nmodule: k\ncs: [1]\ngldim_end_N: -100\n",
+HOM_PARAMS = "command: hom\nsource: k\ntarget: k\n"
+
+
+@pytest.mark.parametrize("params, options", [
+    ("command: grade\nmodule: [k]\n", []),
+    ("command: build\nmodule: k\ncs: [a]\ngldim_end_N: 0\n", []),
+    ("command: verify-claim1\nM: R\nX: k\nc: 1\nd: 2\nsummands: 5\n", []),
+    ("command: build\nmodule: k\ncs: [true]\ngldim_end_N: 0\n", []),
+    ("command: syzygy\nmodule: k\nc: true\n", []),
+    ("command: verify-exact2\nM: R\nX: k\nc: 1\nd: 2\nsummands: []\n", []),
+    ("command: build\nmodule: k\ncs: [1]\ngldim_end_N: -100\n", []),
+    (HOM_PARAMS, ["--max-degree", "-3"]),
+    (HOM_PARAMS, ["--depth", "0"]),
 ], ids=["module-list", "cs-strings", "summands-int", "cs-bool", "c-bool",
-        "summands-empty", "gldim-negative"])
-def test_main_malformed_parameters_exit_two(tmp_path, capsys, params):
+        "summands-empty", "gldim-negative", "max-degree-negative",
+        "depth-zero"])
+def test_main_malformed_parameters_exit_two(tmp_path, capsys, params,
+                                            options):
     path = write_job(tmp_path, RING + K_MOD + R_MOD + params)
-    assert main(["--job", path]) == 2
+    assert main(["--job", path] + options) == 2
     assert "error:" in capsys.readouterr().err
+
+
+BIG_EXPONENT_JOB = (RING + "module m: {gens: [0], relations: "
+                    "[[x^40000], [y]]}\ncommand: grade\nmodule: m\n")
+BIG_EXPONENT_REPORT = """\
+# --- report (canonical) ---
+command: grade
+engine: 0.1.0
+grade: 2
+modules:
+  m:
+    gens: [0]
+    relations:
+    - [x^40000]
+    - [y]
+ring:
+  char: 101
+  order: grevlex
+  vars: [x, y]
+"""
+
+
+def test_large_exponents_within_the_bound_run(tmp_path, capsys):
+    """x^40000 fits the packed exponent fields; the report is the one the
+    engine gave before terms were packed."""
+    path = write_job(tmp_path, BIG_EXPONENT_JOB)
+    assert main(["--job", path]) == 0
+    assert canonical_section(capsys.readouterr().out) == BIG_EXPONENT_REPORT
+
+
+def test_exponent_past_the_bound_exits_two(tmp_path, capsys):
+    path = write_job(tmp_path, BIG_EXPONENT_JOB.replace("40000", "65536"))
+    assert main(["--job", path]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "65535" in err
 
 
 @pytest.mark.parametrize("module", [

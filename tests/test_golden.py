@@ -4,7 +4,8 @@ Each job below runs through ``parse_job`` and ``run_job``; its canonical
 section must equal ``tests/golden/<name>.yml`` exactly.  There is one small
 job for every command, and ``verify-claim1`` and ``verify-exact2`` also run
 on acceptance scenarios 1-4 over F_101 in the coordinates x, y, z.  One r=4
-job, ``examples/r4/O3-2.yml``, pins the 4-variable add-M path.  A change
+job, ``examples/r4/O3-2.yml``, pins the 4-variable add-M path, and three
+jobs repeat others under the lex order.  A change
 that is meant to alter a report rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -73,6 +74,10 @@ for _tag, _doc in SCENARIOS.items():
     JOBS[f"exact2-{_tag}"] = _doc + "X: k\ncommand: verify-exact2\ndepth: 4\n"
 JOBS["exact2-r4-O3-2"] = (EXAMPLES / "r4" / "O3-2.yml").read_text(
     encoding="utf-8")
+# the lex order: a syzygy, a stable Hom and an add-M resolution
+for _name in ("syzygy-Rm2-2", "stablehom-T-T", "exact2-s2"):
+    JOBS[f"{_name}-lex"] = JOBS[_name].replace(
+        RING3, "ring: {char: 101, vars: [x, y, z], order: lex}\n")
 
 
 def canonical(doc):

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import membership_oracle, rank_mod_p
+from oracles import membership_oracle, packed_vec, rank_mod_p, tuple_vec
 from ncres.ring import (Polynomial, RingContext, monomials_of_degree,
                         parse_polynomial)
 from ncres import groebner
 from ncres.groebner import (FreeModuleMap, buchberger, buchberger_vecs,
-                            by_position, leading_term, lift_solve,
-                            make_elim_key, make_order_key, reduce_vec,
-                            syzygy_basis)
+                            by_position, lift_solve, reduce_vec, split_term,
+                            syzygy_basis, term)
 
 CTX = RingContext(101, ("x", "y"))
 CTX3 = RingContext(101, ("x", "y", "z"))
@@ -22,7 +21,7 @@ def poly(s, ctx=CTX):
 
 
 def vec_of(f, pos=0):
-    return {(pos, m): c for m, c in f.terms.items()}
+    return {term(f.ctx, pos, m): c for m, c in f.terms.items()}
 
 
 def random_combination(vecs, ctx, rng, max_shift=2):
@@ -30,6 +29,7 @@ def random_combination(vecs, ctx, rng, max_shift=2):
     out = {}
     target = None
     for v in vecs:
+        v = tuple_vec(ctx, v)
         (pos0, m0) = next(iter(v))
         base = sum(m0)
         if target is None:
@@ -43,7 +43,7 @@ def random_combination(vecs, ctx, rng, max_shift=2):
         for (pos, m), cv in v.items():
             key = (pos, tuple(a + b for a, b in zip(m, mono)))
             out[key] = (out.get(key, 0) + c * cv) % ctx.characteristic
-    return {k: v for k, v in out.items() if v}
+    return packed_vec(ctx, {k: v for k, v in out.items() if v})
 
 
 def test_membership_matches_oracle_ideals():
@@ -53,8 +53,8 @@ def test_membership_matches_oracle_ideals():
         ([vec_of(poly("x^2")), vec_of(poly("x*y + y^2"))], CTX, 1),
         ([vec_of(poly("x^2 - y^2")), vec_of(poly("x*y"))], CTX, 1),
         ([vec_of(poly("x", CTX3)), vec_of(poly("y*z", CTX3))], CTX3, 1),
-        ([{(0, (1, 0)): 1, (1, (0, 1)): 100},
-          {(0, (0, 2)): 1, (1, (1, 1)): 1}], CTX, 2),
+        ([packed_vec(CTX, {(0, (1, 0)): 1, (1, (0, 1)): 100}),
+          packed_vec(CTX, {(0, (0, 2)): 1, (1, (1, 1)): 1})], CTX, 2),
     ]
     for vecs, ctx, rank in families:
         gb = buchberger(vecs, ctx)
@@ -67,7 +67,7 @@ def test_membership_matches_oracle_ideals():
         for _ in range(15):
             d = rng.randrange(1, 4)
             pos = rng.randrange(rank)
-            probe = {(pos, m): rng.randrange(101)
+            probe = {term(ctx, pos, m): rng.randrange(101)
                      for m in monomials_of_degree(ctx.nvars, d)}
             probe = {k: v for k, v in probe.items() if v}
             assert gb.contains_vec(probe) == \
@@ -80,7 +80,7 @@ def test_normal_form_properties():
     rng = random.Random(3)
     for _ in range(10):
         d = rng.randrange(4)
-        v = {(0, m): rng.randrange(101)
+        v = {term(CTX, 0, m): rng.randrange(101)
              for m in monomials_of_degree(2, d)}
         v = {k: c for k, c in v.items() if c}
         nf = gb.normal_form_vec(v)
@@ -128,9 +128,10 @@ def test_syzygy_basis_koszul():
     composed = cols.compose(syz)
     assert all(f.is_zero() for col in composed.cols for f in col)
     # Koszul relations are all present
-    koszul = [{(0, (0, 1, 0)): 1, (1, (1, 0, 0)): 100},
-              {(0, (0, 0, 1)): 1, (2, (1, 0, 0)): 100},
-              {(1, (0, 0, 1)): 1, (2, (0, 1, 0)): 100}]
+    koszul = [packed_vec(CTX3, v) for v in (
+        {(0, (0, 1, 0)): 1, (1, (1, 0, 0)): 100},
+        {(0, (0, 0, 1)): 1, (2, (1, 0, 0)): 100},
+        {(1, (0, 0, 1)): 1, (2, (0, 1, 0)): 100})]
     gb = buchberger(syz.column_vecs(), CTX3)
     for v in koszul:
         assert gb.contains_vec(v)
@@ -242,7 +243,8 @@ def test_buchberger_random_ideals_agree_with_oracle(seed):
     vecs = []
     for _ in range(rng.randrange(1, 4)):
         d = rng.randrange(1, 3)
-        f = {(0, m): rng.randrange(101) for m in monomials_of_degree(2, d)}
+        f = {term(CTX, 0, m): rng.randrange(101)
+             for m in monomials_of_degree(2, d)}
         f = {k: c for k, c in f.items() if c}
         if f:
             vecs.append(f)
@@ -251,7 +253,7 @@ def test_buchberger_random_ideals_agree_with_oracle(seed):
     gb = buchberger(vecs, CTX)
     for d in range(1, 4):
         for m in monomials_of_degree(2, d):
-            probe = {(0, m): 1}
+            probe = {term(CTX, 0, m): 1}
             assert gb.contains_vec(probe) == \
                 membership_oracle(vecs, probe, (0,), CTX)
 
@@ -259,28 +261,36 @@ def test_buchberger_random_ideals_agree_with_oracle(seed):
 # -- sympy as a second oracle ------------------------------------------------
 
 def _sparse_form(ctx, rng, d, nterms):
-    monos = rng.sample(list(monomials_of_degree(ctx.nvars, d)), nterms)
-    return {(0, m): rng.randrange(1, ctx.characteristic) for m in monos}
+    monos = list(monomials_of_degree(ctx.nvars, d))
+    monos = rng.sample(monos, min(nterms, len(monos)))
+    return {term(ctx, 0, m): rng.randrange(1, ctx.characteristic)
+            for m in monos}
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_rank_one_basis_matches_sympy(seed):
-    """The reduced basis is unique: ours equals sympy's as monic polys."""
+@pytest.mark.parametrize(
+    "order, seed",
+    [pytest.param("grevlex", s, id=str(s)) for s in range(30)]
+    + [pytest.param("lex", s, id=f"lex-{s}") for s in range(40)])
+def test_rank_one_basis_matches_sympy(order, seed):
+    """The reduced basis is unique: ours equals sympy's as monic polys.
+    Lex bases grow fast, so lex ideals have 2-3 variables, grevlex 3-4."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(seed)
     p = 32003
-    names = ("x", "y", "z", "w")[:rng.choice((3, 4))]
-    ctx = RingContext(p, names)
+    nvars = rng.choice((3, 4) if order == "grevlex" else (2, 3))
+    names = ("x", "y", "z", "w")[:nvars]
+    ctx = RingContext(p, names, order)
     vecs = [_sparse_form(ctx, rng, rng.choice((2, 2, 3)), rng.randrange(2, 5))
             for _ in range(rng.randrange(2, 5))]
-    ours = {frozenset((m, c) for (_, m), c in g.items())
+    ours = {frozenset((m, c) for (_, m), c in tuple_vec(ctx, g).items())
             for g in buchberger(vecs, ctx).generators}
     gens = sympy.symbols(names)
-    polys = [sympy.Poly.from_dict({m: c for (_, m), c in v.items()}, *gens,
+    polys = [sympy.Poly.from_dict({m: c for (_, m), c
+                                   in tuple_vec(ctx, v).items()}, *gens,
                                   modulus=p).as_expr() for v in vecs]
     theirs = set()
-    for g in sympy.groebner(polys, *gens, modulus=p, order="grevlex").exprs:
-        terms = sympy.Poly(g, *gens, modulus=p).terms(order="grevlex")
+    for g in sympy.groebner(polys, *gens, modulus=p, order=order).exprs:
+        terms = sympy.Poly(g, *gens, modulus=p).terms(order=order)
         lead = int(terms[0][1]) % p
         inv = pow(lead, p - 2, p)
         theirs.add(frozenset((m, int(c) * inv % p) for m, c in terms))
@@ -293,7 +303,7 @@ def _random_module_vecs(ctx, rng, rank, n):
     vecs = []
     for _ in range(n):
         d = rng.randrange(1, 3)
-        v = {(pos, m): rng.randrange(ctx.characteristic)
+        v = {term(ctx, pos, m): rng.randrange(ctx.characteristic)
              for pos in range(rank) if rng.random() < 0.7
              for m in monomials_of_degree(ctx.nvars, d)}
         v = {k: c for k, c in v.items() if c}
@@ -315,7 +325,7 @@ def test_extend_agrees_with_rebuild(seed):
         assert grown.contains_vec(v) and rebuilt.contains_vec(v)
     for _ in range(20):
         d = rng.randrange(1, 4)
-        probe = {(rng.randrange(rank), m): rng.randrange(101)
+        probe = {term(ctx, rng.randrange(rank), m): rng.randrange(101)
                  for m in rng.sample(list(monomials_of_degree(ctx.nvars, d)),
                                      2)}
         probe = {k: c for k, c in probe.items() if c}
@@ -340,7 +350,7 @@ def test_constant_vector_basis_size_is_rank():
         if len(rows) >= 2 and rng.random() < 0.7:
             a, b = rng.randrange(p), rng.randrange(p)
             rows.append([(a * u + b * v) % p for u, v in zip(*rows[:2])])
-        vecs = [{(j, zero): c for j, c in enumerate(row) if c}
+        vecs = [{term(ctx, j, zero): c for j, c in enumerate(row) if c}
                 for row in rows]
         assert len(buchberger(vecs, ctx).generators) == rank_mod_p(rows, p)
 
@@ -383,30 +393,42 @@ def _random_homogeneous(ctx, rng, rank, d, nterms):
 @pytest.mark.parametrize("order", ["term", "elim"])
 def test_heap_reduction_matches_rescan_reference(nvars, order):
     """reduce_vec against the rescanning reference on seeded vectors in
-    several positions, under both key functions; the bases are Groebner
-    bases and also plain monic lists whose leading terms repeat, where the
-    lowest-index divisor must be the reducer."""
+    several positions, under the term order and the elimination order
+    (terms in positions >= split carry the elimination flag); the bases
+    are Groebner bases and also plain monic lists whose leading terms
+    repeat, where the lowest-index divisor must be the reducer."""
     ctx = RingContext(32003, ("a", "b", "c", "d")[:nvars])
     p = ctx.characteristic
     rank = 3
     split = 1
     if order == "term":
-        key = make_order_key(ctx)
+        def pack(t):
+            return term(ctx, *t)
 
         def larger(t):
             return (ctx.mono_key(t[1]), -t[0])
     else:
-        key = make_elim_key(ctx, split)
+        elim = groebner._layout(ctx).elim
+
+        def pack(t):
+            return term(ctx, *t) + (elim if t[0] >= split else 0)
 
         def larger(t):
             return (t[0] < split, ctx.mono_key(t[1]), -t[0])
+
+    def packed(v):
+        return {pack(t): c for t, c in v.items()}
+
+    def unpacked(v):
+        return {split_term(ctx, t): c for t, c in v.items()}
+
     rng = random.Random(100 * nvars + len(order))
     for _ in range(6):
         gens = [_random_homogeneous(ctx, rng, rank, rng.randrange(1, 3), 4)
                 for _ in range(rng.randrange(2, 6))]
         gens = [g for g in gens if g]
-        # the key sorts terms in descending order of the reference order
-        terms = sorted({t for g in gens for t in g}, key=key)
+        # ascending packed terms are the reference order descending
+        terms = sorted({t for g in gens for t in g}, key=pack)
         assert terms == sorted(terms, key=larger, reverse=True)
         # each of the first two generators again, with its leading term
         # kept and other lower terms added
@@ -423,13 +445,17 @@ def test_heap_reduction_matches_rescan_reference(nvars, order):
         for g in gens + twins:
             c = g[max(g, key=larger)]
             plain.append({t: v * pow(c, p - 2, p) % p for t, v in g.items()})
-        gb = buchberger_vecs(gens, key, ctx)
+        gb = [unpacked(g)
+              for g in buchberger_vecs([packed(g) for g in gens], ctx)]
         for basis in (gb, plain):
-            lts = [leading_term(g, key)[0] for g in basis]
-            assert lts == [max(g, key=larger) for g in basis]
+            lts = [max(g, key=larger) for g in basis]
+            assert [split_term(ctx, min(packed(g))) for g in basis] == lts
+            reducers = by_position([pack(t) for t in lts], ctx)
             for _ in range(8):
                 v = _random_homogeneous(ctx, rng, rank, 3, 10)
-                assert reduce_vec(v, basis, by_position(lts), key, p) == \
+                got = reduce_vec(packed(v), [packed(g) for g in basis],
+                                 reducers, ctx)
+                assert unpacked(got) == \
                     _rescan_reduce(v, basis, lts, larger, p)
 
 
@@ -447,11 +473,11 @@ def test_one_vec_add_scaled_call_per_reduction_step(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "vec_add_scaled", counting)
-    key = make_order_key(CTX)
-    g1 = {(0, (1, 0)): 1, (0, (0, 1)): 100}
-    g2 = {(0, (0, 2)): 1}
-    v = {(0, (2, 0)): 1, (1, (1, 0)): 5}
-    out = reduce_vec(v, [g1, g2], by_position([(0, (1, 0)), (0, (0, 2))]),
-                     key, 101)
-    assert out == {(1, (1, 0)): 5}
-    assert calls == [(1, 0), (0, 1), (0, 0)]
+    g1 = packed_vec(CTX, {(0, (1, 0)): 1, (0, (0, 1)): 100})
+    g2 = packed_vec(CTX, {(0, (0, 2)): 1})
+    v = packed_vec(CTX, {(0, (2, 0)): 1, (1, (1, 0)): 5})
+    lts = [term(CTX, 0, (1, 0)), term(CTX, 0, (0, 2))]
+    out = reduce_vec(v, [g1, g2], by_position(lts, CTX), CTX)
+    assert out == packed_vec(CTX, {(1, (1, 0)): 5})
+    # each step's shift is the term of its multiplier x^a in position 0
+    assert calls == [term(CTX, 0, a) for a in ((1, 0), (0, 1), (0, 0))]

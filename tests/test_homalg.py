@@ -8,7 +8,7 @@ from oracles import (grade_oracle, hom_k_dimension_oracle, koszul_ext_dims,
                      rank_mod_p)
 from ncres.ring import AlgebraError, RingContext
 from ncres import groebner, homalg
-from ncres.groebner import FreeModuleMap, lift_solve
+from ncres.groebner import FreeModuleMap, lift_solve, split_term, term
 from ncres.modules import (INFINITE, ModuleMorphism, cokernel, direct_sum,
                            free_module, kernel, make_module,
                            minimal_resolution, syzygy)
@@ -84,7 +84,7 @@ def test_coords_of_morphism_builds_one_lift_basis(ctx2, ctx3, monkeypatch):
         assert h.module.rank >= 2 and len(calls) == 1
         nr = h.target.rank
         for f, got in zip(h.basis_morphisms, coords):
-            vec = {(jblk * nr + i, mono): c
+            vec = {term(ctx, jblk * nr + i, mono): c
                    for jblk, col in enumerate(f.matrix.cols)
                    for i, g in enumerate(col) for mono, c in g.terms.items()}
             rhs = FreeModuleMap.from_vecs(ctx, [vec], h._ambient.gen_degrees,
@@ -92,7 +92,7 @@ def test_coords_of_morphism_builds_one_lift_basis(ctx2, ctx3, monkeypatch):
             fresh = h._incl.hstack(h._ambient.relations)
             sol = lift_solve(fresh, rhs).column_vec(0)
             assert got == {t: c for t, c in sol.items()
-                           if t[0] < h.module.rank}
+                           if split_term(ctx, t)[0] < h.module.rank}
 
 
 def test_ext_of_k_matches_koszul_oracle(ctx1, ctx2, ctx3):

@@ -8,7 +8,7 @@ from oracles import (complex_homology_dim, hilbert_oracle, koszul_betti,
                      membership_oracle)
 from ncres.ring import (AlgebraError, Polynomial, RingContext,
                         monomials_of_degree, parse_polynomial)
-from ncres.groebner import FreeModuleMap, buchberger
+from ncres.groebner import FreeModuleMap, buchberger, term
 from ncres.modules import (FPModule, INFINITE, ModuleMorphism, cokernel,
                            cokernel_with_projection, direct_sum,
                            direct_sum_with_maps, free_module, homology, image,
@@ -201,7 +201,7 @@ def test_greedy_minimal_generators_and_relations_match_oracle(ctx2, ctx3,
         units = [tuple(int(i == v) for i in range(ctx.nvars))
                  for v in range(ctx.nvars)]
         mm = m.relations.column_vecs() + [
-            {(j, u): 1} for u in units for j in range(m.rank)]
+            {term(ctx, j, u): 1} for u in units for j in range(m.rank)]
         for t in set(m.gen_degrees):
             assert (sum(m.gen_degrees[i] == t for i in kept)
                     == hilbert_oracle(m.gen_degrees, mm, ctx, t))
@@ -232,7 +232,7 @@ def test_nakayama_pass_matches_rebuild_per_candidate(ctx2, ctx3, seed):
     for ctx in (ctx2, ctx3):
         m = _redundant_module(ctx, seed)
         rel = m.relations.column_vecs()
-        units = [{(i, (0,) * ctx.nvars): 1} for i in range(m.rank)]
+        units = [{term(ctx, i, (0,) * ctx.nvars): 1} for i in range(m.rank)]
         degs = m.relations.source_degrees
         cases = [([], rel, degs), (rel, units, m.gen_degrees),
                  # relation columns again, shuffled: every one is redundant
@@ -247,7 +247,7 @@ def test_nakayama_pass_matches_rebuild_per_candidate(ctx2, ctx3, seed):
 def _zero_by_reduction(m):
     """Reference zero test: every generator reduces to 0 modulo rel_gb()."""
     zero_mono = (0,) * m.ctx.nvars
-    return all(not m.rel_gb().normal_form_vec({(i, zero_mono): 1})
+    return all(not m.rel_gb().normal_form_vec({term(m.ctx, i, zero_mono): 1})
                for i in range(m.rank))
 
 
