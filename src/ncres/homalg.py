@@ -269,9 +269,7 @@ def stable_hom(w: FPModule, z: FPModule,
         F = free_module(ctx, z.gen_degrees)
         cover = ModuleMorphism(
             F, z, FreeModuleMap.identity(ctx, z.gen_degrees), check=False)
-    cols = total.coords_map(
-        cover.compose(psi)
-        for psi in hom_module(w, cover.source).basis_morphisms)
+    cols = induced_post_hom(cover, hom_module(w, cover.source), total).matrix
     return StableHom(total, _quotient(total, cols))
 
 
@@ -387,9 +385,10 @@ def check_lift_exactness(ses, w: FPModule) -> LiftExactnessVerdict:
 class AddMResolution:
     """Iterated right add-M approximations 0 -> K_{i+1} -> M_i -> K_i -> 0.
 
-    ``terminated`` certifies that the final kernel lies in add M (it is zero,
-    or the identity on it factors through its own add-M cover), so the
-    resolution closes up with the last inclusion as final map.
+    ``terminated`` certifies that the final kernel lies in add M: it is
+    zero, or its own add-M cover has a section, found and checked by
+    ``hom_factorization``.  The resolution then closes up with the last
+    inclusion as final map.
     """
 
     modules: list                 # K_0 = z, K_1, ...
@@ -413,9 +412,11 @@ def hom_factorization(f: ModuleMorphism, g: ModuleMorphism):
     image of Hom(source(f), g); a bare cover-level lift is not enough because
     the lifted matrix need not respect the relations of source(f).
     """
+    if f.target is not g.target and f.target != g.target:
+        raise AlgebraError("factorization: f and g have different targets")
     H = hom_module(f.source, g.source)
     HT = hom_module(f.source, g.target)
-    block = HT.coords_map(g.compose(psi) for psi in H.basis_morphisms)
+    block = induced_post_hom(g, H, HT).matrix
     sol = lift_solve(block.hstack(HT.module.relations), HT.coords_map((f,)))
     if sol is None:
         return None
@@ -510,27 +511,24 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
             FreeModuleMap.hstack, [g.matrix for _, g in morphs])
         return ModuleMorphism(Mi, K, ev_mat, check=False)
 
-    def in_add_m(K):
-        # K is a summand of a sum of twists of m exactly when its identity
-        # factors through add m, i.e. lies in the factor ideal [m] of End(K).
-        end = hom_module(K, K)
-        ident = end.coords_of_morphism(ModuleMorphism.identity(K))
-        return not factor_ideal(K, m, end=end).element_nf(ident)
-
     modules = [z]
     approximations = []
     inclusions = []
     K = z
     terminated = z.is_zero()
-    for step in range(depth):
+    for step in range(depth + 1):
         if terminated:
             break
-        # K in add m closes the resolution; the first step is always taken so
-        # that a z already in add m still gets its split cover recorded.
-        if step >= 1 and in_add_m(K):
-            terminated = True
-            break
         ev = cover(K)
+        # Every map from m to K factors through the approximation ev, so K
+        # lies in add m exactly when ev has a section.  The first step is
+        # always taken so that a z already in add m still gets its split
+        # cover recorded; the pass at step == depth only tests.
+        if step >= 1 or step == depth:
+            terminated = hom_factorization(ModuleMorphism.identity(K),
+                                           ev) is not None
+            if terminated or step == depth:
+                break
         if not cokernel(ev).is_zero():
             raise EngineError("add-M approximation failed to surject; "
                               "engine bug")
@@ -542,8 +540,5 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
         inclusions.append(incl)
         modules.append(Knext)
         K = Knext
-        if K.is_zero():
-            terminated = True
-    if not terminated and in_add_m(K):
-        terminated = True
+        terminated = K.is_zero()
     return AddMResolution(modules, approximations, inclusions, terminated)

@@ -3,9 +3,10 @@
 Each job below runs through ``parse_job`` and ``run_job``; its canonical
 section must equal ``tests/golden/<name>.yml`` exactly.  There is one small
 job for every command, and ``verify-claim1`` and ``verify-exact2`` also run
-on acceptance scenarios 1-4 over F_101 in the coordinates x, y, z.  One r=4
-job, ``examples/r4/O3-2.yml``, pins the 4-variable add-M path, and three
-jobs repeat others under the lex order.  A change
+on acceptance scenarios 1-4 over F_101 in the coordinates x, y, z;
+scenarios 2 and 4 also run at depths 1 and 2.  The three r=4 jobs of
+``examples/r4/`` pin the 4-variable add-M path, and three jobs repeat
+others under the lex order.  A change
 that is meant to alter a report rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -72,8 +73,16 @@ JOBS = {
 for _tag, _doc in SCENARIOS.items():
     JOBS[f"claim1-{_tag}"] = _doc + "X: k\ncommand: verify-claim1\n"
     JOBS[f"exact2-{_tag}"] = _doc + "X: k\ncommand: verify-exact2\ndepth: 4\n"
-JOBS["exact2-r4-O3-2"] = (EXAMPLES / "r4" / "O3-2.yml").read_text(
-    encoding="utf-8")
+# scenarios 2 and 4 at depth 1 run out of depth; at depth 2 they close up at
+# the last allowed step
+for _tag in ("s2", "s4"):
+    for _depth in (1, 2):
+        JOBS[f"exact2-{_tag}-depth{_depth}"] = (
+            SCENARIOS[_tag]
+            + f"X: k\ncommand: verify-exact2\ndepth: {_depth}\n")
+for _name in ("O3-2", "O2-1", "O3-1"):
+    JOBS[f"exact2-r4-{_name}"] = (EXAMPLES / "r4" / f"{_name}.yml").read_text(
+        encoding="utf-8")
 # the lex order: a syzygy, a stable Hom and an add-M resolution
 for _name in ("syzygy-Rm2-2", "stablehom-T-T", "exact2-s2"):
     JOBS[f"{_name}-lex"] = JOBS[_name].replace(

@@ -257,21 +257,35 @@ def test_factor_ideal_quotients_equal_by_reduced_basis(ctx2, ctx3):
     assert not within(through_k, through_R)
 
 
-def test_factor_ideal_detects_membership_of_add(ctx3):
-    """id_K in [M](K, K) iff K is a summand of a sum of copies of M."""
+def _identity_in_factor_ideal(K, M):
+    """id_K lies in [M](K, K): the reference test for K in add M."""
+    end = hom_module(K, K)
+    ident = end.coords_of_morphism(ModuleMorphism.identity(K))
+    return not factor_ideal(K, M, end=end).element_nf(ident)
+
+
+def _cover_splits(K, M, summands=None):
+    """The add-M cover of K, as the first approximation of a depth-1
+    resolution, has a section."""
+    ev = add_M_resolution(K, M, 1, summands=summands).approximations[0]
+    return hom_factorization(ModuleMorphism.identity(K), ev) is not None
+
+
+def _membership_cases(ctx3):
+    """(K, M, K in add M) for a free K, and Omega k against three M."""
     R = free_module(ctx3)
     k = residue_field(ctx3)
     o1, o2 = syzygy(k, 1), syzygy(k, 2)
+    return [(free_module(ctx3, (0, 0)), R, True), (o1, R, False),
+            (o1, direct_sum(R, o1), True), (o1, direct_sum(R, o2), False)]
 
-    def split(K, M):
-        end = hom_module(K, K)
-        ident = end.coords_of_morphism(ModuleMorphism.identity(K))
-        return not factor_ideal(K, M, end=end).element_nf(ident)
 
-    assert split(free_module(ctx3, (0, 0)), R)
-    assert not split(o1, R)
-    assert split(o1, direct_sum(R, o1))
-    assert not split(o1, direct_sum(R, o2))
+def test_factor_ideal_detects_membership_of_add(ctx3):
+    """id_K in [M](K, K) iff K is a summand of a sum of copies of M, iff
+    the add-M cover of K splits."""
+    for K, M, member in _membership_cases(ctx3):
+        assert _identity_in_factor_ideal(K, M) == member
+        assert _cover_splits(K, M) == member
 
 
 # -- Hom-exactness harness ---------------------------------------------------
@@ -373,6 +387,23 @@ def test_hom_factorization_negative(ctx2):
     assert hom_factorization(ModuleMorphism.identity(k), g) is None
 
 
+@pytest.mark.parametrize("degrees", [(0,), (0, 0)], ids=["R", "R2"])
+def test_hom_factorization_refuses_different_targets(ctx2, degrees,
+                                                     monkeypatch):
+    """f: F -> F and g: R -> k have different targets: a caller error,
+    refused before any Hom module is built."""
+    built = []
+    monkeypatch.setattr(homalg, "hom_module",
+                        lambda *args: built.append(args))
+    k = residue_field(ctx2)
+    g = ModuleMorphism(free_module(ctx2), k,
+                       FreeModuleMap.identity(ctx2, (0,)))
+    f = ModuleMorphism.identity(free_module(ctx2, degrees))
+    with pytest.raises(AlgebraError, match="different targets"):
+        hom_factorization(f, g)
+    assert built == []
+
+
 # -- add-M approximation resolutions ----------------------------------------
 
 def test_add_R_resolution_of_maximal_ideal(ctx2):
@@ -446,12 +477,25 @@ def _quotient_rule_selection(hmk, comp, degrees):
     return kept
 
 
+def _seeded_scenarios(seed):
+    """(z, M, summands) of the exact2 scenarios: z = Omega^c k with k in
+    seeded coordinates; M = R over 2 and 3 variables with c = 1, 2, and
+    M = R + Omega^2 k with its summands."""
+    rng = random.Random(seed)
+    ctx2 = RingContext(101, ("x", "y"))
+    ctx3 = RingContext(101, ("x", "y", "z"))
+    k2, k3 = _seeded_residue_field(ctx2, rng), _seeded_residue_field(ctx3, rng)
+    R2, R3 = free_module(ctx2), free_module(ctx3)
+    o2 = syzygy(k3, 2)
+    return [(syzygy(k2, 1), R2, None), (syzygy(k3, 1), R3, None),
+            (syzygy(k3, 2), R3, None),
+            (syzygy(k3, 1), direct_sum(R3, o2), (R3, o2))]
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_cover_by_constant_rank_matches_quotient_rule(seed, monkeypatch):
-    """On the add-M resolutions of the exact2 scenarios (X = k in seeded
-    coordinates; M = R over 2 and 3 variables with c = 1, 2, and
-    M = R + Omega^2 k with its summands), every cover keeps the selection
-    that the zero-quotient rule keeps."""
+    """On the add-M resolutions of the exact2 scenarios, every cover keeps
+    the selection that the zero-quotient rule keeps."""
     calls = []
     original = homalg._cover_selection
 
@@ -461,19 +505,56 @@ def test_cover_by_constant_rank_matches_quotient_rule(seed, monkeypatch):
         return kept
 
     monkeypatch.setattr(homalg, "_cover_selection", recording)
-    rng = random.Random(seed)
-    ctx2 = RingContext(101, ("x", "y"))
-    ctx3 = RingContext(101, ("x", "y", "z"))
-    k2, k3 = _seeded_residue_field(ctx2, rng), _seeded_residue_field(ctx3, rng)
-    R2, R3 = free_module(ctx2), free_module(ctx3)
-    o2 = syzygy(k3, 2)
-    cases = [(k2, R2, 1, None), (k3, R3, 1, None), (k3, R3, 2, None),
-             (k3, direct_sum(R3, o2), 1, (R3, o2))]
-    for k, M, c, summands in cases:
-        amr = add_M_resolution(syzygy(k, c), M, 4, summands=summands)
+    cases = _seeded_scenarios(seed)
+    for z, M, summands in cases:
+        amr = add_M_resolution(z, M, 4, summands=summands)
         assert amr.terminated
     assert len(calls) >= len(cases)
     for hmk, comp, degrees, kept in calls:
         assert kept == _quotient_rule_selection(hmk, comp, degrees)
     # the prune is not vacuous: some cover drops a candidate
     assert any(len(kept) < len(comp) for _, comp, _, kept in calls)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cover_splits_iff_identity_in_factor_ideal(seed):
+    """On every kernel of the seeded scenarios' add-M resolutions, the add-M
+    cover splits exactly when id_K lies in [M]; the last kernel of each
+    terminated resolution is in add M and the earlier ones are not."""
+    for z, M, summands in _seeded_scenarios(seed):
+        amr = add_M_resolution(z, M, 4, summands=summands)
+        assert amr.terminated
+        members = [_identity_in_factor_ideal(K, M) for K in amr.modules]
+        assert members == [False] * amr.depth + [True]
+        assert [_cover_splits(K, M, summands)
+                for K in amr.modules] == members
+
+
+def test_add_M_resolution_depth_zero_tests_membership(ctx3):
+    """At depth 0 nothing is recorded, and the resolution is terminated
+    exactly when z lies in add M."""
+    for K, M, member in _membership_cases(ctx3):
+        amr = add_M_resolution(K, M, 0)
+        assert amr.terminated == member
+        assert amr.approximations == [] and amr.modules == [K]
+
+
+def test_add_M_resolution_builds_no_factor_ideal(ctx3, monkeypatch):
+    """Termination comes from a checked section of the cover, never from
+    the factor ideal [M]: at a step >= 1 and at the last allowed step."""
+    calls = []
+    original = homalg.factor_ideal
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(homalg, "factor_ideal", counting)
+    R = free_module(ctx3)
+    k = residue_field(ctx3)
+    o1, o2 = syzygy(k, 1), syzygy(k, 2)
+    M = direct_sum(R, o2)
+    for depth in (0, 1, 2, 4):
+        amr = add_M_resolution(o1, M, depth, summands=(R, o2))
+        assert amr.terminated == (depth >= 2)
+    assert calls == []
