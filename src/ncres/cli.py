@@ -35,6 +35,50 @@ CANONICAL_MARK = "# --- report (canonical) ---"
 TIMING_MARK = "# --- timing (non-canonical) ---"
 
 
+class _UniqueKeys:
+    """Loader part that refuses a mapping with a repeated key, which YAML
+    would otherwise resolve silently to the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # merge keys (<<) and value keys (=) are resolved by the base
+            # class, which has no constructor for them as plain keys
+            if key_node.tag in ("tag:yaml.org,2002:merge",
+                                "tag:yaml.org,2002:value"):
+                continue
+            key = self.construct_object(key_node, deep=True)
+            try:
+                repeated = key in seen
+            except TypeError:
+                continue  # an unhashable key; the base class reports it
+            if repeated:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
+# libyaml's parser and emitter where PyYAML was built with them, the pure
+# Python safe classes otherwise: the same documents and reports either way
+if yaml.__with_libyaml__:
+    _SafeLoader, _Dumper = yaml.CSafeLoader, yaml.CSafeDumper
+else:
+    _SafeLoader, _Dumper = yaml.SafeLoader, yaml.SafeDumper
+
+
+class _Loader(_UniqueKeys, _SafeLoader):
+    pass
+
+
+def _load_yaml(text: str):
+    return yaml.load(text, Loader=_Loader)
+
+
+def _dump_yaml(doc, **options) -> str:
+    return yaml.dump(doc, Dumper=_Dumper, sort_keys=True, **options)
+
+
 @dataclass
 class JobSpec:
     """Parsed job: ring, named modules, command and flat parameters."""
@@ -117,7 +161,7 @@ def _parse_module(name: str, desc, ctx: RingContext) -> FPModule:
 
 def parse_job(text: str) -> JobSpec:
     try:
-        doc = yaml.safe_load(text)
+        doc = _load_yaml(text)
     except yaml.YAMLError as e:
         raise ParseError(f"job document: {e}") from e
     if not isinstance(doc, dict):
@@ -149,7 +193,7 @@ def print_job(job: JobSpec) -> str:
     for name, m in job.modules.items():
         doc[f"module {name}"] = _module_desc(m)
     doc.update(job.params)
-    return yaml.safe_dump(doc, sort_keys=True, default_flow_style=None)
+    return _dump_yaml(doc, default_flow_style=None)
 
 
 # -- report helpers ----------------------------------------------------------
@@ -358,11 +402,9 @@ def run_job(job: JobSpec, max_degree: int = 6, depth: int = 4):
     ok = _HANDLERS[job.command](job, report, max_degree, depth)
     elapsed = time.perf_counter() - start
     canonical = (CANONICAL_MARK + "\n"
-                 + yaml.safe_dump(_clean(report), sort_keys=True,
-                                  default_flow_style=None))
+                 + _dump_yaml(_clean(report), default_flow_style=None))
     timing = (TIMING_MARK + "\n"
-              + yaml.safe_dump({"elapsed_seconds": round(elapsed, 3)},
-                               sort_keys=True))
+              + _dump_yaml({"elapsed_seconds": round(elapsed, 3)}))
     return canonical, timing, ok
 
 

@@ -5,6 +5,7 @@ approximation resolutions."""
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .ring import AlgebraError, EngineError
@@ -108,14 +109,8 @@ class HomModule:
         realized generators modulo the ambient relations; failure to lift is
         an engine fault.
         """
-        nr = self.target.rank
-        vec = {shift_term(self.ctx, t, j * nr): c
-               for j, v in enumerate(f.matrix.column_vecs())
-               for t, c in v.items()}
-        target = FreeModuleMap.from_vecs(self.ctx, [vec],
-                                         self._ambient.gen_degrees,
-                                         (f.degree,))
-        sol = lift_solve(self._block(), target)
+        sol = lift_solve(self._block(),
+                         _joined(self.ctx, [f], self._ambient.gen_degrees))
         if sol is None:
             raise EngineError("morphism does not lie in its Hom module")
         return _generator_part(self.ctx, sol.column_vec(0), self.module.rank)
@@ -137,6 +132,18 @@ class HomModule:
         elem = FreeModuleMap.from_vecs(self.ctx, [coords],
                                        self.module.gen_degrees, (degree,))
         return self._morphism(self._incl.compose(elem).column_vec(0), degree)
+
+
+def _joined(ctx, morphisms, degrees) -> FreeModuleMap:
+    """Map whose column k is the matrix columns of the k-th morphism joined
+    end to end, in that morphism's degree: its vector in the ambient
+    ``hom_free(source.gen_degrees, target)``, whose generator degrees are
+    ``degrees``."""
+    vecs = [{shift_term(ctx, t, j * f.target.rank): c
+             for j, v in enumerate(f.matrix.column_vecs())
+             for t, c in v.items()} for f in morphisms]
+    return FreeModuleMap.from_vecs(ctx, vecs, degrees,
+                                   [f.degree for f in morphisms])
 
 
 def _generator_part(ctx, vec: dict, rank: int) -> dict:
@@ -179,16 +186,29 @@ def transpose(m: FPModule) -> FPModule:
 def grade(m: FPModule):
     """Least i with Ext^i(m, R) nonzero; INFINITE for the zero module.
 
-    A nonzero module has grade at most the number of variables r, so Ext^0
-    through Ext^r decide it.
+    R is Cohen-Macaulay, so a nonzero m has grade r - dim m (Bruns-Herzog,
+    Cohen-Macaulay Rings, Cor. 2.1.4).  m has the Hilbert function of the
+    sum of the R/J_i, J_i the monomial ideal of the leading terms of its
+    relation basis in position i, so dim m is the largest dim R/J_i; every
+    J_i is the unit ideal exactly when m is zero.
     """
-    if m.is_zero():
-        return INFINITE
-    R = free_module(m.ctx)
-    for i in range(m.ctx.nvars + 1):
-        if not ext(i, m, R).is_zero():
-            return i
-    raise EngineError("nonzero module with no Ext against R; engine bug")
+    r = m.ctx.nvars
+    dim = max((_monomial_quotient_dim(lts, r) for lts in m._position_lts()),
+              default=-1)
+    return INFINITE if dim < 0 else r - dim
+
+
+def _monomial_quotient_dim(monos, r: int) -> int:
+    """dim R/J for J generated by the monomials ``monos``: the size of the
+    largest set of variables that contains the support of no generator,
+    or -1 when J is the unit ideal."""
+    supports = {frozenset(v for v, e in enumerate(mono) if e)
+                for mono in monos}
+    for size in range(r, -1, -1):
+        for free in itertools.combinations(range(r), size):
+            if not any(s.issubset(free) for s in supports):
+                return size
+    return -1
 
 
 def is_d_torsionfree(m: FPModule, d: int) -> bool:
@@ -410,14 +430,21 @@ def hom_factorization(f: ModuleMorphism, g: ModuleMorphism):
 
     Decides factorization for arbitrary g by testing membership of f in the
     image of Hom(source(f), g); a bare cover-level lift is not enough because
-    the lifted matrix need not respect the relations of source(f).
+    the lifted matrix need not respect the relations of source(f).  Two
+    morphisms from source(f) are equal exactly when their joined columns
+    agree modulo the relations of the ambient Hom(cover of source(f),
+    target), so f lies in that image exactly when its joined columns lift
+    against the joined composites g o psi_j and those relations; no
+    presentation of Hom(source(f), target) is needed.
     """
     if f.target is not g.target and f.target != g.target:
         raise AlgebraError("factorization: f and g have different targets")
     H = hom_module(f.source, g.source)
-    HT = hom_module(f.source, g.target)
-    block = induced_post_hom(g, H, HT).matrix
-    sol = lift_solve(block.hstack(HT.module.relations), HT.coords_map((f,)))
+    ambient = hom_free(f.source.gen_degrees, g.target)
+    block = _joined(f.ctx, [g.compose(psi) for psi in H.basis_morphisms],
+                    ambient.gen_degrees)
+    sol = lift_solve(block.hstack(ambient.relations),
+                     _joined(f.ctx, [f], ambient.gen_degrees))
     if sol is None:
         return None
     h = H.morphism_from_element(

@@ -11,7 +11,8 @@ from ncres import groebner, homalg
 from ncres.groebner import FreeModuleMap, lift_solve, split_term, term
 from ncres.modules import (INFINITE, ModuleMorphism, cokernel, direct_sum,
                            free_module, kernel, make_module,
-                           minimal_resolution, syzygy)
+                           minimal_generator_indices, minimal_resolution,
+                           syzygy)
 from ncres.homalg import (add_M_resolution, check_lift_exactness, ext,
                           factor_ideal, grade, hom_factorization, hom_module,
                           induced_post_hom, is_d_torsionfree, is_generator,
@@ -122,6 +123,116 @@ def test_grade_known_values(ctx1, ctx2, ctx3):
         assert grade(residue_field(ctx)) == ctx.nvars
         assert grade(free_module(ctx)) == 0
     assert grade(square_quotient(ctx2)) == 2
+
+
+def _grade_by_ext(m):
+    """Least i with Ext^i(m, R) nonzero, by computing Ext^0..Ext^r: the
+    reference for ``grade``, which reads the dimension instead."""
+    if m.is_zero():
+        return INFINITE
+    R = free_module(m.ctx)
+    for i in range(m.ctx.nvars + 1):
+        if not ext(i, m, R).is_zero():
+            return i
+    raise AssertionError("nonzero module with no Ext against R")
+
+
+def _random_form(ctx, rng, degree):
+    """A seeded form of the given degree with one to three terms; zero for
+    a negative degree and a nonzero constant (a unit) for degree 0."""
+    f = ctx.zero()
+    if degree < 0:
+        return f
+    for _ in range(rng.randint(1, 3)):
+        mono = ctx.constant(rng.randrange(1, ctx.characteristic))
+        for _ in range(degree):
+            mono = mono * ctx.variable(rng.choice(ctx.variables))
+        f = f + mono
+    return f
+
+
+def _random_module(ctx, rng):
+    """A seeded module on one or two generators of degree 0 or 1 with up to
+    r + 1 relations; entries of degree 0 are units, so some presentations
+    are not minimal."""
+    gens = sorted(rng.choice((0, 1)) for _ in range(rng.randint(1, 2)))
+    cols = []
+    degs = []
+    for _ in range(rng.randint(0, ctx.nvars + 1)):
+        d = max(gens) + rng.choice((0, 1, 1, 2))
+        col = [_random_form(ctx, rng, d - g) if rng.random() < 0.7
+               else ctx.zero() for g in gens]
+        if all(f.is_zero() for f in col):
+            col[0] = _random_form(ctx, rng, d - gens[0])
+        cols.append(col)
+        degs.append(d)
+    return make_module(gens, FreeModuleMap(ctx, degs, gens, cols), ctx)
+
+
+def _grade_cases(ctx, seed):
+    """Seeded modules plus the zero module, free summands and presentations
+    with unit entries, one of them with a unit leading term in one
+    position only."""
+    rng = random.Random(seed)
+    x = ctx.variable(ctx.variables[0])
+    one = ctx.one()
+    zero = ctx.zero()
+    R = free_module(ctx)
+    k = residue_field(ctx)
+    cases = [_random_module(ctx, rng) for _ in range(6)]
+    # R/(f_1..f_s) for s seeded forms of degree 1 or 2: grades up to r
+    for s in (ctx.nvars - 1, ctx.nvars):
+        degs = [rng.randint(1, 2) for _ in range(s)]
+        cols = [[_random_form(ctx, rng, d)] for d in degs]
+        cases.append(make_module([0], FreeModuleMap(ctx, degs, (0,), cols),
+                                 ctx))
+    cases += [
+        make_module([0], FreeModuleMap(ctx, (0,), (0,), [[one]]), ctx),
+        free_module(ctx, ()),
+        direct_sum(R, k), direct_sum(k, free_module(ctx, (1,))),
+        # x e_0 = e_1: a copy of R/(x^2) on a non-minimal presentation
+        make_module([0, 1], FreeModuleMap(ctx, (1, 2), (0, 1),
+                                          [[x, -one], [zero, x]]), ctx),
+        # e_1 = 0 and x e_0 = 0: R/(x) beside a position whose relation
+        # basis has the leading term 1
+        make_module([0, 0], FreeModuleMap(ctx, (1, 0), (0, 0),
+                                          [[x, zero], [zero, one]]), ctx),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_grade_from_dimension_matches_ext_and_oracle(nvars):
+    ctx = RingContext(101, ("x", "y", "z", "w")[:nvars])
+    cases = _grade_cases(ctx, 10 + nvars)
+    grades = []
+    for m in cases:
+        want = _grade_by_ext(m)
+        assert grade(m) == want, m
+        oracle = grade_oracle(m, nvars + 1)
+        assert oracle == (None if want is INFINITE else want), m
+        grades.append(want)
+    # the special cases are exercised: a unit leading term in exactly one
+    # position of the last case, and the zero module
+    lts = cases[-1]._position_lts()
+    assert (0,) * nvars in lts[1] and (0,) * nvars not in lts[0]
+    assert grades[-1] == 1 and grades[8] is INFINITE and grades[9] is INFINITE
+    # the seeded modules reach more than one grade
+    assert len(set(grades[:8])) >= min(nvars, 2)
+
+
+def test_grade_calls_no_ext(ctx3, monkeypatch):
+    calls = []
+    real = homalg.ext
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(homalg, "ext", counting)
+    for m in _grade_cases(ctx3, 0) + list(module_family(ctx3).values()):
+        grade(m)
+    assert calls == []
 
 
 def test_transpose_of_free_vanishes(ctx2):
@@ -387,6 +498,21 @@ def test_hom_factorization_negative(ctx2):
     assert hom_factorization(ModuleMorphism.identity(k), g) is None
 
 
+def test_hom_factorization_modulo_target_relations(ctx2):
+    """f: R -> R/(x) given by the matrix [x] is zero, so it factors through
+    g: R(-1) -> R/(x) given by [y]; only the relation x of the target shows
+    it, as no multiple of y equals x."""
+    x, y = ctx2.variable("x"), ctx2.variable("y")
+    T = make_module([0], FreeModuleMap(ctx2, (1,), (0,), [[x]]), ctx2)
+    f = ModuleMorphism(free_module(ctx2), T,
+                       FreeModuleMap(ctx2, (1,), (0,), [[x]]), degree=1)
+    g = ModuleMorphism(free_module(ctx2, (1,)), T,
+                       FreeModuleMap(ctx2, (1,), (0,), [[y]]))
+    h = hom_factorization(f, g)
+    assert h is not None and g.compose(h) == f
+    assert _factors_in_hom_coordinates([f], g) == [True]
+
+
 @pytest.mark.parametrize("degrees", [(0,), (0, 0)], ids=["R", "R2"])
 def test_hom_factorization_refuses_different_targets(ctx2, degrees,
                                                      monkeypatch):
@@ -558,3 +684,90 @@ def test_add_M_resolution_builds_no_factor_ideal(ctx3, monkeypatch):
         amr = add_M_resolution(o1, M, depth, summands=(R, o2))
         assert amr.terminated == (depth >= 2)
     assert calls == []
+
+
+# -- hom_factorization against the decision in Hom(source f, target) ---------
+
+def _factors_in_hom_coordinates(fs, g):
+    """Whether each f lies in the image of Hom(source f, g), decided on the
+    presentation of Hom(source f, target): the reference for
+    ``hom_factorization``, which lifts in the ambient Hom(cover of source f,
+    target) instead.  One lift block per source."""
+    blocks = {}
+    out = []
+    for f in fs:
+        if id(f.source) not in blocks:
+            H = hom_module(f.source, g.source)
+            HT = hom_module(f.source, g.target)
+            blocks[id(f.source)] = (HT, induced_post_hom(g, H, HT).matrix
+                                    .hstack(HT.module.relations))
+        HT, block = blocks[id(f.source)]
+        out.append(lift_solve(block, HT.coords_map((f,))) is not None)
+    return out
+
+
+def _factorization_cases(K, M, summands=None, sources=()):
+    """(fs, g): g the add-M cover of K; fs the identity of K and the minimal
+    generators of Hom(S, K) for each S in ``sources``."""
+    if K.is_zero():
+        return [], None
+    g = add_M_resolution(K, M, 1, summands=summands).approximations[0]
+    fs = [ModuleMorphism.identity(K)]
+    for src in sources:
+        h = hom_module(src, K)
+        fs += [h.basis_morphisms[i]
+               for i in minimal_generator_indices(h.module)]
+    return fs, g
+
+
+def _check_factorizations(fs, g, M):
+    """Whether each f factors through g, checked against the reference; a
+    returned h satisfies g o h == f, and every map from M factors."""
+    found = []
+    for f, want in zip(fs, _factors_in_hom_coordinates(fs, g)):
+        h = hom_factorization(f, g)
+        assert (h is not None) == want
+        if h is not None:
+            assert g.compose(h) == f
+        if f.source is M:
+            assert h is not None
+        found.append(h is not None)
+    return found
+
+
+def test_hom_factorization_matches_hom_coordinates_on_membership(ctx3):
+    for K, M, member in _membership_cases(ctx3):
+        found = _check_factorizations(
+            *_factorization_cases(K, M, sources=(K, M)), M)
+        # the identity factors exactly when K lies in add M
+        assert found[0] == member
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hom_factorization_matches_hom_coordinates_on_kernels(seed):
+    """On every kernel of the seeded scenarios' add-M resolutions: its
+    identity and the generators of Hom(M, K)."""
+    found = []
+    for z, M, summands in _seeded_scenarios(seed):
+        amr = add_M_resolution(z, M, 4, summands=summands)
+        for K in amr.modules:
+            found += _check_factorizations(
+                *_factorization_cases(K, M, summands, sources=(M,)), M)
+    assert True in found and False in found
+
+
+def test_hom_factorization_builds_one_hom_module(ctx3, monkeypatch):
+    o1 = syzygy(residue_field(ctx3), 1)
+    fs, g = _factorization_cases(o1, free_module(ctx3), sources=(o1,))
+    calls = []
+    real = homalg.hom_module
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(homalg, "hom_module", counting)
+    for f in fs:
+        hom_factorization(f, g)
+        assert len(calls) == 1
+        assert calls.pop() == (f.source, g.source)
