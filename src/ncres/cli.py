@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 
 import yaml
 
@@ -71,22 +70,29 @@ class _Loader(_UniqueKeys, _SafeLoader):
     pass
 
 
-def _load_yaml(text: str):
-    return yaml.load(text, Loader=_Loader)
+def _load_yaml(source):
+    return yaml.load(source, Loader=_Loader)
 
 
 def _dump_yaml(doc, **options) -> str:
     return yaml.dump(doc, Dumper=_Dumper, sort_keys=True, **options)
 
 
-@dataclass
 class JobSpec:
-    """Parsed job: ring, named modules, command and flat parameters."""
+    """Parsed job: ring, named modules, command and flat parameters; equal
+    jobs have equal fields."""
 
-    ring: RingContext
-    modules: dict
-    command: str
-    params: dict = field(default_factory=dict)
+    def __init__(self, ring: RingContext, modules: dict, command: str,
+                 params: dict | None = None):
+        self.ring = ring
+        self.modules = modules
+        self.command = command
+        self.params = {} if params is None else params
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
 
 
 def _is_int(value) -> bool:
@@ -159,9 +165,11 @@ def _parse_module(name: str, desc, ctx: RingContext) -> FPModule:
     return FPModule(ctx, tuple(gens), rel, check=True)
 
 
-def parse_job(text: str) -> JobSpec:
+def parse_job(source) -> JobSpec:
+    """Job from its text or an open job file; errors in a file's YAML name
+    the file."""
     try:
-        doc = _load_yaml(text)
+        doc = _load_yaml(source)
     except yaml.YAMLError as e:
         raise ParseError(f"job document: {e}") from e
     if not isinstance(doc, dict):
@@ -430,7 +438,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         with open(args.job, encoding="utf-8") as fh:
-            job = parse_job(fh.read())
+            job = parse_job(fh)
         canonical, timing, ok = run_job(job, max_degree=args.max_degree,
                                         depth=args.depth)
     except EngineError as e:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass, field
 
 from .ring import (LEX, AlgebraError, DegreeError, Polynomial, RingContext,
                    mono_degree, mono_div, mono_lcm)
@@ -115,7 +114,7 @@ def _layout(ctx: RingContext) -> _Layout:
         return ctx._term_layout
     except AttributeError:
         lay = _Layout(ctx.nvars, ctx.order)
-        # not a dataclass field: equality, hash and repr do not see it
+        # beside the fields: equality, hash and repr do not see it
         object.__setattr__(ctx, "_term_layout", lay)
         return lay
 
@@ -335,7 +334,12 @@ def buchberger_vecs(vecs, ctx: RingContext):
     descending leading term.
 
     Completion by ``_complete``: pairs are taken by lcm degree from a heap,
-    ties by index, so the output is deterministic.
+    ties by index, so the output is deterministic.  An element led by a
+    plain term that carries flagged (bookkeeping) terms, which only
+    ``_extended_gb`` makes, keeps its tail: lifts read normal forms, unique
+    against any Groebner basis, and syzygies read only the elements led by
+    a flagged term, whose tails are flagged and reduce only against each
+    other.
     """
     lay = _layout(ctx)
     basis = []
@@ -354,8 +358,12 @@ def buchberger_vecs(vecs, ctx: RingContext):
     basis = [basis[i] for i in keep]
     lts = [lts[i] for i in keep]
     reducers = by_position(lts, ctx)
+    elim_min = lay.elim_min
     out = []
     for g, lt in zip(basis, lts):
+        if lt < elim_min <= max(g):
+            out.append(g)
+            continue
         # No other leading term divides lt, and lt divides no smaller term,
         # so the tail reduces against the whole basis as against the others
         # and lt stays with coefficient 1.
@@ -368,21 +376,19 @@ def buchberger_vecs(vecs, ctx: RingContext):
     return [out[i] for i in order]
 
 
-@dataclass
 class GroebnerBasis:
     """Groebner basis of a submodule of a graded free module: auto-reduced
     when it comes from ``buchberger_vecs``, not after ``extend``.  The term
-    order is the one packed into the terms."""
+    order is the one packed into the terms; ``generators`` are monic."""
 
-    ctx: RingContext
-    generators: list          # list of Vec, monic
-    leading_terms: list = field(default=None)
-    reducers: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.leading_terms is None:
-            self.leading_terms = [min(g) for g in self.generators]
-        self.reducers = by_position(self.leading_terms, self.ctx)
+    def __init__(self, ctx: RingContext, generators: list,
+                 leading_terms: list | None = None):
+        if leading_terms is None:
+            leading_terms = [min(g) for g in generators]
+        self.ctx = ctx
+        self.generators = generators
+        self.leading_terms = leading_terms
+        self.reducers = by_position(leading_terms, ctx)
 
     def normal_form_vec(self, v: dict) -> dict:
         return reduce_vec(v, self.generators, self.reducers, self.ctx)
@@ -609,10 +615,12 @@ def syzygy_basis(m: FreeModuleMap) -> FreeModuleMap:
     for g in gb.generators:
         # all of g is bookkeeping when its leading term is
         if min(g) >= lay.elim_min:
-            syz.append({t - off: c for t, c in g.items()})
-    syz.sort(key=lambda v: (vec_degree(v, m.source_degrees, m.ctx),
-                            sorted((lay.split(t), c) for t, c in v.items())))
-    return FreeModuleMap.from_vecs(m.ctx, syz, m.source_degrees)
+            v = {t - off: c for t, c in g.items()}
+            syz.append((vec_degree(v, m.source_degrees, m.ctx),
+                        sorted((lay.split(t), c) for t, c in v.items()), v))
+    syz.sort(key=operator.itemgetter(0, 1))
+    return FreeModuleMap.from_vecs(m.ctx, [v for _, _, v in syz],
+                                   m.source_degrees, [d for d, _, _ in syz])
 
 
 def lift_solve(a: FreeModuleMap, b: FreeModuleMap):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ring import AlgebraError, EngineError
 from .groebner import (FreeModuleMap, buchberger, lift_solve, shift_term,
@@ -103,28 +103,28 @@ class HomModule:
         return self._lift_block
 
     def coords_of_morphism(self, f: ModuleMorphism) -> dict:
-        """Coordinate vector of f on the presentation generators.
-
-        Any well-defined morphism source -> target is a combination of the
-        realized generators modulo the ambient relations; failure to lift is
-        an engine fault.
-        """
-        sol = lift_solve(self._block(),
-                         _joined(self.ctx, [f], self._ambient.gen_degrees))
-        if sol is None:
-            raise EngineError("morphism does not lie in its Hom module")
-        return _generator_part(self.ctx, sol.column_vec(0), self.module.rank)
+        """Coordinate vector of f on the presentation generators."""
+        return self.coords_map((f,)).column_vec(0)
 
     def coords_map(self, morphisms) -> FreeModuleMap:
-        """Map whose column j is the coordinate vector of the j-th morphism,
-        in the morphism's degree; ``morphisms`` is consumed one at a time."""
-        vecs = []
-        degs = []
-        for f in morphisms:
-            vecs.append(self.coords_of_morphism(f))
-            degs.append(f.degree)
-        return FreeModuleMap.from_vecs(self.ctx, vecs,
-                                       self.module.gen_degrees, degs)
+        """Map whose column j is the coordinate vector of the j-th morphism
+        on the presentation generators, in the morphism's degree.
+
+        Any well-defined morphism source -> target is a combination of the
+        realized generators modulo the ambient relations, so all columns
+        come from one lift; failure to lift is an engine fault.
+        """
+        rhs = _joined(self.ctx, morphisms, self._ambient.gen_degrees)
+        if not rhs.source_rank:
+            return FreeModuleMap.zero_map(self.ctx, (),
+                                          self.module.gen_degrees)
+        sol = lift_solve(self._block(), rhs)
+        if sol is None:
+            raise EngineError("morphism does not lie in its Hom module")
+        return FreeModuleMap.from_vecs(
+            self.ctx, [_generator_part(self.ctx, v, self.module.rank)
+                       for v in sol.column_vecs()],
+            self.module.gen_degrees, rhs.source_degrees)
 
     def morphism_from_element(self, coords: dict,
                               degree: int) -> ModuleMorphism:
@@ -139,6 +139,7 @@ def _joined(ctx, morphisms, degrees) -> FreeModuleMap:
     end to end, in that morphism's degree: its vector in the ambient
     ``hom_free(source.gen_degrees, target)``, whose generator degrees are
     ``degrees``."""
+    morphisms = list(morphisms)
     vecs = [{shift_term(ctx, t, j * f.target.rank): c
              for j, v in enumerate(f.matrix.column_vecs())
              for t, c in v.items()} for f in morphisms]
@@ -267,8 +268,7 @@ def _quotient(h: HomModule, cols: FreeModuleMap) -> FPModule:
                     cols.hstack(h.module.relations), check=False)
 
 
-@dataclass
-class StableHom:
+class StableHom(NamedTuple):
     """Hom(w, z) and its quotient by the morphisms through projectives."""
 
     total: HomModule
@@ -357,8 +357,7 @@ def induced_post_hom(f: ModuleMorphism, src: "HomModule",
 
 # -- Hom-exactness of short exact sequences ----------------------------------
 
-@dataclass
-class LiftExactnessVerdict:
+class LiftExactnessVerdict(NamedTuple):
     """Outcome of testing Hom(w, -) exactness on a short exact sequence."""
 
     hypothesis_holds: bool       # stable Hom(w, Z) vanishes
@@ -401,8 +400,7 @@ def check_lift_exactness(ses, w: FPModule) -> LiftExactnessVerdict:
 
 # -- add-M approximation resolutions -----------------------------------------
 
-@dataclass
-class AddMResolution:
+class AddMResolution(NamedTuple):
     """Iterated right add-M approximations 0 -> K_{i+1} -> M_i -> K_i -> 0.
 
     ``terminated`` certifies that the final kernel lies in add M: it is
@@ -527,8 +525,12 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
         if not cands:
             raise EngineError("Hom(m, K) vanished for a generator; engine bug")
         # composites with Hom(m, S_l) generators R-span the image of
-        # Hom(m, S_l-part of the cover) inside Hom(m, K)
-        comp = [hmk.coords_map(g.compose(psi) for psi in hom_m_s[l])
+        # Hom(m, S_l-part of the cover) inside Hom(m, K); a composite of a
+        # degree e that no generator has gets coordinates of degrees e - d_i
+        # != 0, with no constant part for the prune to read
+        gen_degrees = set(hmk.module.gen_degrees)
+        comp = [hmk.coords_map(g.compose(psi) for psi in hom_m_s[l]
+                               if g.degree + psi.degree in gen_degrees)
                 for l, g in cands]
         kept = _cover_selection(hmk, comp, [g.degree for _, g in cands])
         morphs = [cands[j] for j in kept]

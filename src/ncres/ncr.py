@@ -5,7 +5,7 @@ build over a finite-length module with its global-dimension bound."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ring import AlgebraError, EngineError
 from .groebner import buchberger, split_term, term
@@ -24,24 +24,21 @@ DEPTH_EXHAUSTED = "depth-exhausted"
 STATUSES = (VERIFIED, HYPOTHESIS_FAILED, DEPTH_EXHAUSTED)
 
 
-@dataclass
 class Verdict:
     """Outcome of one verification item, with its supporting evidence."""
 
-    status: str
-    evidence: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.status not in STATUSES:
-            raise AlgebraError(f"unknown verdict status {self.status!r}")
+    def __init__(self, status: str, evidence: dict | None = None):
+        if status not in STATUSES:
+            raise AlgebraError(f"unknown verdict status {status!r}")
+        self.status = status
+        self.evidence = {} if evidence is None else evidence
 
     @property
     def ok(self) -> bool:
         return self.status == VERIFIED
 
 
-@dataclass
-class NCRHypotheses:
+class NCRHypotheses(NamedTuple):
     """Input data for the main construction.
 
     The gldim values are asserted, caller-supplied integers; they are never
@@ -207,21 +204,23 @@ def verify_exact2(h: NCRHypotheses, depth: int) -> Verdict:
     return Verdict(HYPOTHESIS_FAILED, evidence)
 
 
-@dataclass
 class NCRReport:
     """Serializable record of one construction / verification run."""
 
-    engine_version: str
-    ring: dict
-    trace: list = field(default_factory=list)
-    hypothesis_results: list = field(default_factory=list)
-    bound: int | None = None
-    closed_form: int | None = None
-
-    def __post_init__(self):
+    def __init__(self, engine_version: str, ring: dict,
+                 trace: list | None = None,
+                 hypothesis_results: list | None = None,
+                 bound: int | None = None, closed_form: int | None = None):
+        self.engine_version = engine_version
+        self.ring = ring
+        self.trace = [] if trace is None else trace
+        self.hypothesis_results = ([] if hypothesis_results is None
+                                   else hypothesis_results)
         for v in self.hypothesis_results:
             if v.status not in STATUSES:
                 raise AlgebraError("illegal verdict in report")
+        self.bound = bound
+        self.closed_form = closed_form
 
     def all_verified(self) -> bool:
         return all(v.ok for v in self.hypothesis_results)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
 
@@ -101,25 +100,46 @@ def monomials_of_degree(nvars: int, d: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
 class RingContext:
-    """Ambient ring F_p[x_1..x_r] with a fixed monomial order."""
+    """Ambient ring F_p[x_1..x_r] with a fixed monomial order; immutable,
+    compared and hashed by (characteristic, variables, order)."""
 
-    characteristic: int = 101
-    variables: tuple = ("x", "y")
-    order: str = GREVLEX
-
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        if not is_prime(self.characteristic):
-            raise AlgebraError(
-                f"characteristic {self.characteristic} is not prime")
-        if len(self.variables) < 1:
+    def __init__(self, characteristic: int = 101,
+                 variables: tuple = ("x", "y"), order: str = GREVLEX):
+        variables = tuple(variables)
+        if not is_prime(characteristic):
+            raise AlgebraError(f"characteristic {characteristic} is not prime")
+        if len(variables) < 1:
             raise AlgebraError("need at least one variable")
-        if len(set(self.variables)) != len(self.variables):
+        if len(set(variables)) != len(variables):
             raise AlgebraError("duplicate variable")
-        if self.order not in ORDERS:
-            raise AlgebraError(f"unknown order {self.order!r}")
+        if order not in ORDERS:
+            raise AlgebraError(f"unknown order {order!r}")
+        fields = self.__dict__
+        fields["characteristic"] = characteristic
+        fields["variables"] = variables
+        fields["order"] = order
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.characteristic, self.variables, self.order)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"RingContext(characteristic={self.characteristic!r}, "
+                f"variables={self.variables!r}, order={self.order!r})")
 
     @property
     def nvars(self) -> int:

@@ -9,8 +9,8 @@ from ncres.ring import (Polynomial, RingContext, monomials_of_degree,
                         parse_polynomial)
 from ncres import groebner
 from ncres.groebner import (FreeModuleMap, buchberger, buchberger_vecs,
-                            by_position, lift_solve, reduce_vec, split_term,
-                            syzygy_basis, term)
+                            by_position, is_constant, lift_solve, reduce_vec,
+                            split_term, syzygy_basis, term)
 
 CTX = RingContext(101, ("x", "y"))
 CTX3 = RingContext(101, ("x", "y", "z"))
@@ -481,3 +481,96 @@ def test_one_vec_add_scaled_call_per_reduction_step(monkeypatch):
     assert out == packed_vec(CTX, {(1, (1, 0)): 5})
     # each step's shift is the term of its multiplier x^a in position 0
     assert calls == [term(CTX, 0, a) for a in ((1, 0), (0, 1), (0, 0))]
+
+
+# -- extended bases: only the syzygy part is tail-reduced --------------------
+
+def _fully_reduced(basis, ctx):
+    """A minimal monic Groebner basis with every tail reduced against it:
+    the reduced basis, unique for a fixed order."""
+    reducers = by_position([min(g) for g in basis], ctx)
+    out = []
+    for g in basis:
+        lt = min(g)
+        tail = {t: c for t, c in g.items() if t != lt}
+        out.append({lt: 1, **reduce_vec(tail, basis, reducers, ctx)})
+    return out
+
+
+def _extended_reference(a, b):
+    """(syzygy columns with their degrees, lift columns or None) of a, and
+    of b against a, read off the fully reduced extended basis of a."""
+    ctx = a.ctx
+    p = ctx.characteristic
+    lay = groebner._layout(ctx)
+    elim, flagged = lay.elim, lay.elim_min
+    full = _fully_reduced(a._extended_gb().generators, ctx)
+
+    def unflag(t):
+        pos, mono = split_term(ctx, t - elim)
+        return term(ctx, pos - a.target_rank, mono)
+
+    syz = []
+    for g in full:
+        if min(g) >= flagged:
+            v = {unflag(t): c for t, c in g.items()}
+            pos, mono = split_term(ctx, next(iter(v)))
+            syz.append((a.source_degrees[pos] + sum(mono),
+                        sorted((split_term(ctx, t), c) for t, c in v.items()),
+                        v))
+    syz.sort(key=lambda s: s[:2])
+    reducers = by_position([min(g) for g in full], ctx)
+    lift = []
+    for v in b.column_vecs():
+        r = reduce_vec(v, full, reducers, ctx)
+        if any(t < flagged for t in r):
+            lift = None
+            break
+        lift.append(sorted((unflag(t), -c % p) for t, c in r.items()))
+    return [(d, sorted(v.items())) for d, _, v in syz], lift
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_extended_basis_reads_match_fully_reduced_basis(order, nvars):
+    """syzygy_basis and lift_solve give what the fully reduced extended
+    basis gives, on seeded maps with zero columns and constant (unit)
+    entries, for liftable and for arbitrary right-hand sides; the extended
+    basis keeps some unreduced tails, and only those of elements led by a
+    plain term; a basis without bookkeeping terms is fully reduced."""
+    ctx = RingContext(101, ("x", "y", "z", "w")[:nvars], order)
+    rng = random.Random(10 * nvars + len(order))
+    kept_tails = units = refused = 0
+    for i in range(10):
+        d0 = [rng.randrange(0, 2) for _ in range(rng.randrange(1, 4))]
+        d1 = [rng.randrange(0, 3) for _ in range(rng.randrange(1, 6))]
+        d2 = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 4))]
+        zero = {rng.randrange(len(d1))} if i % 2 else set()
+        a = random_map(ctx, rng, d1, d0, zero_cols=zero)
+        units += any(is_constant(ctx, t)
+                     for v in a.column_vecs() for t in v)
+        x = random_map(ctx, rng, d2, d1)
+        flagged = groebner._layout(ctx).elim_min
+        engine = a._extended_gb().generators
+        full = _fully_reduced(engine, ctx)
+        for g, r in zip(engine, full):
+            if min(g) >= flagged or max(g) < flagged:
+                assert g == r
+            elif g != r:
+                kept_tails += 1
+        for b in (a.compose(x), random_map(ctx, rng, d2, d0)):
+            syz, lift = _extended_reference(a, b)
+            s = syzygy_basis(a)
+            assert [(d, sorted(v.items())) for d, v in
+                    zip(s.source_degrees, s.column_vecs())] == syz
+            got = lift_solve(a, b)
+            assert (None if got is None else frozen(got)) == lift
+            refused += got is None
+            if got is not None:
+                assert frozen(a.compose(got)) == frozen(b)
+        assert lift_solve(a, a.compose(x)) is not None
+        plain = buchberger_vecs(a.column_vecs(), ctx)
+        assert plain == _fully_reduced(plain, ctx)
+    assert units and refused
+    if nvars > 1:
+        assert kept_tails > 0

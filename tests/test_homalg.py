@@ -6,7 +6,7 @@ import pytest
 from conftest import maximal_ideal, module_family, residue_field, square_quotient
 from oracles import (grade_oracle, hom_k_dimension_oracle, koszul_ext_dims,
                      rank_mod_p)
-from ncres.ring import AlgebraError, RingContext
+from ncres.ring import AlgebraError, EngineError, RingContext
 from ncres import groebner, homalg
 from ncres.groebner import FreeModuleMap, lift_solve, split_term, term
 from ncres.modules import (INFINITE, ModuleMorphism, cokernel, direct_sum,
@@ -83,17 +83,79 @@ def test_coords_of_morphism_builds_one_lift_basis(ctx2, ctx3, monkeypatch):
         coords = [h.coords_of_morphism(f) for f in h.basis_morphisms]
         monkeypatch.setattr(groebner, "buchberger_vecs", real)
         assert h.module.rank >= 2 and len(calls) == 1
-        nr = h.target.rank
         for f, got in zip(h.basis_morphisms, coords):
-            vec = {term(ctx, jblk * nr + i, mono): c
-                   for jblk, col in enumerate(f.matrix.cols)
-                   for i, g in enumerate(col) for mono, c in g.terms.items()}
-            rhs = FreeModuleMap.from_vecs(ctx, [vec], h._ambient.gen_degrees,
-                                          degrees=[f.degree])
-            fresh = h._incl.hstack(h._ambient.relations)
-            sol = lift_solve(fresh, rhs).column_vec(0)
-            assert got == {t: c for t, c in sol.items()
-                           if split_term(ctx, t)[0] < h.module.rank}
+            assert got == _coords_by_own_lift(h, f)
+
+
+def _coords_by_own_lift(h, f):
+    """Coordinates of f from a lift of its own joined columns against a
+    fresh copy of the lift block of h: the reference for ``coords_map``.
+    None when f does not lift."""
+    ctx = h.ctx
+    nr = h.target.rank
+    vec = {term(ctx, jblk * nr + i, mono): c
+           for jblk, col in enumerate(f.matrix.cols)
+           for i, g in enumerate(col) for mono, c in g.terms.items()}
+    rhs = FreeModuleMap.from_vecs(ctx, [vec], h._ambient.gen_degrees,
+                                  degrees=[f.degree])
+    sol = lift_solve(h._incl.hstack(h._ambient.relations), rhs)
+    if sol is None:
+        return None
+    return {t: c for t, c in sol.column_vec(0).items()
+            if split_term(ctx, t)[0] < h.module.rank}
+
+
+def test_coords_map_is_one_lift_of_all_morphisms(ctx2, ctx3, monkeypatch):
+    """coords_map lifts all its morphisms in one call, and column j equals
+    the lift of the j-th morphism alone: on End(z) with the composites
+    through m that ``factor_ideal`` lifts, the generators, and a zero
+    morphism; no morphisms cost no lift."""
+    calls = []
+
+    def counting(a, b):
+        calls.append(b.source_rank)
+        return lift_solve(a, b)
+
+    monkeypatch.setattr(homalg, "lift_solve", counting)
+    lifted = 0
+    for ctx in (ctx2, ctx3):
+        fam = module_family(ctx)
+        for z, m in ((fam["m"], fam["R"]), (fam["R/m2"], fam["k"]),
+                     (fam["m"], fam["R/m2"])):
+            end = hom_module(z, z)
+            hzm, hmz = hom_module(z, m), hom_module(m, z)
+            fs = [g.compose(f) for f in hzm.basis_morphisms
+                  for g in hmz.basis_morphisms]
+            fs += end.basis_morphisms + [ModuleMorphism.zero(z, z, 1)]
+            calls.clear()
+            got = end.coords_map(iter(fs))
+            assert calls == [len(fs)]
+            assert got.target_degrees == end.module.gen_degrees
+            assert got.source_degrees == tuple(f.degree for f in fs)
+            for f, v in zip(fs, got.column_vecs()):
+                assert v == _coords_by_own_lift(end, f)
+            lifted += len(fs)
+            calls.clear()
+            assert end.coords_map(()).source_rank == 0 and calls == []
+    assert lifted > 50
+
+
+def test_coords_map_refuses_a_morphism_outside_hom(ctx2):
+    """1 -> 1 from R/(x) to R/(y) is no morphism (x goes to x, which is
+    not 0 mod y): coords_map raises whether it comes alone or after a
+    morphism that lifts, and coords_of_morphism raises too."""
+    x, y = ctx2.variable("x"), ctx2.variable("y")
+    src = make_module([0], FreeModuleMap(ctx2, (1,), (0,), [[x]]), ctx2)
+    tgt = make_module([0], FreeModuleMap(ctx2, (1,), (0,), [[y]]), ctx2)
+    h = hom_module(src, tgt)
+    bad = ModuleMorphism(src, tgt, FreeModuleMap.identity(ctx2, (0,)),
+                         check=False)
+    assert _coords_by_own_lift(h, bad) is None
+    for fs in ([bad], [ModuleMorphism.zero(src, tgt), bad]):
+        with pytest.raises(EngineError):
+            h.coords_map(fs)
+    with pytest.raises(EngineError):
+        h.coords_of_morphism(bad)
 
 
 def test_ext_of_k_matches_koszul_oracle(ctx1, ctx2, ctx3):
@@ -640,6 +702,53 @@ def test_cover_by_constant_rank_matches_quotient_rule(seed, monkeypatch):
         assert kept == _quotient_rule_selection(hmk, comp, degrees)
     # the prune is not vacuous: some cover drops a candidate
     assert any(len(kept) < len(comp) for _, comp, _, kept in calls)
+
+
+def _all_composites(hmk, m, summands):
+    """(blocks, degrees) of the add-M cover of K = hmk.target with every
+    composite g o psi lifted, none skipped by its degree: the reference for
+    the composites that ``add_M_resolution`` lifts."""
+    summands = summands or (m,)
+    K = hmk.target
+    blocks, degrees = [], []
+    for S in summands:
+        hS = hom_module(m, S)
+        psis = [hS.basis_morphisms[i]
+                for i in minimal_generator_indices(hS.module)]
+        hSK = hom_module(S, K)
+        for i in minimal_generator_indices(hSK.module):
+            g = hSK.basis_morphisms[i]
+            blocks.append(hmk.coords_map(g.compose(psi) for psi in psis))
+            degrees.append(g.degree)
+    return blocks, degrees
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cover_skips_only_composites_without_constant_part(seed, monkeypatch):
+    """The composites the cover leaves out (degree not a generator degree
+    of Hom(m, K)) have no constant coordinates, so the constant parts the
+    prune reads, and its selection, are those of all composites."""
+    calls = []
+    original = homalg._cover_selection
+
+    def recording(hmk, comp, degrees):
+        kept = original(hmk, comp, degrees)
+        calls.append((hmk, comp, degrees, kept))
+        return kept
+
+    monkeypatch.setattr(homalg, "_cover_selection", recording)
+    skipped = 0
+    for z, M, summands in _seeded_scenarios(seed):
+        calls.clear()
+        assert add_M_resolution(z, M, 4, summands=summands).terminated
+        for hmk, comp, degrees, kept in calls:
+            blocks, all_degrees = _all_composites(hmk, M, summands)
+            assert all_degrees == degrees
+            for got, full in zip(comp, blocks):
+                assert got.constant_vecs() == full.constant_vecs()
+                skipped += full.source_rank - got.source_rank
+            assert original(hmk, blocks, degrees) == kept
+    assert skipped > 0
 
 
 @pytest.mark.parametrize("seed", range(3))

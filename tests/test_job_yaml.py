@@ -17,6 +17,7 @@ import yaml
 
 from ncres import cli
 from ncres.cli import CANONICAL_MARK, main, parse_job, print_job, run_job
+from ncres.ring import ParseError
 from test_golden import GOLDEN, JOBS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -149,13 +150,17 @@ def test_malformed_yaml_exits_two(backend, tmp_path, capsys, doc):
      + "command: grade\nmodule: k\n", "vars", 4),
 ], ids=["top-level", "ring-flow", "ring-block"])
 def test_duplicate_key_exits_two(backend, tmp_path, capsys, doc, key, line):
-    """A repeated key would otherwise keep only its last value and run."""
+    """A repeated key would otherwise keep only its last value and run.
+    The message names the job file, or the text handed to parse_job."""
     path = tmp_path / "job.yml"
     path.write_text(doc, encoding="utf-8")
     assert main(["--job", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: job document: duplicate key {key!r}\n")
     assert f"line {line}," in err
+    assert f'  in "{path}", line {line},' in err
+    with pytest.raises(ParseError, match=f'"<unicode string>", line {line},'):
+        parse_job(doc)
 
 
 def test_merge_and_value_keys_load_as_before(backend):
