@@ -437,8 +437,12 @@ def main(argv=None) -> int:
                     help="add-M resolution depth (default 4)")
     args = ap.parse_args(argv)
     try:
-        with open(args.job, encoding="utf-8") as fh:
-            job = parse_job(fh)
+        try:
+            with open(args.job, encoding="utf-8") as fh:
+                job = parse_job(fh)
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{args.job}: not UTF-8 text ({e.reason} at "
+                             f"byte {e.start})") from None
         canonical, timing, ok = run_job(job, max_degree=args.max_degree,
                                         depth=args.depth)
     except EngineError as e:

@@ -76,24 +76,10 @@ class HomModule:
             self.module = K
             self._incl = incl.matrix
         self.basis_morphisms = [
-            self._morphism(v, deg)
+            _unjoined(v, source, target, deg, check=False)
             for v, deg in zip(self._incl.column_vecs(),
                               self.module.gen_degrees)]
         self._lift_block = None
-
-    def _morphism(self, vec: dict, deg: int) -> ModuleMorphism:
-        """Morphism of the given degree whose matrix columns, joined end to
-        end, form the ambient vector ``vec``."""
-        nr = self.target.rank
-        cols = [{} for _ in range(self.source.rank)]
-        for t, c in vec.items():
-            j = term_pos(self.ctx, t) // nr
-            cols[j][shift_term(self.ctx, t, -j * nr)] = c
-        mat = FreeModuleMap.from_vecs(
-            self.ctx, cols, self.target.gen_degrees,
-            tuple(d + deg for d in self.source.gen_degrees))
-        return ModuleMorphism(self.source, self.target, mat, degree=deg,
-                              check=False)
 
     def _block(self) -> FreeModuleMap:
         """Generators beside the ambient relations, built once so that every
@@ -131,7 +117,8 @@ class HomModule:
         """Realize a cover element (a coordinate vector on the generators)."""
         elem = FreeModuleMap.from_vecs(self.ctx, [coords],
                                        self.module.gen_degrees, (degree,))
-        return self._morphism(self._incl.compose(elem).column_vec(0), degree)
+        return _unjoined(self._incl.compose(elem).column_vec(0), self.source,
+                         self.target, degree, check=False)
 
 
 def _joined(ctx, morphisms, degrees) -> FreeModuleMap:
@@ -145,6 +132,22 @@ def _joined(ctx, morphisms, degrees) -> FreeModuleMap:
              for t, c in v.items()} for f in morphisms]
     return FreeModuleMap.from_vecs(ctx, vecs, degrees,
                                    [f.degree for f in morphisms])
+
+
+def _unjoined(vec: dict, source: FPModule, target: FPModule, deg: int,
+              check: bool) -> ModuleMorphism:
+    """Morphism source -> target of degree ``deg`` whose matrix columns,
+    joined end to end, form the ambient vector ``vec``."""
+    ctx = source.ctx
+    nr = target.rank
+    cols = [{} for _ in range(source.rank)]
+    for t, c in vec.items():
+        j = term_pos(ctx, t) // nr
+        cols[j][shift_term(ctx, t, -j * nr)] = c
+    mat = FreeModuleMap.from_vecs(
+        ctx, cols, target.gen_degrees,
+        tuple(d + deg for d in source.gen_degrees))
+    return ModuleMorphism(source, target, mat, degree=deg, check=check)
 
 
 def _generator_part(ctx, vec: dict, rank: int) -> dict:
@@ -426,28 +429,49 @@ class AddMResolution(NamedTuple):
 def hom_factorization(f: ModuleMorphism, g: ModuleMorphism):
     """h with g o h = f as module morphisms, or None.
 
-    Decides factorization for arbitrary g by testing membership of f in the
-    image of Hom(source(f), g); a bare cover-level lift is not enough because
-    the lifted matrix need not respect the relations of source(f).  Two
-    morphisms from source(f) are equal exactly when their joined columns
-    agree modulo the relations of the ambient Hom(cover of source(f),
-    target), so f lies in that image exactly when its joined columns lift
-    against the joined composites g o psi_j and those relations; no
-    presentation of Hom(source(f), target) is needed.
+    The unknown is the matrix S of h on the cover of A = source(f), one
+    coordinate per basis element of the ambient Hom(cover of A, B), B =
+    source(g).  S is a morphism when S o (relations of A) vanishes modulo
+    the relations of B, and g o h = f when g o S and f agree modulo the
+    relations of C = target(g); both are linear in S, so one lift of
+    (0 ; f) against the stacked block decides factorization.  A bare
+    cover-level lift of f through g is not enough, since its matrix need
+    not respect the relations of A.  No Hom module is presented: the
+    extended basis of the block is the only Groebner basis built, and the
+    returned h is checked to descend and to compose to f.
     """
     if f.target is not g.target and f.target != g.target:
         raise AlgebraError("factorization: f and g have different targets")
-    H = hom_module(f.source, g.source)
-    ambient = hom_free(f.source.gen_degrees, g.target)
-    block = _joined(f.ctx, [g.compose(psi) for psi in H.basis_morphisms],
-                    ambient.gen_degrees)
-    sol = lift_solve(block.hstack(ambient.relations),
-                     _joined(f.ctx, [f], ambient.gen_degrees))
+    ctx = f.ctx
+    A, B, C = f.source, g.source, g.target
+    shift = -g.degree
+    # rows above: S o (relations of A), in Hom(cover of A's relations, B)
+    wd = induced_hom_map(A.relations, B)
+    top = wd.target.rank
+    # rows below: g o S joined in Hom(cover of A, C), regraded by the
+    # degree of g so that every column has the degree of its unknown
+    amb = hom_free(A.gen_degrees, C)
+
+    def below(v: dict, j: int) -> dict:
+        return {shift_term(ctx, t, top + j * C.rank): c for t, c in v.items()}
+
+    g_cols = g.matrix.column_vecs()
+    units = [{**w, **below(g_cols[k % B.rank], k // B.rank)}
+             for k, w in enumerate(wd.matrix.column_vecs())]
+    block = FreeModuleMap.from_vecs(
+        ctx, units + wd.target.relations.column_vecs()
+        + [below(v, 0) for v in amb.relations.column_vecs()],
+        wd.target.gen_degrees + tuple(d + shift for d in amb.gen_degrees),
+        wd.source.gen_degrees + wd.target.relations.source_degrees
+        + tuple(d + shift for d in amb.relations.source_degrees))
+    f_vec = _joined(ctx, [f], amb.gen_degrees).column_vec(0)
+    rhs = FreeModuleMap.from_vecs(ctx, [below(f_vec, 0)],
+                                  block.target_degrees, (f.degree + shift,))
+    sol = lift_solve(block, rhs)
     if sol is None:
         return None
-    h = H.morphism_from_element(
-        _generator_part(H.ctx, sol.column_vec(0), H.module.rank),
-        f.degree - g.degree)
+    h = _unjoined(_generator_part(ctx, sol.column_vec(0), len(units)),
+                  A, B, f.degree + shift, check=True)
     if g.compose(h) != f:
         raise EngineError("factorization failed to verify; engine bug")
     return h
@@ -460,30 +484,34 @@ def _cover_selection(hmk: HomModule, comp, degrees):
 
     By graded Nakayama a selection generates exactly when the constant
     parts of its columns and of the relations span k^rank, so each trial is
-    the rank of constant vectors, read off their reduced basis; the constant
-    parts are taken once.
+    the rank of constant vectors: a Groebner basis of constant vectors has
+    one element per leading position, so its size is that rank.  The
+    constant parts are taken once.  The trial that drops the k-th block in
+    that order keeps the blocks kept before it and every later block, so
+    it extends the basis of the relations and the later blocks, built once
+    per position from the back, by the kept earlier blocks only.
     """
     ctx = hmk.ctx
     rank = hmk.module.rank
-    base = hmk.module.relations.constant_vecs()
-    blocks = [c.constant_vecs() for c in comp]
-
-    def covers(sel):
-        vecs = base + [v for j in sel for v in blocks[j]]
-        return len(buchberger(vecs, ctx).generators) == rank
-
-    kept = list(range(len(comp)))
-    if not covers(kept):
+    order = sorted(range(len(comp)), key=lambda j: (-degrees[j], j))
+    blocks = [comp[j].constant_vecs() for j in order]
+    # suffix[k]: basis of the relations' constant parts and blocks[k:]
+    suffix = [buchberger(hmk.module.relations.constant_vecs(), ctx)]
+    for b in reversed(blocks):
+        suffix.append(suffix[-1].extend(b))
+    suffix.reverse()
+    if len(suffix[0].generators) != rank:
         raise EngineError("add-M candidates fail to cover Hom(m, K); "
                           "engine bug")
     # Covering is monotone in the selection: a candidate that cannot be
     # dropped from a selection cannot be dropped from any subset of it,
     # so one pass leaves a selection from which nothing can be dropped.
-    for j in sorted(kept, key=lambda j: (-degrees[j], j)):
-        trial = [i for i in kept if i != j]
-        if covers(trial):
-            kept = trial
-    return kept
+    kept = []
+    for k in range(len(order)):
+        earlier = [v for i in kept for v in blocks[i]]
+        if len(suffix[k + 1].extend(earlier).generators) != rank:
+            kept.append(k)
+    return sorted(order[k] for k in kept)
 
 
 def add_M_resolution(z: FPModule, m: FPModule, depth: int,

@@ -139,6 +139,20 @@ def test_main_parse_error_exit_two(tmp_path, capsys):
     assert main(["--job", str(tmp_path / "missing.yml")]) == 2
 
 
+def test_main_non_utf8_job_exit_two(tmp_path):
+    """A byte that is not UTF-8, here in a comment, is an input error: exit
+    2 with a message naming the file, and no traceback."""
+    path = tmp_path / "job.yml"
+    path.write_bytes(b"# \xff\xfe\n" + GRADE_JOB.encode())
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncres.cli", "--job", str(path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert f"error: {path}: not UTF-8 text" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_main_engine_error_exit_three(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise EngineError("simulated fault")

@@ -1,5 +1,6 @@
 import functools
 import random
+import types
 
 import pytest
 
@@ -865,18 +866,110 @@ def test_hom_factorization_matches_hom_coordinates_on_kernels(seed):
     assert True in found and False in found
 
 
-def test_hom_factorization_builds_one_hom_module(ctx3, monkeypatch):
-    o1 = syzygy(residue_field(ctx3), 1)
-    fs, g = _factorization_cases(o1, free_module(ctx3), sources=(o1,))
+def test_hom_factorization_builds_no_hom_module(ctx3, monkeypatch):
+    """The section test and every other factorization is one lift in the
+    ambient Hom(cover of source f, source g): no Hom module is presented,
+    through ``hom_module`` or by constructing a ``HomModule``."""
+    o1, R = syzygy(residue_field(ctx3), 1), free_module(ctx3)
+    fs, g = _factorization_cases(o1, R, sources=(o1, R))
     calls = []
-    real = homalg.hom_module
+    real_hom, real_init = homalg.hom_module, homalg.HomModule.__init__
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting_hom(*args):
+        calls.append(("hom_module", args))
+        return real_hom(*args)
 
-    monkeypatch.setattr(homalg, "hom_module", counting)
-    for f in fs:
-        hom_factorization(f, g)
-        assert len(calls) == 1
-        assert calls.pop() == (f.source, g.source)
+    def counting_init(self, *args):
+        calls.append(("HomModule", args))
+        real_init(self, *args)
+
+    monkeypatch.setattr(homalg, "hom_module", counting_hom)
+    monkeypatch.setattr(homalg.HomModule, "__init__", counting_init)
+    found = [hom_factorization(f, g) is not None for f in fs]
+    assert calls == []
+    # the identity of Omega k does not factor through its free cover, and
+    # every map from R does
+    assert found[0] is False and found[-1] is True
+
+
+# -- the add-M cover prune ---------------------------------------------------
+
+def _constant_map(ctx, cols, rank):
+    """Map R^len(cols) -> R^rank, all degrees 0, with constant columns."""
+    return FreeModuleMap(ctx, (0,) * len(cols), (0,) * rank,
+                         [[ctx.constant(c) for c in col] for col in cols])
+
+
+def _constant_hom(ctx, rank, relations):
+    """Stand-in for the Hom(m, K) of a cover: what ``_cover_selection``
+    reads, a module of rank ``rank`` with constant relation columns."""
+    rel = _constant_map(ctx, relations, rank)
+    return types.SimpleNamespace(ctx=ctx,
+                                 module=make_module((0,) * rank, rel, ctx))
+
+
+def _greedy_deletion(base, blocks, degrees, rank, p):
+    """The prune rule trial by trial: drop blocks in (-degree, index) order
+    while the constant rows of the rest and of the relations have full
+    rank, each trial a dense rank over F_p."""
+    def covers(sel):
+        rows = base + [v for j in sel for v in blocks[j]]
+        return bool(rows) and rank_mod_p(rows, p) == rank
+
+    kept = list(range(len(blocks)))
+    assert covers(kept)
+    for j in sorted(kept, key=lambda j: (-degrees[j], j)):
+        trial = [i for i in kept if i != j]
+        if covers(trial):
+            kept = trial
+    return kept
+
+
+def test_cover_selection_deletes_greedily_on_blocks(ctx2):
+    """A = {e1}, B = {e1, e2}, C = {e2} in one degree: dropping A leaves
+    B + C, B cannot go after it, and C can, so only B is kept.  A basis
+    grown by inserting blocks from the back would keep B and C."""
+    hmk = _constant_hom(ctx2, 2, [])
+    blocks = [[[1, 0]], [[1, 0], [0, 1]], [[0, 1]]]
+    comp = [_constant_map(ctx2, b, 2) for b in blocks]
+    assert homalg._cover_selection(hmk, comp, [0, 0, 0]) == [1]
+    assert _greedy_deletion([], blocks, [0, 0, 0], 2, 101) == [1]
+
+
+def test_cover_selection_matches_greedy_deletion_on_random_blocks(ctx2):
+    """Seeded constant blocks and relations over F_101, sparse enough that
+    trials both succeed and fail: the selection equals the trial-by-trial
+    rule."""
+    rng = random.Random(20261019)
+    p = ctx2.characteristic
+    dropped = kept = 0
+    for _ in range(60):
+        rank = rng.randrange(1, 6)
+
+        def row():
+            return [rng.choice((0, 0, 0, 1, rng.randrange(p)))
+                    for _ in range(rank)]
+
+        base = [row() for _ in range(rng.randrange(3))]
+        blocks = [[row() for _ in range(rng.randrange(1, 3))]
+                  for _ in range(rng.randrange(1, 7))]
+        rows = base + [v for b in blocks for v in b]
+        if rank_mod_p(rows, p) < rank:
+            blocks.append([[int(i == j) for i in range(rank)]
+                           for j in range(rank)])
+        degrees = [rng.randrange(3) for _ in blocks]
+        want = _greedy_deletion(base, blocks, degrees, rank, p)
+        comp = [_constant_map(ctx2, b, rank) for b in blocks]
+        got = homalg._cover_selection(_constant_hom(ctx2, rank, base), comp,
+                                      degrees)
+        assert got == want
+        dropped += len(blocks) - len(want)
+        kept += len(want)
+    assert dropped > 0 and kept > 0
+
+
+def test_cover_selection_refuses_candidates_that_do_not_cover(ctx2):
+    hmk = _constant_hom(ctx2, 2, [])
+    comp = [_constant_map(ctx2, [[1, 0]], 2)]
+    with pytest.raises(EngineError, match="fail to cover"):
+        homalg._cover_selection(hmk, comp, [0])
