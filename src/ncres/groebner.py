@@ -382,13 +382,14 @@ class GroebnerBasis:
     order is the one packed into the terms; ``generators`` are monic."""
 
     def __init__(self, ctx: RingContext, generators: list,
-                 leading_terms: list | None = None):
+                 leading_terms: list | None = None, reducers=None):
         if leading_terms is None:
             leading_terms = [min(g) for g in generators]
         self.ctx = ctx
         self.generators = generators
         self.leading_terms = leading_terms
-        self.reducers = by_position(leading_terms, ctx)
+        self.reducers = (by_position(leading_terms, ctx) if reducers is None
+                         else reducers)
 
     def normal_form_vec(self, v: dict) -> dict:
         return reduce_vec(v, self.generators, self.reducers, self.ctx)
@@ -406,7 +407,7 @@ class GroebnerBasis:
         start = len(basis)
         _reduce_into(basis, lts, reducers, vecs, self.ctx)
         _complete(basis, lts, reducers, start, self.ctx)
-        return GroebnerBasis(self.ctx, basis, lts)
+        return GroebnerBasis(self.ctx, basis, lts, reducers)
 
 
 def buchberger(vecs, ctx: RingContext) -> GroebnerBasis:

@@ -11,9 +11,9 @@ from typing import NamedTuple
 from .ring import AlgebraError, EngineError
 from .groebner import (FreeModuleMap, buchberger, lift_solve, shift_term,
                        term, term_pos)
-from .modules import (FPModule, ModuleMorphism, INFINITE, _shifted, cokernel,
-                      direct_sum, free_module, homology, kernel,
-                      kernel_with_inclusion, minimal_generator_indices,
+from .modules import (FPModule, ModuleMorphism, INFINITE, _nakayama_keep,
+                      _shifted, cokernel, direct_sum, free_module, homology,
+                      kernel, kernel_with_inclusion, minimal_generator_indices,
                       minimal_presentation, minimal_resolution, syzygy)
 
 
@@ -407,9 +407,10 @@ class AddMResolution(NamedTuple):
     """Iterated right add-M approximations 0 -> K_{i+1} -> M_i -> K_i -> 0.
 
     ``terminated`` certifies that the final kernel lies in add M: it is
-    zero, or its own add-M cover has a section, found and checked by
-    ``hom_factorization``.  The resolution then closes up with the last
-    inclusion as final map.
+    zero, or its own add-M cover is injective (when M is provably basic
+    and the cover minimal, so the cover is an isomorphism onto it) or has
+    a section, found and checked by ``hom_factorization`` (otherwise).
+    The resolution then closes up with the last inclusion as final map.
     """
 
     modules: list                 # K_0 = z, K_1, ...
@@ -514,16 +515,114 @@ def _cover_selection(hmk: HomModule, comp, degrees):
     return sorted(order[k] for k in kept)
 
 
+def _radicals(summands):
+    """Generators of the radical of add M, ``rad[a][b]`` spanning the
+    radical maps S_a -> S_b as an R-module, when M = sum of ``summands`` is
+    provably basic; otherwise None.
+
+    M is basic when each summand has End(S_l)_0 = k (so it is
+    indecomposable) and no two are isomorphic up to twist.  The radical is
+    then every map between different summands and every endomorphism of
+    nonzero degree: the minimal generators of Hom(S_a, S_b), without the
+    degree-0 one (the identity, up to a scalar) when a = b.  Summands
+    whose minimal presentations have the same degrees up to a common
+    shift are not told apart, and give None.
+    """
+    shapes = set()
+    for S in summands:
+        s_min = minimal_presentation(S)[0]
+        low = min(s_min.gen_degrees, default=0)
+        shapes.add((tuple(sorted(d - low for d in s_min.gen_degrees)),
+                    tuple(sorted(d - low for d in
+                                 s_min.relations.source_degrees))))
+    if len(shapes) < len(summands):
+        return None
+    rad = []
+    for a, Sa in enumerate(summands):
+        row = []
+        for b, Sb in enumerate(summands):
+            h = hom_module(Sa, Sb)
+            gens = [h.basis_morphisms[i]
+                    for i in minimal_generator_indices(h.module)]
+            if a == b:
+                if h.module.hilbert_function(0)[0] != 1:
+                    return None
+                gens = [g for g in gens if g.degree]
+            row.append(gens)
+        rad.append(row)
+    return rad
+
+
+def _top_selection(K: FPModule, summands, rad):
+    """The minimal right add-M approximation of K for a basic M: one
+    (l, g), g: S_l -> K, per basis element of the top of Hom(M, K) as a
+    right End(M)-module, Hom(M, K) / (Hom(M, K) o rad(M, M)).
+
+    Coordinates live in the sum of the presentations of Hom(S_l, K).  The
+    top is k^rank modulo the constant parts of the Hom relations and of
+    the composites g o rho of every candidate g (a minimal generator of
+    Hom(S_b, K)) with every radical rho: S_a -> S_b; a composite of a
+    degree that no generator of Hom(S_a, K) has has no constant part and
+    is not lifted.  A candidate is kept when its unit vector lies outside
+    that span and the candidates kept before it, in (degree, index) order.
+    """
+    ctx = K.ctx
+    homs = [hom_module(S, K) for S in summands]
+    cands = [(l, i) for l, h in enumerate(homs)
+             for i in minimal_generator_indices(h.module)]
+    morphs = [(l, homs[l].basis_morphisms[i]) for l, i in cands]
+    offsets = list(itertools.accumulate((h.module.rank for h in homs),
+                                        initial=0))
+    span = []
+    for a, h in enumerate(homs):
+        degrees = set(h.module.gen_degrees)
+        comps = h.coords_map(g.compose(rho) for b, g in morphs
+                             for rho in rad[a][b]
+                             if g.degree + rho.degree in degrees)
+        span += [{shift_term(ctx, t, offsets[a]): c for t, c in v.items()}
+                 for v in h.module.relations.hstack(comps).constant_vecs()]
+    zero = (0,) * ctx.nvars
+    units = [{term(ctx, offsets[l] + i, zero): 1} for l, i in cands]
+    kept = _nakayama_keep(buchberger(span, ctx), units,
+                          [g.degree for _, g in morphs])
+    return [morphs[j] for j in sorted(kept)]
+
+
+def _pruned_selection(K: FPModule, m: FPModule, summands, hom_m_s):
+    """The add-M cover of K for an M not known to be basic: (l, g) for the
+    candidate blocks that ``_cover_selection`` keeps."""
+    hmk = hom_module(m, K)
+    cands = []
+    for l, S in enumerate(summands):
+        hS = hmk if S is m else hom_module(S, K)
+        for i in minimal_generator_indices(hS.module):
+            cands.append((l, hS.basis_morphisms[i]))
+    # composites with Hom(m, S_l) generators R-span the image of
+    # Hom(m, S_l-part of the cover) inside Hom(m, K); a composite of a
+    # degree e that no generator has gets coordinates of degrees e - d_i
+    # != 0, with no constant part for the prune to read
+    gen_degrees = set(hmk.module.gen_degrees)
+    comp = [hmk.coords_map(g.compose(psi) for psi in hom_m_s[l]
+                           if g.degree + psi.degree in gen_degrees)
+            for l, g in cands]
+    kept = _cover_selection(hmk, comp, [g.degree for _, g in cands])
+    return [cands[j] for j in kept]
+
+
 def add_M_resolution(z: FPModule, m: FPModule, depth: int,
                      summands=None) -> AddMResolution:
     """Right add-M approximation resolution of z, to the requested depth.
 
-    Each step surjects a sum of objects of add m onto K_i, built from a
-    generating set of Hom(m, K_i); surjectivity holds because m is a
+    Each step surjects a sum of twisted summands of m onto K_i, built from
+    generators of Hom(m, K_i); surjectivity holds because m is a
     generator, and is asserted.  ``summands`` optionally decomposes m as a
-    direct sum; approximations then draw on twists of the individual summands,
-    which keeps the covers minimal and lets the resolution terminate as soon
-    as a kernel lands in add m.
+    direct sum (default: m alone).  When the summands are provably basic
+    (``_radicals``), each cover is the minimal approximation read off the
+    top of Hom(m, K_i) over End(m), and the resolution stops at the first
+    step >= 1 whose cover is injective: a minimal right approximation of a
+    module in add m is an isomorphism (Auslander-Smalo 1980).  Otherwise
+    each cover is pruned by ``_cover_selection`` and the resolution stops
+    when ``hom_factorization`` finds a section of it.
     """
     if depth < 0:
         raise AlgebraError("depth must be >= 0")
@@ -537,31 +636,19 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
             raise AlgebraError("summands: expected at least one module")
         if functools.reduce(direct_sum, summands) != m:
             raise AlgebraError("summands do not present the direct sum m")
-    hom_m_s = []
-    for S in summands:
-        hS = hom_module(m, S)
-        hom_m_s.append([hS.basis_morphisms[i]
-                        for i in minimal_generator_indices(hS.module)])
+    rad = _radicals(summands)
+    if rad is None:
+        hom_m_s = []
+        for S in summands:
+            hS = hom_module(m, S)
+            hom_m_s.append([hS.basis_morphisms[i]
+                            for i in minimal_generator_indices(hS.module)])
 
     def cover(K):
-        hmk = hom_module(m, K)
-        cands = []
-        for l, S in enumerate(summands):
-            hS = hmk if S is m else hom_module(S, K)
-            for i in minimal_generator_indices(hS.module):
-                cands.append((l, hS.basis_morphisms[i]))
-        if not cands:
+        morphs = (_top_selection(K, summands, rad) if rad is not None
+                  else _pruned_selection(K, m, summands, hom_m_s))
+        if not morphs:
             raise EngineError("Hom(m, K) vanished for a generator; engine bug")
-        # composites with Hom(m, S_l) generators R-span the image of
-        # Hom(m, S_l-part of the cover) inside Hom(m, K); a composite of a
-        # degree e that no generator has gets coordinates of degrees e - d_i
-        # != 0, with no constant part for the prune to read
-        gen_degrees = set(hmk.module.gen_degrees)
-        comp = [hmk.coords_map(g.compose(psi) for psi in hom_m_s[l]
-                               if g.degree + psi.degree in gen_degrees)
-                for l, g in cands]
-        kept = _cover_selection(hmk, comp, [g.degree for _, g in cands])
-        morphs = [cands[j] for j in kept]
         blocks = [summands[l].twist(g.degree) for l, g in morphs]
         Mi = functools.reduce(direct_sum, blocks)
         ev_mat = functools.reduce(
@@ -578,10 +665,12 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
             break
         ev = cover(K)
         # Every map from m to K factors through the approximation ev, so K
-        # lies in add m exactly when ev has a section.  The first step is
-        # always taken so that a z already in add m still gets its split
-        # cover recorded; the pass at step == depth only tests.
-        if step >= 1 or step == depth:
+        # lies in add m exactly when ev has a section, and, for a minimal
+        # ev, exactly when ev is injective.  The first step is always taken
+        # so that a z already in add m still gets its split cover recorded;
+        # the pass at step == depth only tests.
+        exit_test = step >= 1 or step == depth
+        if exit_test and rad is None:
             terminated = hom_factorization(ModuleMorphism.identity(K),
                                            ev) is not None
             if terminated or step == depth:
@@ -590,6 +679,10 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
             raise EngineError("add-M approximation failed to surject; "
                               "engine bug")
         Knext, incl = kernel_with_inclusion(ev)
+        if exit_test and rad is not None:
+            terminated = Knext.is_zero()
+            if terminated or step == depth:
+                break
         # keep presentations small: replace the kernel by its minimal model
         Kmin, _, from_min = minimal_presentation(Knext)
         Knext, incl = Kmin, incl.compose(from_min)

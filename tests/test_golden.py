@@ -4,9 +4,10 @@ Each job below runs through ``parse_job`` and ``run_job``; its canonical
 section must equal ``tests/golden/<name>.yml`` exactly.  There is one small
 job for every command, and ``verify-claim1`` and ``verify-exact2`` also run
 on acceptance scenarios 1-4 over F_101 in the coordinates x, y, z;
-scenarios 2 and 4 also run at depths 1 and 2.  The three r=4 jobs of
-``examples/r4/`` pin the 4-variable add-M path, and three jobs repeat
-others under the lex order.  A change
+scenarios 2 and 4 also run at depths 1 and 2.  The four r=4 jobs of
+``examples/r4/`` (three with X = k, one with X = R/m^2) and the r=5 job of
+``examples/r5/`` pin the add-M path beyond three variables, and three jobs
+repeat others under the lex order.  A change
 that is meant to alter a report rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -80,9 +81,10 @@ for _tag in ("s2", "s4"):
         JOBS[f"exact2-{_tag}-depth{_depth}"] = (
             SCENARIOS[_tag]
             + f"X: k\ncommand: verify-exact2\ndepth: {_depth}\n")
-for _name in ("O3-2", "O2-1", "O3-1"):
-    JOBS[f"exact2-r4-{_name}"] = (EXAMPLES / "r4" / f"{_name}.yml").read_text(
-        encoding="utf-8")
+for _dir, _name in (("r4", "O3-2"), ("r4", "O2-1"), ("r4", "O3-1"),
+                    ("r4", "Rm2-O3-1"), ("r5", "O3-1")):
+    JOBS[f"exact2-{_dir}-{_name}"] = (
+        EXAMPLES / _dir / f"{_name}.yml").read_text(encoding="utf-8")
 # the lex order: a syzygy, a stable Hom and an add-M resolution
 for _name in ("syzygy-Rm2-2", "stablehom-T-T", "exact2-s2"):
     JOBS[f"{_name}-lex"] = JOBS[_name].replace(

@@ -334,6 +334,26 @@ def test_extend_agrees_with_rebuild(seed):
         assert want == membership_oracle(a + b, probe, (0,) * rank, ctx)
 
 
+def test_extend_indexes_its_leading_terms_once(monkeypatch):
+    """One ``extend`` builds the position index of its leading terms once,
+    and the grown basis reduces with that index."""
+    rng = random.Random(7)
+    a = _random_module_vecs(CTX3, rng, 2, 3)
+    b = _random_module_vecs(CTX3, rng, 2, 3)
+    base = buchberger(a, CTX3)
+    calls = []
+    original = groebner.by_position
+
+    def counting(lts, ctx):
+        calls.append(len(lts))
+        return original(lts, ctx)
+
+    monkeypatch.setattr(groebner, "by_position", counting)
+    grown = base.extend(b)
+    assert len(calls) == 1
+    assert grown.reducers == original(grown.leading_terms, CTX3)
+
+
 def test_constant_vector_basis_size_is_rank():
     """For constant vectors the reduced basis is the row echelon form, so
     its size is the rank over F_p."""

@@ -1,3 +1,4 @@
+import collections
 import functools
 import random
 import types
@@ -681,38 +682,69 @@ def _seeded_scenarios(seed):
             (syzygy(k3, 1), direct_sum(R3, o2), (R3, o2))]
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_cover_by_constant_rank_matches_quotient_rule(seed, monkeypatch):
-    """On the add-M resolutions of the exact2 scenarios, every cover keeps
-    the selection that the zero-quotient rule keeps."""
+def _non_basic_scenarios(seed):
+    """(z, M, summands, kernel ranks, cover ranks) with M not provably basic:
+    R + R given as (R, R), and R + Omega^2 k passed whole; z = Omega k in
+    seeded coordinates.  The ranks are those of the section-test path."""
+    rng = random.Random(seed)
+    ctx3 = RingContext(101, ("x", "y", "z"))
+    k3 = _seeded_residue_field(ctx3, rng)
+    R3 = free_module(ctx3)
+    o1, o2 = syzygy(k3, 1), syzygy(k3, 2)
+    return [(o1, direct_sum(R3, R3), (R3, R3), [3, 3, 1], [3, 3]),
+            (o1, direct_sum(R3, o2), None, [3, 9, 31], [12, 40])]
+
+
+def _recording(monkeypatch, name):
+    """Replace ``homalg.<name>`` by a wrapper that records (args, result)."""
     calls = []
-    original = homalg._cover_selection
+    original = getattr(homalg, name)
 
-    def recording(hmk, comp, degrees):
-        kept = original(hmk, comp, degrees)
-        calls.append((hmk, comp, degrees, kept))
-        return kept
+    def recording(*args):
+        out = original(*args)
+        calls.append((args, out))
+        return out
 
-    monkeypatch.setattr(homalg, "_cover_selection", recording)
+    monkeypatch.setattr(homalg, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_top_cover_keeps_the_quotient_rule_counts(seed, monkeypatch):
+    """On the add-M resolutions of the exact2 scenarios, whose M is basic,
+    every cover read off the top of Hom(M, K) has as many blocks of each
+    summand and degree as the dense greedy deletion by the zero-quotient
+    rule keeps over all composites."""
+    calls = _recording(monkeypatch, "_top_selection")
+    pruned = _recording(monkeypatch, "_cover_selection")
     cases = _seeded_scenarios(seed)
+    dropped = 0
     for z, M, summands in cases:
-        amr = add_M_resolution(z, M, 4, summands=summands)
-        assert amr.terminated
-    assert len(calls) >= len(cases)
-    for hmk, comp, degrees, kept in calls:
-        assert kept == _quotient_rule_selection(hmk, comp, degrees)
-    # the prune is not vacuous: some cover drops a candidate
-    assert any(len(kept) < len(comp) for _, comp, _, kept in calls)
+        calls.clear()
+        assert add_M_resolution(z, M, 4, summands=summands).terminated
+        assert calls
+        for (K, _, _), kept in calls:
+            hmk = hom_module(M, K)
+            blocks, degrees, labels = _all_composites(hmk, M, summands)
+            want = _quotient_rule_selection(hmk, blocks, degrees)
+            assert (collections.Counter((l, g.degree) for l, g in kept)
+                    == collections.Counter((labels[j], degrees[j])
+                                           for j in want))
+            dropped += len(blocks) - len(want)
+    assert pruned == []
+    # the reference is not vacuous: some cover drops a candidate
+    assert dropped > 0
 
 
 def _all_composites(hmk, m, summands):
-    """(blocks, degrees) of the add-M cover of K = hmk.target with every
-    composite g o psi lifted, none skipped by its degree: the reference for
-    the composites that ``add_M_resolution`` lifts."""
+    """(blocks, degrees, labels) of the add-M cover of K = hmk.target with
+    every composite g o psi lifted, none skipped by its degree, and the
+    index of the summand of each candidate g: the reference for the
+    composites that the pruned cover lifts."""
     summands = summands or (m,)
     K = hmk.target
-    blocks, degrees = [], []
-    for S in summands:
+    blocks, degrees, labels = [], [], []
+    for l, S in enumerate(summands):
         hS = hom_module(m, S)
         psis = [hS.basis_morphisms[i]
                 for i in minimal_generator_indices(hS.module)]
@@ -721,35 +753,90 @@ def _all_composites(hmk, m, summands):
             g = hSK.basis_morphisms[i]
             blocks.append(hmk.coords_map(g.compose(psi) for psi in psis))
             degrees.append(g.degree)
-    return blocks, degrees
+            labels.append(l)
+    return blocks, degrees, labels
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_cover_skips_only_composites_without_constant_part(seed, monkeypatch):
-    """The composites the cover leaves out (degree not a generator degree
-    of Hom(m, K)) have no constant coordinates, so the constant parts the
-    prune reads, and its selection, are those of all composites."""
-    calls = []
+def test_pruned_cover_keeps_the_quotient_rule_selection(seed, monkeypatch):
+    """An M that is not provably basic still goes through the prune, which
+    keeps the selection of the zero-quotient rule; the composites it leaves
+    out (degree not a generator degree of Hom(M, K)) have no constant
+    coordinates, so its selection is that of all composites."""
     original = homalg._cover_selection
-
-    def recording(hmk, comp, degrees):
-        kept = original(hmk, comp, degrees)
-        calls.append((hmk, comp, degrees, kept))
-        return kept
-
-    monkeypatch.setattr(homalg, "_cover_selection", recording)
+    calls = _recording(monkeypatch, "_cover_selection")
+    top = _recording(monkeypatch, "_top_selection")
     skipped = 0
-    for z, M, summands in _seeded_scenarios(seed):
+    for z, M, summands, _, _ in _non_basic_scenarios(seed):
         calls.clear()
         assert add_M_resolution(z, M, 4, summands=summands).terminated
-        for hmk, comp, degrees, kept in calls:
-            blocks, all_degrees = _all_composites(hmk, M, summands)
+        assert calls
+        for (hmk, comp, degrees), kept in calls:
+            assert kept == _quotient_rule_selection(hmk, comp, degrees)
+            blocks, all_degrees, _ = _all_composites(hmk, M, summands)
             assert all_degrees == degrees
             for got, full in zip(comp, blocks):
                 assert got.constant_vecs() == full.constant_vecs()
                 skipped += full.source_rank - got.source_rank
             assert original(hmk, blocks, degrees) == kept
+    assert top == []
     assert skipped > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_top_cover_is_injective_exactly_when_it_splits(seed, monkeypatch):
+    """For a basic M the resolution never searches for a section: its
+    cover of each kernel is injective exactly at the last kernel, which is
+    exactly where the cover splits."""
+    sections = _recording(monkeypatch, "hom_factorization")
+    for z, M, summands in _seeded_scenarios(seed):
+        amr = add_M_resolution(z, M, 4, summands=summands)
+        assert amr.terminated
+        covers = [add_M_resolution(K, M, 1, summands=summands)
+                  .approximations[0] for K in amr.modules]
+        injective = [kernel(ev).is_zero() for ev in covers]
+        assert injective == [False] * amr.depth + [True]
+        assert sections == []
+        assert [hom_factorization(ModuleMorphism.identity(ev.target), ev)
+                is not None for ev in covers] == injective
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_non_basic_summands_fall_back_to_the_section_test(seed, monkeypatch):
+    """Summands with the same presentation degrees up to twist, and a whole
+    M with a two-dimensional End(M)_0, are not provably basic: the
+    resolution prunes its covers and stops at a section, with the ranks of
+    that path."""
+    pruned = _recording(monkeypatch, "_cover_selection")
+    sections = _recording(monkeypatch, "hom_factorization")
+    for z, M, summands, ranks, cover_ranks in _non_basic_scenarios(seed):
+        assert homalg._radicals(summands or (M,)) is None
+        amr = add_M_resolution(z, M, 4, summands=summands)
+        assert amr.terminated
+        assert [K.rank for K in amr.modules] == ranks
+        assert [ev.source.rank for ev in amr.approximations] == cover_ranks
+    assert pruned and sections
+    assert any(h is not None for _, h in sections)
+
+
+def test_syzygies_of_k_are_recognised_as_basic(ctx3, monkeypatch):
+    """(R, Omega^2 k, Omega k) at r = 3 is basic: Omega k and Omega^2 k
+    have the same number of generators but not the same presentation
+    degrees, and every endomorphism generator in the radical has nonzero
+    degree.  Their resolutions need no section search."""
+    R = free_module(ctx3)
+    k = residue_field(ctx3)
+    o1, o2 = syzygy(k, 1), syzygy(k, 2)
+    summands = (R, o2, o1)
+    rad = homalg._radicals(summands)
+    assert rad is not None
+    assert all(g.degree for a in range(3) for g in rad[a][a])
+    assert all(rad[a][b] for a in range(3) for b in range(3) if a != b)
+    sections = _recording(monkeypatch, "hom_factorization")
+    M = functools.reduce(direct_sum, summands)
+    amr = add_M_resolution(square_quotient(ctx3), M, 4, summands=summands)
+    assert amr.terminated
+    assert sections == []
 
 
 @pytest.mark.parametrize("seed", range(3))
