@@ -319,16 +319,6 @@ def _complete(basis, lts, reducers, start: int, ctx: RingContext):
             add_pairs(len(basis) - 1)
 
 
-def _reduce_into(basis, lts, reducers, vecs, ctx: RingContext):
-    """Append the nonzero normal forms of vecs, each against the basis so
-    far."""
-    for v in vecs:
-        if v:
-            r = reduce_vec(v, basis, reducers, ctx)
-            if r:
-                _push(basis, lts, reducers, r, ctx)
-
-
 def buchberger_vecs(vecs, ctx: RingContext):
     """Auto-reduced monic Groebner basis of the span of vecs, sorted by
     descending leading term.
@@ -345,7 +335,11 @@ def buchberger_vecs(vecs, ctx: RingContext):
     basis = []
     lts = []
     reducers = {}
-    _reduce_into(basis, lts, reducers, vecs, ctx)
+    # the nonzero normal forms of vecs, each against the basis so far
+    for v in filter(None, vecs):
+        r = reduce_vec(v, basis, reducers, ctx)
+        if r:
+            _push(basis, lts, reducers, r, ctx)
     _complete(basis, lts, reducers, 0, ctx)
     # auto-reduce: drop redundant leading terms, then tail-reduce
     keep = []
@@ -378,18 +372,14 @@ def buchberger_vecs(vecs, ctx: RingContext):
 
 class GroebnerBasis:
     """Groebner basis of a submodule of a graded free module: auto-reduced
-    when it comes from ``buchberger_vecs``, not after ``extend``.  The term
+    when it comes from ``buchberger_vecs``, not after ``add``.  The term
     order is the one packed into the terms; ``generators`` are monic."""
 
-    def __init__(self, ctx: RingContext, generators: list,
-                 leading_terms: list | None = None, reducers=None):
-        if leading_terms is None:
-            leading_terms = [min(g) for g in generators]
+    def __init__(self, ctx: RingContext, generators=()):
         self.ctx = ctx
-        self.generators = generators
-        self.leading_terms = leading_terms
-        self.reducers = (by_position(leading_terms, ctx) if reducers is None
-                         else reducers)
+        self.generators = list(generators)
+        self.leading_terms = [min(g) for g in self.generators]
+        self.reducers = by_position(self.leading_terms, ctx)
 
     def normal_form_vec(self, v: dict) -> dict:
         return reduce_vec(v, self.generators, self.reducers, self.ctx)
@@ -397,17 +387,18 @@ class GroebnerBasis:
     def contains_vec(self, v: dict) -> bool:
         return not self.normal_form_vec(v)
 
-    def extend(self, vecs) -> "GroebnerBasis":
-        """Groebner basis of this span plus ``vecs``, grown from this basis:
-        only pairs with a new element are formed.  The result is not
-        auto-reduced; it serves membership tests."""
-        basis = list(self.generators)
-        lts = list(self.leading_terms)
-        reducers = by_position(lts, self.ctx)
-        start = len(basis)
-        _reduce_into(basis, lts, reducers, vecs, self.ctx)
-        _complete(basis, lts, reducers, start, self.ctx)
-        return GroebnerBasis(self.ctx, basis, lts, reducers)
+    def add(self, v: dict) -> bool:
+        """Grow this basis in place to a Groebner basis of its span plus v,
+        forming only the pairs with new elements; False, with the basis
+        unchanged, when v already lies in the span."""
+        r = self.normal_form_vec(v)
+        if not r:
+            return False
+        start = len(self.generators)
+        _push(self.generators, self.leading_terms, self.reducers, r, self.ctx)
+        _complete(self.generators, self.leading_terms, self.reducers, start,
+                  self.ctx)
+        return True
 
 
 def buchberger(vecs, ctx: RingContext) -> GroebnerBasis:

@@ -9,8 +9,8 @@ import itertools
 from typing import NamedTuple
 
 from .ring import AlgebraError, EngineError
-from .groebner import (FreeModuleMap, buchberger, lift_solve, shift_term,
-                       term, term_pos)
+from .groebner import (FreeModuleMap, GroebnerBasis, lift_solve,
+                       shift_term, term, term_pos)
 from .modules import (FPModule, ModuleMorphism, INFINITE, _nakayama_keep,
                       _shifted, cokernel, direct_sum, free_module, homology,
                       kernel, kernel_with_inclusion, minimal_generator_indices,
@@ -489,17 +489,22 @@ def _cover_selection(hmk: HomModule, comp, degrees):
     one element per leading position, so its size is that rank.  The
     constant parts are taken once.  The trial that drops the k-th block in
     that order keeps the blocks kept before it and every later block, so
-    it extends the basis of the relations and the later blocks, built once
+    it grows the basis of the relations and the later blocks, built once
     per position from the back, by the kept earlier blocks only.
     """
     ctx = hmk.ctx
     rank = hmk.module.rank
     order = sorted(range(len(comp)), key=lambda j: (-degrees[j], j))
     blocks = [comp[j].constant_vecs() for j in order]
-    # suffix[k]: basis of the relations' constant parts and blocks[k:]
-    suffix = [buchberger(hmk.module.relations.constant_vecs(), ctx)]
-    for b in reversed(blocks):
-        suffix.append(suffix[-1].extend(b))
+    # suffix[k]: basis of the relations' constant parts and blocks[k:],
+    # each a copy, as the one trial that reads it grows it in place
+    gb = GroebnerBasis(ctx)
+    suffix = []
+    for b in [hmk.module.relations.constant_vecs()] + blocks[::-1]:
+        gb = GroebnerBasis(ctx, gb.generators)
+        for v in b:
+            gb.add(v)
+        suffix.append(gb)
     suffix.reverse()
     if len(suffix[0].generators) != rank:
         raise EngineError("add-M candidates fail to cover Hom(m, K); "
@@ -509,8 +514,11 @@ def _cover_selection(hmk: HomModule, comp, degrees):
     # so one pass leaves a selection from which nothing can be dropped.
     kept = []
     for k in range(len(order)):
-        earlier = [v for i in kept for v in blocks[i]]
-        if len(suffix[k + 1].extend(earlier).generators) != rank:
+        gb = suffix[k + 1]
+        for i in kept:
+            for v in blocks[i]:
+                gb.add(v)
+        if len(gb.generators) != rank:
             kept.append(k)
     return sorted(order[k] for k in kept)
 
@@ -583,8 +591,7 @@ def _top_selection(K: FPModule, summands, rad):
                  for v in h.module.relations.hstack(comps).constant_vecs()]
     zero = (0,) * ctx.nvars
     units = [{term(ctx, offsets[l] + i, zero): 1} for l, i in cands]
-    kept = _nakayama_keep(buchberger(span, ctx), units,
-                          [g.degree for _, g in morphs])
+    kept = _nakayama_keep(ctx, span, units, [g.degree for _, g in morphs])
     return [morphs[j] for j in sorted(kept)]
 
 

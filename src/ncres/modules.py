@@ -371,25 +371,22 @@ def homology(g: ModuleMorphism, f: ModuleMorphism) -> FPModule:
 
 # -- minimal presentations and resolutions ----------------------------------
 
-def _nakayama_keep(gb: GroebnerBasis, cands, degrees):
+def _nakayama_keep(ctx: RingContext, base, cands, degrees):
     """Graded Nakayama greedy pass: indices of the candidate vectors, taken
-    in (degree, index) order, that lie outside the span of ``gb`` plus the
-    candidates kept before them.  One basis grows by each kept candidate."""
-    kept = []
-    for j in sorted(range(len(cands)), key=lambda j: (degrees[j], j)):
-        v = cands[j]
-        if not v or gb.contains_vec(v):
-            continue
-        kept.append(j)
-        gb = gb.extend([v])
-    return kept
+    in (degree, index) order, that lie outside the span of the vectors
+    ``base`` plus the candidates kept before them.  One basis, grown from
+    empty, holds that span."""
+    gb = GroebnerBasis(ctx)
+    for v in base:
+        gb.add(v)
+    return [j for j in sorted(range(len(cands)), key=lambda j: (degrees[j], j))
+            if gb.add(cands[j])]
 
 
 def _trim_columns(m: FreeModuleMap) -> FreeModuleMap:
     """Minimal generating set of the column span."""
-    empty = GroebnerBasis(m.ctx, [])
     vecs = m.column_vecs()
-    kept = _nakayama_keep(empty, vecs, m.source_degrees)
+    kept = _nakayama_keep(m.ctx, (), vecs, m.source_degrees)
     return FreeModuleMap.from_vecs(m.ctx, [vecs[j] for j in kept],
                                    m.target_degrees,
                                    [m.source_degrees[j] for j in kept])
@@ -533,5 +530,5 @@ def minimal_generator_indices(m: FPModule):
     columns, so it row-reduces constant vectors and never uses rel_gb()."""
     zero_mono = (0,) * m.ctx.nvars
     units = [{term(m.ctx, i, zero_mono): 1} for i in range(m.rank)]
-    return _nakayama_keep(buchberger(m.relations.constant_vecs(), m.ctx),
-                          units, m.gen_degrees)
+    return _nakayama_keep(m.ctx, m.relations.constant_vecs(), units,
+                          m.gen_degrees)

@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .ring import AlgebraError, EngineError
-from .groebner import buchberger, split_term, term
+from .groebner import GroebnerBasis, split_term, term
 from .modules import (FPModule, ModuleMorphism, INFINITE, cokernel,
                       direct_sum, free_module, homology, kernel,
                       minimal_presentation, minimal_resolution, syzygy)
@@ -143,8 +143,10 @@ def verify_claim1(h: NCRHypotheses) -> Verdict:
         nf = Q.element_nf(end_z.coords_of_morphism(psi))
         rows.append({term(ctx, index[split_term(ctx, t)], zero_mono): c
                      for t, c in nf.items()})
-    # constant vectors: the reduced basis is the row echelon form
-    rank = len(buchberger(rows, ctx).generators)
+    # constant vectors: a row outside the span of the rows before it
+    # raises the rank by one
+    span = GroebnerBasis(ctx)
+    rank = sum(span.add(v) for v in rows)
     bijective = (rank == D1 == D2)
     evidence = dict(base.evidence)
     evidence.update({"D1": D1, "D2": D2, "map_rank": rank,

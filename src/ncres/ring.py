@@ -216,17 +216,6 @@ class Polynomial:
         degs = {mono_degree(m) for m in self.terms}
         return len(degs) <= 1
 
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.ctx.nvars, 0)
-
-    def leading_monomial(self) -> tuple:
-        if not self.terms:
-            raise AlgebraError("zero polynomial has no leading monomial")
-        return max(self.terms, key=self.ctx.mono_key)
-
-    def leading_coefficient(self) -> int:
-        return self.terms[self.leading_monomial()]
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_ctx(self, other: "Polynomial"):

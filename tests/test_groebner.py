@@ -1,3 +1,6 @@
+import ast
+import copy
+import pathlib
 import random
 
 import pytest
@@ -8,9 +11,10 @@ from oracles import membership_oracle, packed_vec, rank_mod_p, tuple_vec
 from ncres.ring import (Polynomial, RingContext, monomials_of_degree,
                         parse_polynomial)
 from ncres import groebner
-from ncres.groebner import (FreeModuleMap, buchberger, buchberger_vecs,
-                            by_position, is_constant, lift_solve, reduce_vec,
-                            split_term, syzygy_basis, term)
+from ncres.groebner import (FreeModuleMap, GroebnerBasis, buchberger,
+                            buchberger_vecs, by_position, is_constant,
+                            lift_solve, reduce_vec, split_term, syzygy_basis,
+                            term)
 
 CTX = RingContext(101, ("x", "y"))
 CTX3 = RingContext(101, ("x", "y", "z"))
@@ -314,12 +318,23 @@ def _random_module_vecs(ctx, rng, rank, n):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_extend_agrees_with_rebuild(seed):
+    """A basis extended one vector at a time by ``add``, from empty or from
+    an auto-reduced basis, has the span of a rebuild: ``add`` reports each
+    vector new exactly when it lies outside the span of those before it."""
     rng = random.Random(seed)
     ctx = CTX3 if seed % 2 else CTX
     rank = rng.randrange(1, 3)
     a = _random_module_vecs(ctx, rng, rank, rng.randrange(1, 4))
     b = _random_module_vecs(ctx, rng, rank, rng.randrange(1, 4))
-    grown = buchberger(a, ctx).extend(b)
+    # grown from empty, or from an auto-reduced basis of a; every vector
+    # of the second pass over a lies in the span already
+    base = a if seed % 4 < 2 else []
+    grown = buchberger(base, ctx) if base else GroebnerBasis(ctx)
+    seen = list(base)
+    for v in a + b + a:
+        new = not membership_oracle(seen, v, (0,) * rank, ctx)
+        assert grown.add(v) == new
+        seen.append(v)
     rebuilt = buchberger(a + b, ctx)
     for v in a + b:
         assert grown.contains_vec(v) and rebuilt.contains_vec(v)
@@ -335,12 +350,13 @@ def test_extend_agrees_with_rebuild(seed):
 
 
 def test_extend_indexes_its_leading_terms_once(monkeypatch):
-    """One ``extend`` builds the position index of its leading terms once,
-    and the grown basis reduces with that index."""
+    """``add`` keeps the position index of the leading terms up to date in
+    place: extending a basis never calls ``by_position``, and the grown
+    index is the one ``by_position`` builds from the leading terms."""
     rng = random.Random(7)
     a = _random_module_vecs(CTX3, rng, 2, 3)
     b = _random_module_vecs(CTX3, rng, 2, 3)
-    base = buchberger(a, CTX3)
+    grown = buchberger(a, CTX3)
     calls = []
     original = groebner.by_position
 
@@ -349,14 +365,33 @@ def test_extend_indexes_its_leading_terms_once(monkeypatch):
         return original(lts, ctx)
 
     monkeypatch.setattr(groebner, "by_position", counting)
-    grown = base.extend(b)
-    assert len(calls) == 1
+    assert any([grown.add(v) for v in b])
+    assert calls == []
     assert grown.reducers == original(grown.leading_terms, CTX3)
+
+
+@pytest.mark.parametrize("grow", [False, True])
+def test_add_of_a_member_leaves_the_basis_unchanged(grow):
+    """``add`` returns False on the zero vector and on every element of the
+    span, and leaves the generators, leading terms and index as they
+    were, on an auto-reduced basis and on one grown by ``add``."""
+    rng = random.Random(11)
+    a = _random_module_vecs(CTX3, rng, 2, 3)
+    gb = GroebnerBasis(CTX3) if grow else buchberger(a, CTX3)
+    for v in a:
+        gb.add(v)
+    before = (copy.deepcopy(gb.generators), list(gb.leading_terms),
+              copy.deepcopy(gb.reducers))
+    members = [{}] + a + [random_combination(a, CTX3, rng) for _ in range(10)]
+    for v in members:
+        assert gb.add(v) is False
+    assert (gb.generators, gb.leading_terms, gb.reducers) == before
 
 
 def test_constant_vector_basis_size_is_rank():
     """For constant vectors the reduced basis is the row echelon form, so
-    its size is the rank over F_p."""
+    its size is the rank over F_p; a basis grown by ``add`` forms no
+    S-pair, so it has one element per leading position, as many."""
     ctx = RingContext(32003, ("x", "y", "z"))
     p = ctx.characteristic
     zero = (0,) * ctx.nvars
@@ -373,6 +408,10 @@ def test_constant_vector_basis_size_is_rank():
         vecs = [{term(ctx, j, zero): c for j, c in enumerate(row) if c}
                 for row in rows]
         assert len(buchberger(vecs, ctx).generators) == rank_mod_p(rows, p)
+        grown = GroebnerBasis(ctx)
+        for v in vecs:
+            grown.add(v)
+        assert len(grown.generators) == rank_mod_p(rows, p)
 
 
 # -- the reduction kernel ----------------------------------------------------
@@ -594,3 +633,66 @@ def test_extended_basis_reads_match_fully_reduced_basis(order, nvars):
     assert units and refused
     if nvars > 1:
         assert kept_tails > 0
+
+
+# -- Buchberger runs only where a reduced basis is read ----------------------
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ncres"
+BUCHBERGER = {"buchberger", "buchberger_vecs"}
+# rank tests grow a basis by ``GroebnerBasis.add``; outside groebner.py an
+# auto-reduced basis is built only for a module's relations.  The module
+# that defines ``FPModule.rel_gb`` imports ``buchberger`` for it, and the
+# package re-exports it.
+ALLOWED_SCOPES = {("modules.py", "FPModule.rel_gb")}
+ALLOWED_IMPORTS = {"modules.py", "__init__.py"}
+
+
+def buchberger_references(source: str, filename: str):
+    """(line, name) of every name, attribute or import naming a Buchberger
+    entry point outside groebner.py and the allowed scopes and imports."""
+    if filename == "groebner.py":
+        return []
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else None)
+        if name in BUCHBERGER and (filename, scope) not in ALLOWED_SCOPES:
+            out.append((node.lineno, name))
+        if (isinstance(node, ast.ImportFrom)
+                and filename not in ALLOWED_IMPORTS):
+            out.extend((node.lineno, a.name) for a in node.names
+                       if a.name in BUCHBERGER or a.name == "*")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_buchberger_references_detects_stray_runs():
+    src = ("from .groebner import GroebnerBasis, buchberger\n"
+           "from . import groebner\n"
+           "class FPModule:\n"
+           "    def rel_gb(self):\n"
+           "        return buchberger(self.vecs, self.ctx)\n"
+           "    def rank(self):\n"
+           "        return groebner.buchberger_vecs(self.vecs, self.ctx)\n"
+           "def rel_gb(vecs, ctx):\n"
+           "    return buchberger(vecs, ctx)\n"
+           "run = buchberger\n")
+    stray = [(7, "buchberger_vecs"), (9, "buchberger"), (10, "buchberger")]
+    assert buchberger_references(src, "modules.py") == stray
+    assert buchberger_references(src, "homalg.py") == sorted(
+        stray + [(1, "buchberger"), (5, "buchberger")])
+    assert buchberger_references(src, "groebner.py") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_src_runs_buchberger_only_for_reduced_bases(path):
+    assert buchberger_references(path.read_text(encoding="utf-8"),
+                                 path.name) == []

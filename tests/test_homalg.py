@@ -863,23 +863,35 @@ def test_add_M_resolution_depth_zero_tests_membership(ctx3):
 
 
 def test_add_M_resolution_builds_no_factor_ideal(ctx3, monkeypatch):
-    """Termination comes from a checked section of the cover, never from
-    the factor ideal [M]: at a step >= 1 and at the last allowed step."""
+    """Neither exit of the resolution builds the factor ideal [M], at a
+    step >= 1 or at the last allowed step: with the summands (R, Ω²k),
+    proven basic, it stops on an injective cover and tests no section; with
+    M = R ⊕ Ω²k given whole it stops on a checked section of the cover."""
     calls = []
+    sections = []
     original = homalg.factor_ideal
+    factorization = homalg.hom_factorization
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
+    def recording(*args):
+        sections.append(args)
+        return factorization(*args)
+
     monkeypatch.setattr(homalg, "factor_ideal", counting)
+    monkeypatch.setattr(homalg, "hom_factorization", recording)
     R = free_module(ctx3)
     k = residue_field(ctx3)
     o1, o2 = syzygy(k, 1), syzygy(k, 2)
     M = direct_sum(R, o2)
-    for depth in (0, 1, 2, 4):
-        amr = add_M_resolution(o1, M, depth, summands=(R, o2))
-        assert amr.terminated == (depth >= 2)
+    for summands in ((R, o2), None):
+        sections.clear()
+        for depth in (0, 1, 2, 4):
+            amr = add_M_resolution(o1, M, depth, summands=summands)
+            assert amr.terminated == (depth >= 2)
+        assert bool(sections) == (summands is None)
     assert calls == []
 
 

