@@ -16,8 +16,8 @@ from .modules import (FPModule, FreeResolution, INFINITE, ModuleMorphism,
 from .homalg import (AddMResolution, HomModule, LiftExactnessVerdict,
                      StableHom, add_M_resolution,
                      check_lift_exactness, ext, factor_ideal,
-                     generator_split_pair, grade, hom_factorization,
-                     hom_module, induced_post_hom, is_d_torsionfree,
+                     generator_split_pair, grade, hom_module,
+                     induced_post_hom, is_d_torsionfree,
                      is_generator, omega_on_morphism,
                      omega_power_on_morphism, stable_hom, transpose)
 from .ncr import (DEPTH_EXHAUSTED, ENGINE_VERSION, HYPOTHESIS_FAILED,

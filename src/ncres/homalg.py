@@ -9,8 +9,8 @@ import itertools
 from typing import NamedTuple
 
 from .ring import AlgebraError, EngineError
-from .groebner import (FreeModuleMap, GroebnerBasis, lift_solve,
-                       shift_term, term, term_pos)
+from .groebner import (FreeModuleMap, lift_solve, shift_term, term,
+                       term_pos)
 from .modules import (FPModule, ModuleMorphism, INFINITE, _nakayama_keep,
                       _shifted, cokernel, direct_sum, free_module, homology,
                       kernel, kernel_with_inclusion, minimal_generator_indices,
@@ -278,21 +278,18 @@ class StableHom(NamedTuple):
     quotient: FPModule
 
 
-def stable_hom(w: FPModule, z: FPModule,
-               cover: ModuleMorphism | None = None) -> StableHom:
+def stable_hom(w: FPModule, z: FPModule) -> StableHom:
     """Quotient of Hom(w, z) by morphisms factoring through projectives.
 
     Any morphism through any projective factors through any fixed surjection
-    from a free module onto z, so a single generator cover suffices; an
-    alternative ``cover`` surjection may be supplied for cross-checks.
+    from a free module onto z, so the generator cover of z suffices.
     """
     ctx = w.ctx
     total = hom_module(w, z)
-    if cover is None:
-        F = free_module(ctx, z.gen_degrees)
-        cover = ModuleMorphism(
-            F, z, FreeModuleMap.identity(ctx, z.gen_degrees), check=False)
-    cols = induced_post_hom(cover, hom_module(w, cover.source), total).matrix
+    F = free_module(ctx, z.gen_degrees)
+    cover = ModuleMorphism(
+        F, z, FreeModuleMap.identity(ctx, z.gen_degrees), check=False)
+    cols = induced_post_hom(cover, hom_module(w, F), total).matrix
     return StableHom(total, _quotient(total, cols))
 
 
@@ -406,11 +403,10 @@ def check_lift_exactness(ses, w: FPModule) -> LiftExactnessVerdict:
 class AddMResolution(NamedTuple):
     """Iterated right add-M approximations 0 -> K_{i+1} -> M_i -> K_i -> 0.
 
-    ``terminated`` certifies that the final kernel lies in add M: it is
-    zero, or its own add-M cover is injective (when M is provably basic
-    and the cover minimal, so the cover is an isomorphism onto it) or has
-    a section, found and checked by ``hom_factorization`` (otherwise).
-    The resolution then closes up with the last inclusion as final map.
+    Every approximation is minimal.  ``terminated`` certifies that the final
+    kernel lies in add M: it is zero, or its own minimal add-M cover is
+    injective, so an isomorphism onto it.  The resolution then closes up
+    with the last inclusion as final map.
     """
 
     modules: list                 # K_0 = z, K_1, ...
@@ -427,138 +423,65 @@ class AddMResolution(NamedTuple):
         return self.inclusions[i - 1].compose(self.approximations[i])
 
 
-def hom_factorization(f: ModuleMorphism, g: ModuleMorphism):
-    """h with g o h = f as module morphisms, or None.
-
-    The unknown is the matrix S of h on the cover of A = source(f), one
-    coordinate per basis element of the ambient Hom(cover of A, B), B =
-    source(g).  S is a morphism when S o (relations of A) vanishes modulo
-    the relations of B, and g o h = f when g o S and f agree modulo the
-    relations of C = target(g); both are linear in S, so one lift of
-    (0 ; f) against the stacked block decides factorization.  A bare
-    cover-level lift of f through g is not enough, since its matrix need
-    not respect the relations of A.  No Hom module is presented: the
-    extended basis of the block is the only Groebner basis built, and the
-    returned h is checked to descend and to compose to f.
-    """
-    if f.target is not g.target and f.target != g.target:
-        raise AlgebraError("factorization: f and g have different targets")
-    ctx = f.ctx
-    A, B, C = f.source, g.source, g.target
-    shift = -g.degree
-    # rows above: S o (relations of A), in Hom(cover of A's relations, B)
-    wd = induced_hom_map(A.relations, B)
-    top = wd.target.rank
-    # rows below: g o S joined in Hom(cover of A, C), regraded by the
-    # degree of g so that every column has the degree of its unknown
-    amb = hom_free(A.gen_degrees, C)
-
-    def below(v: dict, j: int) -> dict:
-        return {shift_term(ctx, t, top + j * C.rank): c for t, c in v.items()}
-
-    g_cols = g.matrix.column_vecs()
-    units = [{**w, **below(g_cols[k % B.rank], k // B.rank)}
-             for k, w in enumerate(wd.matrix.column_vecs())]
-    block = FreeModuleMap.from_vecs(
-        ctx, units + wd.target.relations.column_vecs()
-        + [below(v, 0) for v in amb.relations.column_vecs()],
-        wd.target.gen_degrees + tuple(d + shift for d in amb.gen_degrees),
-        wd.source.gen_degrees + wd.target.relations.source_degrees
-        + tuple(d + shift for d in amb.relations.source_degrees))
-    f_vec = _joined(ctx, [f], amb.gen_degrees).column_vec(0)
-    rhs = FreeModuleMap.from_vecs(ctx, [below(f_vec, 0)],
-                                  block.target_degrees, (f.degree + shift,))
-    sol = lift_solve(block, rhs)
-    if sol is None:
-        return None
-    h = _unjoined(_generator_part(ctx, sol.column_vec(0), len(units)),
-                  A, B, f.degree + shift, check=True)
-    if g.compose(h) != f:
-        raise EngineError("factorization failed to verify; engine bug")
-    return h
-
-
-def _cover_selection(hmk: HomModule, comp, degrees):
-    """Indices of the candidate blocks ``comp`` (coordinate columns in
-    ``hmk``) kept by the add-M cover prune, which drops blocks in
-    (-degree, index) order while the rest still generate ``hmk.module``.
-
-    By graded Nakayama a selection generates exactly when the constant
-    parts of its columns and of the relations span k^rank, so each trial is
-    the rank of constant vectors: a Groebner basis of constant vectors has
-    one element per leading position, so its size is that rank.  The
-    constant parts are taken once.  The trial that drops the k-th block in
-    that order keeps the blocks kept before it and every later block, so
-    it grows the basis of the relations and the later blocks, built once
-    per position from the back, by the kept earlier blocks only.
-    """
-    ctx = hmk.ctx
-    rank = hmk.module.rank
-    order = sorted(range(len(comp)), key=lambda j: (-degrees[j], j))
-    blocks = [comp[j].constant_vecs() for j in order]
-    # suffix[k]: basis of the relations' constant parts and blocks[k:],
-    # each a copy, as the one trial that reads it grows it in place
-    gb = GroebnerBasis(ctx)
-    suffix = []
-    for b in [hmk.module.relations.constant_vecs()] + blocks[::-1]:
-        gb = GroebnerBasis(ctx, gb.generators)
-        for v in b:
-            gb.add(v)
-        suffix.append(gb)
-    suffix.reverse()
-    if len(suffix[0].generators) != rank:
-        raise EngineError("add-M candidates fail to cover Hom(m, K); "
-                          "engine bug")
-    # Covering is monotone in the selection: a candidate that cannot be
-    # dropped from a selection cannot be dropped from any subset of it,
-    # so one pass leaves a selection from which nothing can be dropped.
-    kept = []
-    for k in range(len(order)):
-        gb = suffix[k + 1]
-        for i in kept:
-            for v in blocks[i]:
-                gb.add(v)
-        if len(gb.generators) != rank:
-            kept.append(k)
-    return sorted(order[k] for k in kept)
-
-
 def _radicals(summands):
-    """Generators of the radical of add M, ``rad[a][b]`` spanning the
-    radical maps S_a -> S_b as an R-module, when M = sum of ``summands`` is
-    provably basic; otherwise None.
+    """(basic, rad): summands of a basic M' with add M' = add M up to twist,
+    M the sum of ``summands``, and generators of the radical of add M',
+    ``rad[a][b]`` spanning the radical maps S_a -> S_b as an R-module.
 
-    M is basic when each summand has End(S_l)_0 = k (so it is
-    indecomposable) and no two are isomorphic up to twist.  The radical is
-    then every map between different summands and every endomorphism of
-    nonzero degree: the minimal generators of Hom(S_a, S_b), without the
-    degree-0 one (the identity, up to a scalar) when a = b.  Summands
-    whose minimal presentations have the same degrees up to a common
-    shift are not told apart, and give None.
+    M' is basic when each summand has End(S_l)_0 = k (so it is
+    indecomposable) and no two are isomorphic up to twist.  A summand with
+    a larger End_0 has its free summands split off, one split pair at a
+    time; what is left must then have End_0 = k, or M is refused.  Zero
+    summands are dropped, and so is a summand isomorphic up to twist to an
+    earlier one: with End_0 = k on both sides, S_a and S_b are isomorphic
+    up to twist exactly when minimal generators f of Hom(S_a, S_b) and g of
+    Hom(S_b, S_a) of opposite degrees compose to a nonzero g o f, an
+    element of End(S_a)_0 = k (a composite with a factor in the maximal
+    ideal times Hom vanishes on the top of S_a, so the minimal generators
+    suffice).  A basic list comes
+    back as given.  The radical is every map between different summands
+    and every endomorphism of nonzero degree: the minimal generators of
+    Hom(S_a, S_b), without the degree-0 one (the identity, up to a scalar)
+    when a = b.
     """
-    shapes = set()
-    for S in summands:
-        s_min = minimal_presentation(S)[0]
-        low = min(s_min.gen_degrees, default=0)
-        shapes.add((tuple(sorted(d - low for d in s_min.gen_degrees)),
-                    tuple(sorted(d - low for d in
-                                 s_min.relations.source_degrees))))
-    if len(shapes) < len(summands):
-        return None
-    rad = []
-    for a, Sa in enumerate(summands):
-        row = []
-        for b, Sb in enumerate(summands):
-            h = hom_module(Sa, Sb)
-            gens = [h.basis_morphisms[i]
-                    for i in minimal_generator_indices(h.module)]
-            if a == b:
-                if h.module.hilbert_function(0)[0] != 1:
-                    return None
-                gens = [g for g in gens if g.degree]
-            row.append(gens)
-        rad.append(row)
-    return rad
+    def mingens(Sa, Sb):
+        h = hom_module(Sa, Sb)
+        return h.module, [h.basis_morphisms[i]
+                          for i in minimal_generator_indices(h.module)]
+
+    def end_zero(S):
+        """dim End(S)_0 and the minimal generators of End(S)."""
+        end, gens = mingens(S, S)
+        return end.hilbert_function(0)[0], gens
+
+    R = free_module(summands[0].ctx)
+    parts = []                     # (S, minimal generators of End(S))
+    for l, S in enumerate(summands):
+        dim0, gens = end_zero(S)
+        while dim0 > 1:
+            pair = generator_split_pair(S)
+            if pair is None:
+                raise AlgebraError(
+                    f"summand {l} of M (generator degrees "
+                    f"{list(summands[l].gen_degrees)}) decomposes beyond its "
+                    "free summands; give its indecomposable summands")
+            parts.append((R, end_zero(R)[1]))
+            S = minimal_presentation(cokernel(pair[1]))[0]
+            dim0, gens = end_zero(S)
+        if dim0:
+            parts.append((S, gens))
+    basic, rad = [], []
+    for S, gens in parts:
+        ins = [mingens(T, S)[1] for T in basic]
+        outs = [mingens(S, T)[1] for T in basic]
+        if any(f.degree + g.degree == 0 and not g.compose(f).is_zero()
+               for fs, gs in zip(ins, outs) for f in fs for g in gs):
+            continue
+        for row, fs in zip(rad, ins):
+            row.append(fs)
+        rad.append(outs + [[g for g in gens if g.degree]])
+        basic.append(S)
+    return tuple(basic), rad
 
 
 def _top_selection(K: FPModule, summands, rad):
@@ -595,41 +518,18 @@ def _top_selection(K: FPModule, summands, rad):
     return [morphs[j] for j in sorted(kept)]
 
 
-def _pruned_selection(K: FPModule, m: FPModule, summands, hom_m_s):
-    """The add-M cover of K for an M not known to be basic: (l, g) for the
-    candidate blocks that ``_cover_selection`` keeps."""
-    hmk = hom_module(m, K)
-    cands = []
-    for l, S in enumerate(summands):
-        hS = hmk if S is m else hom_module(S, K)
-        for i in minimal_generator_indices(hS.module):
-            cands.append((l, hS.basis_morphisms[i]))
-    # composites with Hom(m, S_l) generators R-span the image of
-    # Hom(m, S_l-part of the cover) inside Hom(m, K); a composite of a
-    # degree e that no generator has gets coordinates of degrees e - d_i
-    # != 0, with no constant part for the prune to read
-    gen_degrees = set(hmk.module.gen_degrees)
-    comp = [hmk.coords_map(g.compose(psi) for psi in hom_m_s[l]
-                           if g.degree + psi.degree in gen_degrees)
-            for l, g in cands]
-    kept = _cover_selection(hmk, comp, [g.degree for _, g in cands])
-    return [cands[j] for j in kept]
-
-
 def add_M_resolution(z: FPModule, m: FPModule, depth: int,
                      summands=None) -> AddMResolution:
     """Right add-M approximation resolution of z, to the requested depth.
 
-    Each step surjects a sum of twisted summands of m onto K_i, built from
-    generators of Hom(m, K_i); surjectivity holds because m is a
-    generator, and is asserted.  ``summands`` optionally decomposes m as a
-    direct sum (default: m alone).  When the summands are provably basic
-    (``_radicals``), each cover is the minimal approximation read off the
-    top of Hom(m, K_i) over End(m), and the resolution stops at the first
-    step >= 1 whose cover is injective: a minimal right approximation of a
-    module in add m is an isomorphism (Auslander-Smalo 1980).  Otherwise
-    each cover is pruned by ``_cover_selection`` and the resolution stops
-    when ``hom_factorization`` finds a section of it.
+    ``summands`` optionally decomposes m as a direct sum (default: m
+    alone); ``_radicals`` makes the list basic without changing add m, so
+    it is needed only when the non-free part of m decomposes.  Each cover is
+    the minimal right approximation of K_i, read off the top of Hom(m, K_i)
+    over End(m); it surjects because m is a generator, which is asserted.
+    The resolution stops at the first step >= 1 whose cover is injective: a
+    minimal right approximation of a module in add m is an isomorphism
+    (Auslander-Smalo 1980).
     """
     if depth < 0:
         raise AlgebraError("depth must be >= 0")
@@ -643,17 +543,10 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
             raise AlgebraError("summands: expected at least one module")
         if functools.reduce(direct_sum, summands) != m:
             raise AlgebraError("summands do not present the direct sum m")
-    rad = _radicals(summands)
-    if rad is None:
-        hom_m_s = []
-        for S in summands:
-            hS = hom_module(m, S)
-            hom_m_s.append([hS.basis_morphisms[i]
-                            for i in minimal_generator_indices(hS.module)])
+    summands, rad = _radicals(summands)
 
     def cover(K):
-        morphs = (_top_selection(K, summands, rad) if rad is not None
-                  else _pruned_selection(K, m, summands, hom_m_s))
+        morphs = _top_selection(K, summands, rad)
         if not morphs:
             raise EngineError("Hom(m, K) vanished for a generator; engine bug")
         blocks = [summands[l].twist(g.degree) for l, g in morphs]
@@ -671,22 +564,15 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
         if terminated:
             break
         ev = cover(K)
-        # Every map from m to K factors through the approximation ev, so K
-        # lies in add m exactly when ev has a section, and, for a minimal
-        # ev, exactly when ev is injective.  The first step is always taken
-        # so that a z already in add m still gets its split cover recorded;
-        # the pass at step == depth only tests.
-        exit_test = step >= 1 or step == depth
-        if exit_test and rad is None:
-            terminated = hom_factorization(ModuleMorphism.identity(K),
-                                           ev) is not None
-            if terminated or step == depth:
-                break
         if not cokernel(ev).is_zero():
             raise EngineError("add-M approximation failed to surject; "
                               "engine bug")
         Knext, incl = kernel_with_inclusion(ev)
-        if exit_test and rad is not None:
+        # K lies in add m exactly when its minimal approximation ev is an
+        # isomorphism, that is, injective.  The first step is always taken
+        # so that a z already in add m still gets its cover recorded; the
+        # pass at step == depth only tests.
+        if step >= 1 or step == depth:
             terminated = Knext.is_zero()
             if terminated or step == depth:
                 break

@@ -42,8 +42,10 @@ class NCRHypotheses(NamedTuple):
     """Input data for the main construction.
 
     The gldim values are asserted, caller-supplied integers; they are never
-    computed here.  ``summands`` optionally records M as a direct sum, which
-    the add-M machinery uses to keep approximations minimal.
+    computed here.  ``summands`` optionally records M as a direct sum.  The
+    add-M machinery splits free summands off and drops repeated summands
+    itself, so it needs ``summands`` only when the non-free part of M
+    decomposes.
     """
 
     M: FPModule
@@ -283,7 +285,7 @@ def corollary_build(r: int, N: FPModule, cs, gldim_end_N: int) -> NCRReport:
             "summand_gens": list(Om.gen_degrees),
             "module_gens": list(M.gen_degrees),
             "verdict": verdict.status})
-        bound = 2 * bound + gldim_end_N + 1
+        bound = theorem_bound(bound, gldim_end_N)
         prev_d = c
     closed = (2 ** n) * r + (2 ** n - 1) * (gldim_end_N + 1)
     if bound != closed:

@@ -9,6 +9,7 @@ from ncres import cli
 from ncres.ring import EngineError, ParseError
 from ncres.cli import (CANONICAL_MARK, TIMING_MARK, JobSpec, main, parse_job,
                        print_job, run_job)
+from test_golden import GOLDEN, JOBS
 
 RING = "ring: {char: 101, vars: [x, y], order: grevlex}\n"
 K_MOD = "module k: {gens: [0], relations: [[x], [y]]}\n"
@@ -247,3 +248,38 @@ def test_torsionfree_of_free_module_does_not_grow_with_d(module):
     canonical, _, ok = run_job(job)
     assert time.perf_counter() - start < 1.0
     assert ok and "torsionfree: true\n" in canonical
+
+
+# -- how M is written ---------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["exact2-s4-depth1", "exact2-s4-depth2",
+                                  "exact2-s4", "exact2-r4-O3-2"])
+def test_add_M_report_does_not_depend_on_how_M_is_written(name):
+    """M = R + Omega^j k passed whole, with no ``summands`` line, gives the
+    canonical report of the same job with its summands listed."""
+    doc = JOBS[name]
+    whole = "".join(line for line in doc.splitlines(keepends=True)
+                    if not line.startswith("summands:"))
+    assert whole != doc
+    want = (GOLDEN / f"{name}.yml").read_text(encoding="utf-8")
+    assert run_job(parse_job(whole))[0] == want
+
+
+DECOMPOSABLE_SUMMAND_JOB = (
+    RING + K_MOD + R_MOD
+    + "module OO: {gens: [1, 1, 1, 1], "
+      "relations: [[y, -x, 0, 0], [0, 0, y, -x]]}\n"
+    + "module M: {gens: [0, 1, 1, 1, 1], "
+      "relations: [[0, y, -x, 0, 0], [0, 0, 0, y, -x]]}\n"
+    + "command: verify-exact2\nM: M\nX: k\nc: 0\nd: 1\ndepth: 2\n"
+    + "summands: [R, OO]\n")
+
+
+def test_decomposable_summand_exits_two(tmp_path, capsys):
+    """A summand Omega k + Omega k given as one block cannot be made basic:
+    exit 2 with a message naming the summand, and no traceback."""
+    path = write_job(tmp_path, DECOMPOSABLE_SUMMAND_JOB)
+    assert main(["--job", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: summand 1 of M")
+    assert "indecomposable summands" in err and "Traceback" not in err

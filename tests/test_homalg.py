@@ -1,7 +1,6 @@
 import collections
 import functools
 import random
-import types
 
 import pytest
 
@@ -16,8 +15,7 @@ from ncres.modules import (INFINITE, ModuleMorphism, cokernel, direct_sum,
                            minimal_generator_indices, minimal_resolution,
                            syzygy)
 from ncres.homalg import (add_M_resolution, check_lift_exactness, ext,
-                          factor_ideal, grade, hom_factorization, hom_module,
-                          induced_post_hom, is_d_torsionfree, is_generator,
+                          factor_ideal, grade, hom_module, induced_post_hom, is_d_torsionfree, is_generator,
                           omega_on_morphism, omega_power_on_morphism,
                           stable_hom, transpose)
 
@@ -351,14 +349,16 @@ def test_stable_hom_cover_independence(ctx2):
     """A redundant cover of the target gives the same stable quotient."""
     k = residue_field(ctx2)
     m2 = square_quotient(ctx2)
-    base = stable_hom(m2, k).quotient.hilbert_function(4)
+    sh = stable_hom(m2, k)
     x = ctx2.variable("x")
     F = free_module(ctx2, (0, 1))
     mat = FreeModuleMap(ctx2, (0, 1), (0,), [[ctx2.one()], [x]])
     cover = ModuleMorphism(F, k, mat, check=False)
     assert cokernel(cover).is_zero()
-    redundant = stable_hom(m2, k, cover=cover).quotient.hilbert_function(4)
-    assert redundant == base
+    cols = induced_post_hom(cover, hom_module(m2, F), sh.total).matrix
+    redundant = homalg._quotient(sh.total, cols)
+    assert (redundant.hilbert_function(4)
+            == sh.quotient.hilbert_function(4))
 
 
 def test_omega_action_on_identity_is_stably_identity(ctx2):
@@ -439,11 +439,11 @@ def _identity_in_factor_ideal(K, M):
     return not factor_ideal(K, M, end=end).element_nf(ident)
 
 
-def _cover_splits(K, M, summands=None):
+def _cover_injective(K, M, summands=None):
     """The add-M cover of K, as the first approximation of a depth-1
-    resolution, has a section."""
+    resolution, is injective; being minimal, it then is an isomorphism."""
     ev = add_M_resolution(K, M, 1, summands=summands).approximations[0]
-    return hom_factorization(ModuleMorphism.identity(K), ev) is not None
+    return kernel(ev).is_zero()
 
 
 def _membership_cases(ctx3):
@@ -457,10 +457,10 @@ def _membership_cases(ctx3):
 
 def test_factor_ideal_detects_membership_of_add(ctx3):
     """id_K in [M](K, K) iff K is a summand of a sum of copies of M, iff
-    the add-M cover of K splits."""
+    the minimal add-M cover of K is injective."""
     for K, M, member in _membership_cases(ctx3):
         assert _identity_in_factor_ideal(K, M) == member
-        assert _cover_splits(K, M) == member
+        assert _cover_injective(K, M) == member
 
 
 # -- Hom-exactness harness ---------------------------------------------------
@@ -539,59 +539,6 @@ def test_induced_post_hom_functorial(ctx2):
     lhs = induced_post_hom(g.compose(f), hR, hk)
     rhs = induced_post_hom(g, hm2, hk).compose(induced_post_hom(f, hR, hm2))
     assert lhs == rhs
-
-
-# -- factorization -----------------------------------------------------------
-
-def test_hom_factorization_positive(ctx2):
-    k = residue_field(ctx2)
-    R = free_module(ctx2)
-    m2 = square_quotient(ctx2)
-    f = ModuleMorphism(R, k, FreeModuleMap.identity(ctx2, (0,)))
-    g = ModuleMorphism(m2, k, FreeModuleMap.identity(ctx2, (0,)))
-    h = hom_factorization(f, g)
-    assert h is not None
-    assert g.compose(h) == f
-
-
-def test_hom_factorization_negative(ctx2):
-    k = residue_field(ctx2)
-    R = free_module(ctx2)
-    # identity of k cannot factor through a free module
-    g = ModuleMorphism(R, k, FreeModuleMap.identity(ctx2, (0,)))
-    assert hom_factorization(ModuleMorphism.identity(k), g) is None
-
-
-def test_hom_factorization_modulo_target_relations(ctx2):
-    """f: R -> R/(x) given by the matrix [x] is zero, so it factors through
-    g: R(-1) -> R/(x) given by [y]; only the relation x of the target shows
-    it, as no multiple of y equals x."""
-    x, y = ctx2.variable("x"), ctx2.variable("y")
-    T = make_module([0], FreeModuleMap(ctx2, (1,), (0,), [[x]]), ctx2)
-    f = ModuleMorphism(free_module(ctx2), T,
-                       FreeModuleMap(ctx2, (1,), (0,), [[x]]), degree=1)
-    g = ModuleMorphism(free_module(ctx2, (1,)), T,
-                       FreeModuleMap(ctx2, (1,), (0,), [[y]]))
-    h = hom_factorization(f, g)
-    assert h is not None and g.compose(h) == f
-    assert _factors_in_hom_coordinates([f], g) == [True]
-
-
-@pytest.mark.parametrize("degrees", [(0,), (0, 0)], ids=["R", "R2"])
-def test_hom_factorization_refuses_different_targets(ctx2, degrees,
-                                                     monkeypatch):
-    """f: F -> F and g: R -> k have different targets: a caller error,
-    refused before any Hom module is built."""
-    built = []
-    monkeypatch.setattr(homalg, "hom_module",
-                        lambda *args: built.append(args))
-    k = residue_field(ctx2)
-    g = ModuleMorphism(free_module(ctx2), k,
-                       FreeModuleMap.identity(ctx2, (0,)))
-    f = ModuleMorphism.identity(free_module(ctx2, degrees))
-    with pytest.raises(AlgebraError, match="different targets"):
-        hom_factorization(f, g)
-    assert built == []
 
 
 # -- add-M approximation resolutions ----------------------------------------
@@ -683,16 +630,17 @@ def _seeded_scenarios(seed):
 
 
 def _non_basic_scenarios(seed):
-    """(z, M, summands, kernel ranks, cover ranks) with M not provably basic:
-    R + R given as (R, R), and R + Omega^2 k passed whole; z = Omega k in
-    seeded coordinates.  The ranks are those of the section-test path."""
+    """(z, M, summands, kernel ranks, cover ranks) with M not basic as
+    written: R + R given as (R, R), and R + Omega^2 k passed whole; z =
+    Omega k in seeded coordinates.  Reduced to basic summands they are
+    (R,) and (R, Omega^2 k)."""
     rng = random.Random(seed)
     ctx3 = RingContext(101, ("x", "y", "z"))
     k3 = _seeded_residue_field(ctx3, rng)
     R3 = free_module(ctx3)
     o1, o2 = syzygy(k3, 1), syzygy(k3, 2)
     return [(o1, direct_sum(R3, R3), (R3, R3), [3, 3, 1], [3, 3]),
-            (o1, direct_sum(R3, o2), None, [3, 9, 31], [12, 40])]
+            (o1, direct_sum(R3, o2), None, [3, 6, 3], [9, 9])]
 
 
 def _recording(monkeypatch, name):
@@ -711,37 +659,36 @@ def _recording(monkeypatch, name):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_top_cover_keeps_the_quotient_rule_counts(seed, monkeypatch):
-    """On the add-M resolutions of the exact2 scenarios, whose M is basic,
-    every cover read off the top of Hom(M, K) has as many blocks of each
-    summand and degree as the dense greedy deletion by the zero-quotient
-    rule keeps over all composites."""
+    """On the add-M resolutions of the exact2 scenarios and of the
+    scenarios whose M is not basic as written, every cover read off the
+    top of Hom(M, K) has as many blocks of each (reduced) summand and
+    degree as the dense greedy deletion by the zero-quotient rule keeps
+    over all composites."""
     calls = _recording(monkeypatch, "_top_selection")
-    pruned = _recording(monkeypatch, "_cover_selection")
-    cases = _seeded_scenarios(seed)
+    cases = _seeded_scenarios(seed) + [
+        case[:3] for case in _non_basic_scenarios(seed)]
     dropped = 0
     for z, M, summands in cases:
         calls.clear()
         assert add_M_resolution(z, M, 4, summands=summands).terminated
         assert calls
-        for (K, _, _), kept in calls:
+        for (K, basic, _), kept in calls:
             hmk = hom_module(M, K)
-            blocks, degrees, labels = _all_composites(hmk, M, summands)
+            blocks, degrees, labels = _all_composites(hmk, M, basic)
             want = _quotient_rule_selection(hmk, blocks, degrees)
             assert (collections.Counter((l, g.degree) for l, g in kept)
                     == collections.Counter((labels[j], degrees[j])
                                            for j in want))
             dropped += len(blocks) - len(want)
-    assert pruned == []
     # the reference is not vacuous: some cover drops a candidate
     assert dropped > 0
 
 
 def _all_composites(hmk, m, summands):
     """(blocks, degrees, labels) of the add-M cover of K = hmk.target with
-    every composite g o psi lifted, none skipped by its degree, and the
-    index of the summand of each candidate g: the reference for the
-    composites that the pruned cover lifts."""
-    summands = summands or (m,)
+    every composite g o psi, psi a minimal generator of Hom(m, S_l) and g
+    one of Hom(S_l, K), lifted into Hom(m, K), and the index l of the
+    summand of each candidate g."""
     K = hmk.target
     blocks, degrees, labels = [], [], []
     for l, S in enumerate(summands):
@@ -758,98 +705,122 @@ def _all_composites(hmk, m, summands):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_pruned_cover_keeps_the_quotient_rule_selection(seed, monkeypatch):
-    """An M that is not provably basic still goes through the prune, which
-    keeps the selection of the zero-quotient rule; the composites it leaves
-    out (degree not a generator degree of Hom(M, K)) have no constant
-    coordinates, so its selection is that of all composites."""
-    original = homalg._cover_selection
-    calls = _recording(monkeypatch, "_cover_selection")
-    top = _recording(monkeypatch, "_top_selection")
-    skipped = 0
+def test_top_cover_is_injective_exactly_when_it_splits(seed):
+    """For an M that is not basic as written, the reduced summands still
+    give minimal covers: on every kernel of the resolution the cover is
+    injective exactly when id_K lies in [M], which is exactly at the last
+    kernel."""
     for z, M, summands, _, _ in _non_basic_scenarios(seed):
-        calls.clear()
-        assert add_M_resolution(z, M, 4, summands=summands).terminated
-        assert calls
-        for (hmk, comp, degrees), kept in calls:
-            assert kept == _quotient_rule_selection(hmk, comp, degrees)
-            blocks, all_degrees, _ = _all_composites(hmk, M, summands)
-            assert all_degrees == degrees
-            for got, full in zip(comp, blocks):
-                assert got.constant_vecs() == full.constant_vecs()
-                skipped += full.source_rank - got.source_rank
-            assert original(hmk, blocks, degrees) == kept
-    assert top == []
-    assert skipped > 0
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_top_cover_is_injective_exactly_when_it_splits(seed, monkeypatch):
-    """For a basic M the resolution never searches for a section: its
-    cover of each kernel is injective exactly at the last kernel, which is
-    exactly where the cover splits."""
-    sections = _recording(monkeypatch, "hom_factorization")
-    for z, M, summands in _seeded_scenarios(seed):
         amr = add_M_resolution(z, M, 4, summands=summands)
         assert amr.terminated
-        covers = [add_M_resolution(K, M, 1, summands=summands)
-                  .approximations[0] for K in amr.modules]
-        injective = [kernel(ev).is_zero() for ev in covers]
+        injective = [_cover_injective(K, M, summands) for K in amr.modules]
         assert injective == [False] * amr.depth + [True]
-        assert sections == []
-        assert [hom_factorization(ModuleMorphism.identity(ev.target), ev)
-                is not None for ev in covers] == injective
+        assert [_identity_in_factor_ideal(K, M)
+                for K in amr.modules] == injective
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_non_basic_summands_fall_back_to_the_section_test(seed, monkeypatch):
-    """Summands with the same presentation degrees up to twist, and a whole
-    M with a two-dimensional End(M)_0, are not provably basic: the
-    resolution prunes its covers and stops at a section, with the ranks of
-    that path."""
-    pruned = _recording(monkeypatch, "_cover_selection")
-    sections = _recording(monkeypatch, "hom_factorization")
+def test_non_basic_summands_are_reduced_to_basic(seed):
+    """(R, R) reduces to (R,), and R + Omega^2 k given whole to R and
+    Omega^2 k: the resolutions have the ranks of those basic summands."""
     for z, M, summands, ranks, cover_ranks in _non_basic_scenarios(seed):
-        assert homalg._radicals(summands or (M,)) is None
+        basic, _ = homalg._radicals(summands or (M,))
+        assert [S.gen_degrees for S in basic] == (
+            [(0,)] if summands else [(0,), (2, 2, 2)])
         amr = add_M_resolution(z, M, 4, summands=summands)
         assert amr.terminated
         assert [K.rank for K in amr.modules] == ranks
         assert [ev.source.rank for ev in amr.approximations] == cover_ranks
-    assert pruned and sections
-    assert any(h is not None for _, h in sections)
 
 
-def test_syzygies_of_k_are_recognised_as_basic(ctx3, monkeypatch):
+def test_syzygies_of_k_are_recognised_as_basic(ctx3):
     """(R, Omega^2 k, Omega k) at r = 3 is basic: Omega k and Omega^2 k
-    have the same number of generators but not the same presentation
-    degrees, and every endomorphism generator in the radical has nonzero
-    degree.  Their resolutions need no section search."""
+    have the same number of generators but are not isomorphic, and every
+    endomorphism generator in the radical has nonzero degree.  The list
+    comes back as given."""
     R = free_module(ctx3)
     k = residue_field(ctx3)
     o1, o2 = syzygy(k, 1), syzygy(k, 2)
     summands = (R, o2, o1)
-    rad = homalg._radicals(summands)
-    assert rad is not None
+    basic, rad = homalg._radicals(summands)
+    assert len(basic) == 3 and all(a is b for a, b in zip(basic, summands))
     assert all(g.degree for a in range(3) for g in rad[a][a])
     assert all(rad[a][b] for a in range(3) for b in range(3) if a != b)
-    sections = _recording(monkeypatch, "hom_factorization")
     M = functools.reduce(direct_sum, summands)
     amr = add_M_resolution(square_quotient(ctx3), M, 4, summands=summands)
     assert amr.terminated
-    assert sections == []
+
+
+def test_twisted_copy_of_a_summand_is_dropped(ctx3):
+    """(R, Omega k, Omega k twisted by 1) resolves exactly like (R, Omega k):
+    the twisted copy is isomorphic up to twist to an earlier summand."""
+    R = free_module(ctx3)
+    k = residue_field(ctx3)
+    o1 = syzygy(k, 1)
+    wordy = (R, o1, o1.twist(1))
+    basic, _ = homalg._radicals(wordy)
+    assert len(basic) == 2 and basic[0] is R and basic[1] is o1
+    for z in (k, square_quotient(ctx3)):
+        want = add_M_resolution(z, direct_sum(R, o1), 4, summands=(R, o1))
+        got = add_M_resolution(z, functools.reduce(direct_sum, wordy), 4,
+                               summands=wordy)
+        assert got.terminated and want.terminated
+        assert got.modules == want.modules
+        assert ([ev.source.gen_degrees for ev in got.approximations]
+                == [ev.source.gen_degrees for ev in want.approximations])
+
+
+def test_equal_presentation_degrees_are_told_apart(ctx2):
+    """R/(x) and R/(y) have the same presentation degrees, but Hom between
+    them both ways is generated in degree 1, so no composite is a unit:
+    (R, R/(x), R/(y)) is basic and comes back as given."""
+    x, y = ctx2.variable("x"), ctx2.variable("y")
+    Rx, Ry = (make_module([0], FreeModuleMap(ctx2, (1,), (0,), [[v]]), ctx2)
+              for v in (x, y))
+    summands = (free_module(ctx2), Rx, Ry)
+    basic, _ = homalg._radicals(summands)
+    assert len(basic) == 3 and all(a is b for a, b in zip(basic, summands))
+    M = functools.reduce(direct_sum, summands)
+    amr = add_M_resolution(square_quotient(ctx2), M, 4, summands=summands)
+    assert amr.terminated
+    assert [K.rank for K in amr.modules] == [1, 4, 5, 2]
+    for inc, ev in zip(amr.inclusions, amr.approximations):
+        assert ev.compose(inc).is_zero() and kernel(inc).is_zero()
+
+
+def test_zero_summand_is_dropped(ctx3):
+    R = free_module(ctx3)
+    k = residue_field(ctx3)
+    o1, o2 = syzygy(k, 1), syzygy(k, 2)
+    zero = make_module([], None, ctx3)
+    basic, _ = homalg._radicals((R, zero, o2))
+    assert len(basic) == 2 and basic[0] is R and basic[1] is o2
+    amr = add_M_resolution(o1, direct_sum(R, o2), 4, summands=(R, zero, o2))
+    assert [K.rank for K in amr.modules] == [3, 6, 3]
+
+
+def test_decomposable_non_free_summand_is_refused(ctx3):
+    """Omega k + Omega k as one block has a two-dimensional End_0 and no
+    free summand to split off: M is refused, naming the summand."""
+    R = free_module(ctx3)
+    oo = direct_sum(*[syzygy(residue_field(ctx3), 1)] * 2)
+    with pytest.raises(AlgebraError, match="summand 1 of M"):
+        add_M_resolution(residue_field(ctx3), direct_sum(R, oo), 2,
+                         summands=(R, oo))
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_cover_splits_iff_identity_in_factor_ideal(seed):
-    """On every kernel of the seeded scenarios' add-M resolutions, the add-M
-    cover splits exactly when id_K lies in [M]; the last kernel of each
-    terminated resolution is in add M and the earlier ones are not."""
+    """On every kernel of the seeded scenarios' add-M resolutions, the
+    minimal add-M cover is injective, so an isomorphism and split, exactly
+    when id_K lies in [M]; the last kernel of each terminated resolution is
+    in add M and the earlier ones are not."""
     for z, M, summands in _seeded_scenarios(seed):
         amr = add_M_resolution(z, M, 4, summands=summands)
         assert amr.terminated
         members = [_identity_in_factor_ideal(K, M) for K in amr.modules]
         assert members == [False] * amr.depth + [True]
-        assert [_cover_splits(K, M, summands)
+        assert [_cover_injective(K, M, summands)
                 for K in amr.modules] == members
 
 
@@ -863,212 +834,16 @@ def test_add_M_resolution_depth_zero_tests_membership(ctx3):
 
 
 def test_add_M_resolution_builds_no_factor_ideal(ctx3, monkeypatch):
-    """Neither exit of the resolution builds the factor ideal [M], at a
-    step >= 1 or at the last allowed step: with the summands (R, Ω²k),
-    proven basic, it stops on an injective cover and tests no section; with
-    M = R ⊕ Ω²k given whole it stops on a checked section of the cover."""
-    calls = []
-    sections = []
-    original = homalg.factor_ideal
-    factorization = homalg.hom_factorization
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    def recording(*args):
-        sections.append(args)
-        return factorization(*args)
-
-    monkeypatch.setattr(homalg, "factor_ideal", counting)
-    monkeypatch.setattr(homalg, "hom_factorization", recording)
+    """The exit of the resolution, at a step >= 1 or at the last allowed
+    step, builds no factor ideal [M]: with the summands (R, Omega^2 k) or
+    with M = R + Omega^2 k given whole, it stops on an injective cover."""
+    calls = _recording(monkeypatch, "factor_ideal")
     R = free_module(ctx3)
     k = residue_field(ctx3)
     o1, o2 = syzygy(k, 1), syzygy(k, 2)
     M = direct_sum(R, o2)
     for summands in ((R, o2), None):
-        sections.clear()
         for depth in (0, 1, 2, 4):
             amr = add_M_resolution(o1, M, depth, summands=summands)
             assert amr.terminated == (depth >= 2)
-        assert bool(sections) == (summands is None)
     assert calls == []
-
-
-# -- hom_factorization against the decision in Hom(source f, target) ---------
-
-def _factors_in_hom_coordinates(fs, g):
-    """Whether each f lies in the image of Hom(source f, g), decided on the
-    presentation of Hom(source f, target): the reference for
-    ``hom_factorization``, which lifts in the ambient Hom(cover of source f,
-    target) instead.  One lift block per source."""
-    blocks = {}
-    out = []
-    for f in fs:
-        if id(f.source) not in blocks:
-            H = hom_module(f.source, g.source)
-            HT = hom_module(f.source, g.target)
-            blocks[id(f.source)] = (HT, induced_post_hom(g, H, HT).matrix
-                                    .hstack(HT.module.relations))
-        HT, block = blocks[id(f.source)]
-        out.append(lift_solve(block, HT.coords_map((f,))) is not None)
-    return out
-
-
-def _factorization_cases(K, M, summands=None, sources=()):
-    """(fs, g): g the add-M cover of K; fs the identity of K and the minimal
-    generators of Hom(S, K) for each S in ``sources``."""
-    if K.is_zero():
-        return [], None
-    g = add_M_resolution(K, M, 1, summands=summands).approximations[0]
-    fs = [ModuleMorphism.identity(K)]
-    for src in sources:
-        h = hom_module(src, K)
-        fs += [h.basis_morphisms[i]
-               for i in minimal_generator_indices(h.module)]
-    return fs, g
-
-
-def _check_factorizations(fs, g, M):
-    """Whether each f factors through g, checked against the reference; a
-    returned h satisfies g o h == f, and every map from M factors."""
-    found = []
-    for f, want in zip(fs, _factors_in_hom_coordinates(fs, g)):
-        h = hom_factorization(f, g)
-        assert (h is not None) == want
-        if h is not None:
-            assert g.compose(h) == f
-        if f.source is M:
-            assert h is not None
-        found.append(h is not None)
-    return found
-
-
-def test_hom_factorization_matches_hom_coordinates_on_membership(ctx3):
-    for K, M, member in _membership_cases(ctx3):
-        found = _check_factorizations(
-            *_factorization_cases(K, M, sources=(K, M)), M)
-        # the identity factors exactly when K lies in add M
-        assert found[0] == member
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_hom_factorization_matches_hom_coordinates_on_kernels(seed):
-    """On every kernel of the seeded scenarios' add-M resolutions: its
-    identity and the generators of Hom(M, K)."""
-    found = []
-    for z, M, summands in _seeded_scenarios(seed):
-        amr = add_M_resolution(z, M, 4, summands=summands)
-        for K in amr.modules:
-            found += _check_factorizations(
-                *_factorization_cases(K, M, summands, sources=(M,)), M)
-    assert True in found and False in found
-
-
-def test_hom_factorization_builds_no_hom_module(ctx3, monkeypatch):
-    """The section test and every other factorization is one lift in the
-    ambient Hom(cover of source f, source g): no Hom module is presented,
-    through ``hom_module`` or by constructing a ``HomModule``."""
-    o1, R = syzygy(residue_field(ctx3), 1), free_module(ctx3)
-    fs, g = _factorization_cases(o1, R, sources=(o1, R))
-    calls = []
-    real_hom, real_init = homalg.hom_module, homalg.HomModule.__init__
-
-    def counting_hom(*args):
-        calls.append(("hom_module", args))
-        return real_hom(*args)
-
-    def counting_init(self, *args):
-        calls.append(("HomModule", args))
-        real_init(self, *args)
-
-    monkeypatch.setattr(homalg, "hom_module", counting_hom)
-    monkeypatch.setattr(homalg.HomModule, "__init__", counting_init)
-    found = [hom_factorization(f, g) is not None for f in fs]
-    assert calls == []
-    # the identity of Omega k does not factor through its free cover, and
-    # every map from R does
-    assert found[0] is False and found[-1] is True
-
-
-# -- the add-M cover prune ---------------------------------------------------
-
-def _constant_map(ctx, cols, rank):
-    """Map R^len(cols) -> R^rank, all degrees 0, with constant columns."""
-    return FreeModuleMap(ctx, (0,) * len(cols), (0,) * rank,
-                         [[ctx.constant(c) for c in col] for col in cols])
-
-
-def _constant_hom(ctx, rank, relations):
-    """Stand-in for the Hom(m, K) of a cover: what ``_cover_selection``
-    reads, a module of rank ``rank`` with constant relation columns."""
-    rel = _constant_map(ctx, relations, rank)
-    return types.SimpleNamespace(ctx=ctx,
-                                 module=make_module((0,) * rank, rel, ctx))
-
-
-def _greedy_deletion(base, blocks, degrees, rank, p):
-    """The prune rule trial by trial: drop blocks in (-degree, index) order
-    while the constant rows of the rest and of the relations have full
-    rank, each trial a dense rank over F_p."""
-    def covers(sel):
-        rows = base + [v for j in sel for v in blocks[j]]
-        return bool(rows) and rank_mod_p(rows, p) == rank
-
-    kept = list(range(len(blocks)))
-    assert covers(kept)
-    for j in sorted(kept, key=lambda j: (-degrees[j], j)):
-        trial = [i for i in kept if i != j]
-        if covers(trial):
-            kept = trial
-    return kept
-
-
-def test_cover_selection_deletes_greedily_on_blocks(ctx2):
-    """A = {e1}, B = {e1, e2}, C = {e2} in one degree: dropping A leaves
-    B + C, B cannot go after it, and C can, so only B is kept.  A basis
-    grown by inserting blocks from the back would keep B and C."""
-    hmk = _constant_hom(ctx2, 2, [])
-    blocks = [[[1, 0]], [[1, 0], [0, 1]], [[0, 1]]]
-    comp = [_constant_map(ctx2, b, 2) for b in blocks]
-    assert homalg._cover_selection(hmk, comp, [0, 0, 0]) == [1]
-    assert _greedy_deletion([], blocks, [0, 0, 0], 2, 101) == [1]
-
-
-def test_cover_selection_matches_greedy_deletion_on_random_blocks(ctx2):
-    """Seeded constant blocks and relations over F_101, sparse enough that
-    trials both succeed and fail: the selection equals the trial-by-trial
-    rule."""
-    rng = random.Random(20261019)
-    p = ctx2.characteristic
-    dropped = kept = 0
-    for _ in range(60):
-        rank = rng.randrange(1, 6)
-
-        def row():
-            return [rng.choice((0, 0, 0, 1, rng.randrange(p)))
-                    for _ in range(rank)]
-
-        base = [row() for _ in range(rng.randrange(3))]
-        blocks = [[row() for _ in range(rng.randrange(1, 3))]
-                  for _ in range(rng.randrange(1, 7))]
-        rows = base + [v for b in blocks for v in b]
-        if rank_mod_p(rows, p) < rank:
-            blocks.append([[int(i == j) for i in range(rank)]
-                           for j in range(rank)])
-        degrees = [rng.randrange(3) for _ in blocks]
-        want = _greedy_deletion(base, blocks, degrees, rank, p)
-        comp = [_constant_map(ctx2, b, rank) for b in blocks]
-        got = homalg._cover_selection(_constant_hom(ctx2, rank, base), comp,
-                                      degrees)
-        assert got == want
-        dropped += len(blocks) - len(want)
-        kept += len(want)
-    assert dropped > 0 and kept > 0
-
-
-def test_cover_selection_refuses_candidates_that_do_not_cover(ctx2):
-    hmk = _constant_hom(ctx2, 2, [])
-    comp = [_constant_map(ctx2, [[1, 0]], 2)]
-    with pytest.raises(EngineError, match="fail to cover"):
-        homalg._cover_selection(hmk, comp, [0])
