@@ -657,22 +657,21 @@ def _recording(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_top_cover_keeps_the_quotient_rule_counts(seed, monkeypatch):
-    """On the add-M resolutions of the exact2 scenarios and of the
-    scenarios whose M is not basic as written, every cover read off the
-    top of Hom(M, K) has as many blocks of each (reduced) summand and
-    degree as the dense greedy deletion by the zero-quotient rule keeps
-    over all composites."""
+def _check_top_covers_against_quotient_rule(cases, monkeypatch):
+    """Run the add-M resolution of each (z, M, summands) in ``cases`` and
+    check every cover read off the top of Hom(M, K) against the dense
+    greedy deletion by the zero-quotient rule over all composites of the
+    (reduced) summands: the same number of blocks of each summand and
+    degree.  Returns the reduced summand lists seen and how many
+    candidates the reference dropped."""
     calls = _recording(monkeypatch, "_top_selection")
-    cases = _seeded_scenarios(seed) + [
-        case[:3] for case in _non_basic_scenarios(seed)]
-    dropped = 0
+    seen, dropped = [], 0
     for z, M, summands in cases:
         calls.clear()
         assert add_M_resolution(z, M, 4, summands=summands).terminated
         assert calls
         for (K, basic, _), kept in calls:
+            seen.append(basic)
             hmk = hom_module(M, K)
             blocks, degrees, labels = _all_composites(hmk, M, basic)
             want = _quotient_rule_selection(hmk, blocks, degrees)
@@ -680,7 +679,33 @@ def test_top_cover_keeps_the_quotient_rule_counts(seed, monkeypatch):
                     == collections.Counter((labels[j], degrees[j])
                                            for j in want))
             dropped += len(blocks) - len(want)
+    return seen, dropped
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_top_cover_keeps_the_quotient_rule_counts(seed, monkeypatch):
+    """On the add-M resolutions of the exact2 scenarios, whose M is basic,
+    every cover read off the top of Hom(M, K) has as many blocks of each
+    summand and degree as the dense greedy deletion by the zero-quotient
+    rule keeps over all composites."""
+    _, dropped = _check_top_covers_against_quotient_rule(
+        _seeded_scenarios(seed), monkeypatch)
     # the reference is not vacuous: some cover drops a candidate
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pruned_cover_keeps_the_quotient_rule_selection(seed, monkeypatch):
+    """An M that is not basic as written, (R, R) or R + Omega^2 k passed
+    whole, is reduced to basic summands before its covers are read off the
+    top of Hom(M, K); those covers keep the selection of the zero-quotient
+    rule over all composites of the reduced summands."""
+    cases = [case[:3] for case in _non_basic_scenarios(seed)]
+    seen, dropped = _check_top_covers_against_quotient_rule(
+        cases, monkeypatch)
+    # every cover was read off the reduced summands, never the given ones
+    assert {tuple(S.gen_degrees for S in basic) for basic in seen} == {
+        ((0,),), ((0,), (2, 2, 2))}
     assert dropped > 0
 
 
