@@ -341,7 +341,17 @@ def _run_verify_claim1(job, report, max_degree, depth):
 
 
 def _run_verify_exact2(job, report, max_degree, depth):
-    v = verify_exact2(_hypotheses(job), _need_int(job, "depth", depth))
+    h = _hypotheses(job)
+    try:
+        v = verify_exact2(h, _need_int(job, "depth", depth))
+    except AlgebraError as e:
+        l = getattr(e, "summand", None)
+        if l is None:
+            raise
+        # the refusal names the summand by its index; the job knows its name
+        name = job.params.get("summands", [job.params["M"]])[l]
+        raise AlgebraError(str(e).replace(f"summand {l} ", f"summand {name} ",
+                                          1)) from None
     report["verdict"] = _verdict_desc(v)
     return v.ok
 

@@ -39,7 +39,8 @@ from .ring import (LEX, AlgebraError, DegreeError, Polynomial, RingContext,
 # MAX_EXPONENT; the 31 value bits of a field leave room for the products
 # formed between checks (a composition adds two degrees).  Only this module
 # reads the bits of a term; others use ``term``, ``split_term``,
-# ``term_pos``, ``shift_term`` and ``is_constant``.
+# ``term_pos``, ``shift_term``, ``is_constant`` and the vector forms
+# ``shift_vec``, ``split_vec`` and ``vec_below``.
 
 FIELD_BITS = 32
 POS_BITS = 24
@@ -140,6 +141,36 @@ def shift_term(ctx: RingContext, t: int, k: int) -> int:
         raise AlgebraError(f"free-module position {lay.pos(t) + k} is out of "
                            f"range 0..{MAX_POSITION}")
     return t + (k << lay.eb)
+
+
+def shift_vec(ctx: RingContext, v: dict, k: int) -> dict:
+    """v with every term moved from its position to that position + k."""
+    lay = _layout(ctx)
+    if v and k:
+        edge = lay.pos((max if k > 0 else min)(t & lay.posmask for t in v))
+        if not 0 <= edge + k <= MAX_POSITION:
+            raise AlgebraError(f"free-module position {edge + k} is out of "
+                               f"range 0..{MAX_POSITION}")
+    s = k << lay.eb
+    return {t + s: c for t, c in v.items()}
+
+
+def split_vec(ctx: RingContext, v: dict, size: int, count: int):
+    """``count`` vectors, the j-th made of the terms of v in positions
+    j * size .. (j + 1) * size - 1, moved down by j * size."""
+    lay = _layout(ctx)
+    out = [{} for _ in range(count)]
+    for t, c in v.items():
+        j = lay.pos(t) // size
+        out[j][t - ((j * size) << lay.eb)] = c
+    return out
+
+
+def vec_below(ctx: RingContext, v: dict, k: int) -> dict:
+    """The terms of v in positions below k."""
+    lay = _layout(ctx)
+    bound = k << lay.eb
+    return {t: c for t, c in v.items() if t & lay.posmask < bound}
 
 
 def is_constant(ctx: RingContext, t: int) -> bool:
@@ -262,10 +293,11 @@ def reduce_vec(v: dict, basis, reducers, ctx: RingContext) -> dict:
 
 def _push(basis, lts, reducers, v, ctx: RingContext):
     """Append v, made monic, and its leading term to the basis, its leading
-    terms and their index."""
+    terms and their index.  A v that is already monic is kept, not copied."""
     t = min(v)
     reducers.setdefault(t & _layout(ctx).posmask, []).append((t, len(basis)))
-    basis.append(vec_scale(v, ctx.inv(v[t]), ctx.characteristic))
+    c = v[t]
+    basis.append(v if c == 1 else vec_scale(v, ctx.inv(c), ctx.characteristic))
     lts.append(t)
 
 
@@ -571,13 +603,15 @@ class FreeModuleMap:
         """
         if self._ext_gb is not None:
             return self._ext_gb
-        t = self.target_rank
-        zero = (0,) * self.ctx.nvars
-        elim = _layout(self.ctx).elim
+        last = self.target_rank + len(self._vecs) - 1
+        if last > MAX_POSITION:
+            raise AlgebraError(f"free-module position {last} is out of range "
+                               f"0..{MAX_POSITION}")
+        flag, eb = _unflag(self), _layout(self.ctx).eb
         vecs = []
         for j, col in enumerate(self._vecs):
             v = dict(col)
-            v[term(self.ctx, t + j, zero) + elim] = 1
+            v[flag + (j << eb)] = 1       # the flagged term of e_{t+j}
             vecs.append(v)
         self._ext_gb = buchberger(vecs, self.ctx)
         return self._ext_gb

@@ -9,11 +9,12 @@ import itertools
 from typing import NamedTuple
 
 from .ring import AlgebraError, EngineError
-from .groebner import (FreeModuleMap, lift_solve, shift_term, term,
-                       term_pos)
-from .modules import (FPModule, ModuleMorphism, INFINITE, _nakayama_keep,
-                      _shifted, cokernel, direct_sum, free_module, homology,
-                      kernel, kernel_with_inclusion, minimal_generator_indices,
+from .groebner import (FreeModuleMap, lift_solve, shift_term, shift_vec,
+                       split_vec, term, term_pos, vec_below)
+from .modules import (FPModule, ModuleMorphism, INFINITE, _beside,
+                      _kernel_modulo, _nakayama_keep, _shifted, cokernel,
+                      direct_sum, free_module, homology, kernel,
+                      kernel_with_inclusion, minimal_generator_indices,
                       minimal_presentation, minimal_resolution, syzygy)
 
 
@@ -33,16 +34,18 @@ def hom_free(degrees, n: FPModule) -> FPModule:
     for jblk, d in enumerate(degrees):
         for v, e in zip(n.relations.column_vecs(),
                         n.relations.source_degrees):
-            vecs.append({shift_term(ctx, t, jblk * nr): c
-                         for t, c in v.items()})
+            vecs.append(shift_vec(ctx, v, jblk * nr))
             col_degs.append(e - d)
     rel = FreeModuleMap.from_vecs(ctx, vecs, gens, col_degs)
     return FPModule(ctx, gens, rel, check=False)
 
 
-def induced_hom_map(d: FreeModuleMap, n: FPModule) -> ModuleMorphism:
-    """Hom(target(d), n) -> Hom(source(d), n), composition with d."""
-    hb = hom_free(d.target_degrees, n)
+def induced_hom_map(d: FreeModuleMap, n: FPModule,
+                    hb: FPModule | None = None) -> ModuleMorphism:
+    """Hom(target(d), n) -> Hom(source(d), n), composition with d; ``hb``
+    is Hom(target(d), n) when it is already built."""
+    if hb is None:
+        hb = hom_free(d.target_degrees, n)
     ha = hom_free(d.source_degrees, n)
     nr = n.rank
     # basis vector (j, i) goes to row j of d, placed at the offsets i: the
@@ -56,7 +59,15 @@ def induced_hom_map(d: FreeModuleMap, n: FPModule) -> ModuleMorphism:
 
 
 class HomModule:
-    """Presentation of Hom_R(source, target) with realized generators."""
+    """Presentation of Hom_R(source, target) with realized generators.
+
+    It lies in the ambient Hom(F_0, target), F_0 the cover of source, as
+    the kernel of composition with the relations F_1 -> F_0 of source (the
+    whole ambient when source is free).  The generators ``_incl`` sit
+    beside the ambient relations in one block, whose syzygies give the
+    relations of a kernel and whose extended basis gives every lift of
+    ``coords_map``.
+    """
 
     def __init__(self, source: FPModule, target: FPModule):
         self.source = source
@@ -65,28 +76,23 @@ class HomModule:
         if ctx != target.ctx:
             raise AlgebraError("context mismatch in Hom")
         self.ctx = ctx
-        self._ambient = hom_free(source.gen_degrees, target)
+        self._ambient = amb = hom_free(source.gen_degrees, target)
         a = source.relations
         if a.source_rank == 0:
-            self.module = self._ambient
-            self._incl = FreeModuleMap.identity(ctx, self._ambient.gen_degrees)
+            self.module = amb
+            self._incl = FreeModuleMap.identity(ctx, amb.gen_degrees)
+            self._block = _beside(self._incl, amb.relations)
         else:
-            phi = induced_hom_map(a, target)
-            K, incl = kernel_with_inclusion(phi)
-            self.module = K
-            self._incl = incl.matrix
-        self.basis_morphisms = [
-            _unjoined(v, source, target, deg, check=False)
-            for v, deg in zip(self._incl.column_vecs(),
-                              self.module.gen_degrees)]
-        self._lift_block = None
+            phi = induced_hom_map(a, target, amb)
+            self.module, self._incl, self._block = _kernel_modulo(
+                phi, amb.relations)
 
-    def _block(self) -> FreeModuleMap:
-        """Generators beside the ambient relations, built once so that every
-        lift reuses its cached elimination basis."""
-        if self._lift_block is None:
-            self._lift_block = self._incl.hstack(self._ambient.relations)
-        return self._lift_block
+    @functools.cached_property
+    def basis_morphisms(self):
+        """The generators of ``module`` as morphisms source -> target."""
+        return [_unjoined(v, self.source, self.target, deg, check=False)
+                for v, deg in zip(self._incl.column_vecs(),
+                                  self.module.gen_degrees)]
 
     def coords_of_morphism(self, f: ModuleMorphism) -> dict:
         """Coordinate vector of f on the presentation generators."""
@@ -104,11 +110,11 @@ class HomModule:
         if not rhs.source_rank:
             return FreeModuleMap.zero_map(self.ctx, (),
                                           self.module.gen_degrees)
-        sol = lift_solve(self._block(), rhs)
+        sol = lift_solve(self._block, rhs)
         if sol is None:
             raise EngineError("morphism does not lie in its Hom module")
         return FreeModuleMap.from_vecs(
-            self.ctx, [_generator_part(self.ctx, v, self.module.rank)
+            self.ctx, [vec_below(self.ctx, v, self.module.rank)
                        for v in sol.column_vecs()],
             self.module.gen_degrees, rhs.source_degrees)
 
@@ -127,9 +133,14 @@ def _joined(ctx, morphisms, degrees) -> FreeModuleMap:
     ``hom_free(source.gen_degrees, target)``, whose generator degrees are
     ``degrees``."""
     morphisms = list(morphisms)
-    vecs = [{shift_term(ctx, t, j * f.target.rank): c
-             for j, v in enumerate(f.matrix.column_vecs())
-             for t, c in v.items()} for f in morphisms]
+    vecs = []
+    for f in morphisms:
+        vec = {}
+        nr = f.target.rank
+        for j, v in enumerate(f.matrix.column_vecs()):
+            if v:
+                vec.update(shift_vec(ctx, v, j * nr))
+        vecs.append(vec)
     return FreeModuleMap.from_vecs(ctx, vecs, degrees,
                                    [f.degree for f in morphisms])
 
@@ -139,20 +150,11 @@ def _unjoined(vec: dict, source: FPModule, target: FPModule, deg: int,
     """Morphism source -> target of degree ``deg`` whose matrix columns,
     joined end to end, form the ambient vector ``vec``."""
     ctx = source.ctx
-    nr = target.rank
-    cols = [{} for _ in range(source.rank)]
-    for t, c in vec.items():
-        j = term_pos(ctx, t) // nr
-        cols[j][shift_term(ctx, t, -j * nr)] = c
+    cols = split_vec(ctx, vec, target.rank, source.rank)
     mat = FreeModuleMap.from_vecs(
         ctx, cols, target.gen_degrees,
         tuple(d + deg for d in source.gen_degrees))
     return ModuleMorphism(source, target, mat, degree=deg, check=check)
-
-
-def _generator_part(ctx, vec: dict, rank: int) -> dict:
-    """The terms of ``vec`` in positions below ``rank``."""
-    return {t: c for t, c in vec.items() if term_pos(ctx, t) < rank}
 
 
 def hom_module(m: FPModule, n: FPModule) -> HomModule:
@@ -231,13 +233,19 @@ def is_d_torsionfree(m: FPModule, d: int) -> bool:
 
 
 def generator_split_pair(m: FPModule):
-    """(f: m -> R, g: R -> m) with f o g = id, or None.
+    """(f: m -> R, g: R -> m) with f o g = id, or None; cached on m.
 
     The trace ideal of m is generated by the values of the Hom(m, R)
     generators on the generators of m; since those values are homogeneous,
     the trace ideal is the unit ideal exactly when one of them is a nonzero
     constant, which immediately yields the split pair.
     """
+    if m._split is None:
+        m._split = (_split_pair(m),)
+    return m._split[0]
+
+
+def _split_pair(m: FPModule):
     ctx = m.ctx
     R = free_module(ctx)
     h = hom_module(m, R)
@@ -431,9 +439,10 @@ def _radicals(summands):
     M' is basic when each summand has End(S_l)_0 = k (so it is
     indecomposable) and no two are isomorphic up to twist.  A summand with
     a larger End_0 has its free summands split off, one split pair at a
-    time; what is left must then have End_0 = k, or M is refused.  Zero
-    summands are dropped, and so is a summand isomorphic up to twist to an
-    earlier one: with End_0 = k on both sides, S_a and S_b are isomorphic
+    time; what is left must then have End_0 = k, or M is refused by an
+    AlgebraError whose ``summand`` is the index l of S_l.  Zero summands
+    are dropped, and so is a summand isomorphic up to twist to an earlier
+    one: with End_0 = k on both sides, S_a and S_b are isomorphic
     up to twist exactly when minimal generators f of Hom(S_a, S_b) and g of
     Hom(S_b, S_a) of opposite degrees compose to a nonzero g o f, an
     element of End(S_a)_0 = k (a composite with a factor in the maximal
@@ -461,10 +470,12 @@ def _radicals(summands):
         while dim0 > 1:
             pair = generator_split_pair(S)
             if pair is None:
-                raise AlgebraError(
+                err = AlgebraError(
                     f"summand {l} of M (generator degrees "
                     f"{list(summands[l].gen_degrees)}) decomposes beyond its "
                     "free summands; give its indecomposable summands")
+                err.summand = l
+                raise err
             parts.append((R, end_zero(R)[1]))
             S = minimal_presentation(cokernel(pair[1]))[0]
             dim0, gens = end_zero(S)
@@ -510,8 +521,8 @@ def _top_selection(K: FPModule, summands, rad):
         comps = h.coords_map(g.compose(rho) for b, g in morphs
                              for rho in rad[a][b]
                              if g.degree + rho.degree in degrees)
-        span += [{shift_term(ctx, t, offsets[a]): c for t, c in v.items()}
-                 for v in h.module.relations.hstack(comps).constant_vecs()]
+        rows = h.module.relations.hstack(comps).constant_vecs()
+        span += [shift_vec(ctx, v, offsets[a]) for v in rows]
     zero = (0,) * ctx.nvars
     units = [{term(ctx, offsets[l] + i, zero): 1} for l, i in cands]
     kept = _nakayama_keep(ctx, span, units, [g.degree for _, g in morphs])

@@ -14,8 +14,8 @@ import math
 from .ring import (AlgebraError, EngineError, RingContext, mono_degree,
                    mono_divides, monomials_of_degree)
 from .groebner import (FreeModuleMap, GroebnerBasis, buchberger,
-                       is_constant, shift_term, split_term, syzygy_basis,
-                       term, term_pos)
+                       is_constant, shift_vec, split_term, syzygy_basis,
+                       term, term_pos, vec_below)
 
 INFINITE = math.inf
 
@@ -33,17 +33,23 @@ def column_relations(x: FreeModuleMap, y: FreeModuleMap | None) -> FreeModuleMap
     With y empty this is just the syzygy module of x.  The output is a map
     into the source of x.
     """
-    if y is None or y.source_rank == 0:
-        return syzygy_basis(x)
-    block = x.hstack(y)
+    return _block_relations(_beside(x, y), x)
+
+
+def _beside(x: FreeModuleMap, y: FreeModuleMap | None) -> FreeModuleMap:
+    """The block [x | y], which is x itself when y has no columns."""
+    return x if y is None or y.source_rank == 0 else x.hstack(y)
+
+
+def _block_relations(block: FreeModuleMap, x: FreeModuleMap) -> FreeModuleMap:
+    """``column_relations(x, y)`` read off the syzygies of block = [x | y]."""
     syz = syzygy_basis(block)
+    if block is x:
+        return syz
     k = x.source_rank
-    vecs = []
-    for v in syz.column_vecs():
-        proj = {t: c for t, c in v.items() if term_pos(x.ctx, t) < k}
-        if proj:
-            vecs.append(proj)
-    return FreeModuleMap.from_vecs(x.ctx, vecs, x.source_degrees)
+    vecs = [vec_below(x.ctx, v, k) for v in syz.column_vecs()]
+    return FreeModuleMap.from_vecs(x.ctx, list(filter(None, vecs)),
+                                   x.source_degrees)
 
 
 class FPModule:
@@ -65,6 +71,7 @@ class FPModule:
         self._res_maps = None      # list of minimal resolution differentials
         self._res_complete = False
         self._syz_cache = {}
+        self._split = None         # (generator_split_pair(self),)
 
     # -- basics --------------------------------------------------------------
 
@@ -272,8 +279,7 @@ def direct_sum_with_maps(a: FPModule, b: FPModule):
     gens = a.gen_degrees + b.gen_degrees
     ra, rb = a.rank, b.rank
     vecs = a.relations.column_vecs() + [
-        {shift_term(ctx, t, ra): c for t, c in v.items()}
-        for v in b.relations.column_vecs()]
+        shift_vec(ctx, v, ra) for v in b.relations.column_vecs()]
     rel = FreeModuleMap.from_vecs(
         ctx, vecs, gens,
         a.relations.source_degrees + b.relations.source_degrees)
@@ -306,20 +312,23 @@ def direct_sum(a: FPModule, b: FPModule) -> FPModule:
 # -- kernels, images, cokernels ---------------------------------------------
 
 def _kernel_modulo(g: ModuleMorphism, sub: FreeModuleMap):
-    """(K, pre): the kernel of g modulo the span of the columns ``sub`` on
-    the cover of g's source, and the columns ``pre`` of K's generators."""
+    """(K, pre, block): the kernel of g modulo the span of the columns
+    ``sub`` on the cover of g's source, the columns ``pre`` of K's
+    generators, and the block [pre | sub] whose syzygies give K's relations.
+    The block keeps its extended basis, which also lifts into K."""
     ctx = g.ctx
     pre = column_relations(g.matrix, g.target.relations)
     # pre lives over the shifted cover of the source; shift degrees back
     gen_degrees = tuple(d - g.degree for d in pre.source_degrees)
-    rel = column_relations(pre, _shifted(sub, g.degree))
+    block = _beside(pre, _shifted(sub, g.degree))
+    rel = _block_relations(block, pre)
     rel = rel.regraded(tuple(d - g.degree for d in rel.source_degrees),
                        gen_degrees)
-    return FPModule(ctx, gen_degrees, rel, check=False), pre
+    return FPModule(ctx, gen_degrees, rel, check=False), pre, block
 
 
 def kernel_with_inclusion(f: ModuleMorphism):
-    K, pre = _kernel_modulo(f, f.source.relations)
+    K, pre, _ = _kernel_modulo(f, f.source.relations)
     incl_mat = pre.regraded(K.gen_degrees, f.source.gen_degrees)
     return K, ModuleMorphism(K, f.source, incl_mat, check=False)
 

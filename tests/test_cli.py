@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from ncres import cli
+from ncres import cli, homalg
 from ncres.ring import EngineError, ParseError
 from ncres.cli import (CANONICAL_MARK, TIMING_MARK, JobSpec, main, parse_job,
                        print_job, run_job)
@@ -265,6 +265,30 @@ def test_add_M_report_does_not_depend_on_how_M_is_written(name):
     assert run_job(parse_job(whole))[0] == want
 
 
+@pytest.mark.parametrize("written", ["listed", "whole"])
+def test_exact2_builds_hom_into_R_once_per_module(written, monkeypatch):
+    """One verify-exact2 run builds Hom(m, R) at most once for each module
+    object m: the split pair that ``validate``, ``add_M_resolution`` and
+    the summand reduction all ask for is cached on m."""
+    doc = JOBS["exact2-s4"]
+    if written == "whole":
+        doc = "".join(line for line in doc.splitlines(keepends=True)
+                      if not line.startswith("summands:"))
+    sources = []              # kept alive, so that ids stay distinct
+    real = homalg.HomModule.__init__
+
+    def counting(self, source, target):
+        if (target.gen_degrees == (0,)
+                and target.relations.source_rank == 0):
+            sources.append(source)
+        real(self, source, target)
+
+    monkeypatch.setattr(homalg.HomModule, "__init__", counting)
+    run_job(parse_job(doc))
+    ids = [id(m) for m in sources]
+    assert ids and len(set(ids)) == len(ids)
+
+
 DECOMPOSABLE_SUMMAND_JOB = (
     RING + K_MOD + R_MOD
     + "module OO: {gens: [1, 1, 1, 1], "
@@ -277,9 +301,10 @@ DECOMPOSABLE_SUMMAND_JOB = (
 
 def test_decomposable_summand_exits_two(tmp_path, capsys):
     """A summand Omega k + Omega k given as one block cannot be made basic:
-    exit 2 with a message naming the summand, and no traceback."""
+    exit 2 with a message naming the summand by its module name, and no
+    traceback."""
     path = write_job(tmp_path, DECOMPOSABLE_SUMMAND_JOB)
     assert main(["--job", path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: summand 1 of M")
+    assert err.startswith("error: summand OO of M")
     assert "indecomposable summands" in err and "Traceback" not in err

@@ -1,8 +1,9 @@
 """The bit layout of packed terms stays in ``groebner.py``.
 
 ``modules``, ``homalg``, ``ncr`` and ``cli`` build and read terms only
-through ``term``, ``split_term``, ``term_pos``, ``shift_term`` and
-``is_constant``: they use no shift or bitwise-and operator and import none
+through ``term``, ``split_term``, ``term_pos``, ``shift_term``,
+``is_constant`` and the vector forms ``shift_vec``, ``split_vec`` and
+``vec_below``: they use no shift or bitwise-and operator and import none
 of the layout's widths, bounds or its per-ring layout object.
 """
 

@@ -13,9 +13,9 @@ import random
 import pytest
 
 from ncres import groebner
-from ncres.groebner import (MAX_EXPONENT, FreeModuleMap, buchberger,
-                            is_constant, shift_term, split_term, term,
-                            term_pos)
+from ncres.groebner import (MAX_EXPONENT, MAX_POSITION, FreeModuleMap,
+                            buchberger, is_constant, shift_term, shift_vec,
+                            split_term, split_vec, term, term_pos, vec_below)
 from ncres.ring import (AlgebraError, RingContext, mono_divides, mono_mul,
                         parse_polynomial)
 
@@ -104,6 +104,28 @@ def test_split_inverts_term(nvars, order, seed):
         assert is_constant(ctx, t) == (not any(m))
 
 
+@pytest.mark.parametrize("nvars, order, seed", CASES)
+def test_vector_forms_match_term_forms(nvars, order, seed):
+    """shift_vec, split_vec and vec_below act term by term as shift_term
+    and term_pos do."""
+    ctx = ctx_of(nvars, order)
+    v = {term(ctx, pos, m): 1 + i for i, (pos, m) in
+         enumerate(sample(seed, nvars))}
+    for k in (0, 3, 7):
+        assert shift_vec(ctx, v, k) == {shift_term(ctx, t, k): c
+                                        for t, c in v.items()}
+    for size in (1, 2, 3):
+        parts = split_vec(ctx, v, size, 2 * SPLIT)
+        joined = {}
+        for j, part in enumerate(parts):
+            assert all(term_pos(ctx, t) < size for t in part)
+            joined.update(shift_vec(ctx, part, j * size))
+        assert joined == v
+    for k in range(2 * SPLIT + 1):
+        assert vec_below(ctx, v, k) == {t: c for t, c in v.items()
+                                        if term_pos(ctx, t) < k}
+
+
 def test_out_of_range_terms_are_refused():
     ctx = ctx_of(2, "grevlex")
     assert split_term(ctx, term(ctx, 0, (MAX_EXPONENT, 0))) == \
@@ -114,6 +136,12 @@ def test_out_of_range_terms_are_refused():
             term(ctx, pos, m)
     with pytest.raises(AlgebraError):
         shift_term(ctx, term(ctx, 1, (0, 0)), -2)
+    v = {term(ctx, 1, (0, 0)): 1, term(ctx, 3, (1, 0)): 1}
+    with pytest.raises(AlgebraError):
+        shift_vec(ctx, v, -2)
+    with pytest.raises(AlgebraError):
+        shift_vec(ctx, v, MAX_POSITION - 2)
+    assert shift_vec(ctx, v, MAX_POSITION - 3)
 
 
 def test_spair_lcm_past_the_bound_is_refused():
