@@ -9,8 +9,7 @@ from .groebner import (FreeModuleMap, GroebnerBasis, buchberger, lift_solve,
                        syzygy_basis)
 from .modules import (FPModule, FreeResolution, INFINITE, ModuleMorphism,
                       cokernel, cokernel_with_projection, direct_sum,
-                      direct_sum_with_maps, free_module, homology, image,
-                      image_with_maps, kernel, kernel_with_inclusion,
+                      free_module, homology, kernel, kernel_with_inclusion,
                       make_module, minimal_generator_indices,
                       minimal_presentation, minimal_resolution, syzygy)
 from .homalg import (AddMResolution, HomModule, LiftExactnessVerdict,

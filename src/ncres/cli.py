@@ -27,8 +27,8 @@ from .modules import (FPModule, INFINITE, ModuleMorphism, free_module,
                       minimal_resolution, syzygy)
 from .homalg import (check_lift_exactness, ext, grade, hom_module,
                      is_d_torsionfree, stable_hom, transpose)
-from .ncr import (ENGINE_VERSION, NCRHypotheses, Verdict, _ring_summary,
-                  corollary_build, verify_claim1, verify_exact2)
+from .ncr import (ENGINE_VERSION, NCRHypotheses, Verdict, corollary_build,
+                  verify_claim1, verify_exact2)
 
 CANONICAL_MARK = "# --- report (canonical) ---"
 TIMING_MARK = "# --- timing (non-canonical) ---"
@@ -205,6 +205,11 @@ def print_job(job: JobSpec) -> str:
 
 
 # -- report helpers ----------------------------------------------------------
+
+def _ring_summary(ctx) -> dict:
+    return {"char": ctx.characteristic, "vars": list(ctx.variables),
+            "order": ctx.order}
+
 
 def _clean(value):
     if value is INFINITE:

@@ -90,7 +90,7 @@ class HomModule:
     @functools.cached_property
     def basis_morphisms(self):
         """The generators of ``module`` as morphisms source -> target."""
-        return [_unjoined(v, self.source, self.target, deg, check=False)
+        return [_unjoined(v, self.source, self.target, deg)
                 for v, deg in zip(self._incl.column_vecs(),
                                   self.module.gen_degrees)]
 
@@ -124,7 +124,7 @@ class HomModule:
         elem = FreeModuleMap.from_vecs(self.ctx, [coords],
                                        self.module.gen_degrees, (degree,))
         return _unjoined(self._incl.compose(elem).column_vec(0), self.source,
-                         self.target, degree, check=False)
+                         self.target, degree)
 
 
 def _joined(ctx, morphisms, degrees) -> FreeModuleMap:
@@ -145,16 +145,17 @@ def _joined(ctx, morphisms, degrees) -> FreeModuleMap:
                                    [f.degree for f in morphisms])
 
 
-def _unjoined(vec: dict, source: FPModule, target: FPModule, deg: int,
-              check: bool) -> ModuleMorphism:
+def _unjoined(vec: dict, source: FPModule, target: FPModule,
+              deg: int) -> ModuleMorphism:
     """Morphism source -> target of degree ``deg`` whose matrix columns,
-    joined end to end, form the ambient vector ``vec``."""
+    joined end to end, form the ambient vector ``vec``; it is not checked
+    to descend to the quotients."""
     ctx = source.ctx
     cols = split_vec(ctx, vec, target.rank, source.rank)
     mat = FreeModuleMap.from_vecs(
         ctx, cols, target.gen_degrees,
         tuple(d + deg for d in source.gen_degrees))
-    return ModuleMorphism(source, target, mat, degree=deg, check=check)
+    return ModuleMorphism(source, target, mat, degree=deg, check=False)
 
 
 def hom_module(m: FPModule, n: FPModule) -> HomModule:
@@ -369,8 +370,6 @@ class LiftExactnessVerdict(NamedTuple):
     """Outcome of testing Hom(w, -) exactness on a short exact sequence."""
 
     hypothesis_holds: bool       # stable Hom(w, Z) vanishes
-    left_exact: bool
-    surjective: bool
     hom_exact: bool
     counterexample: str | None = None
 
@@ -386,23 +385,19 @@ def check_lift_exactness(ses, w: FPModule) -> LiftExactnessVerdict:
         raise AlgebraError("p is not surjective; not a short exact sequence")
     if not homology(prj, inc).is_zero():
         raise AlgebraError("sequence is not exact in the middle")
-    hyp = stable_hom(w, Z).quotient.is_zero()
-    hx = hom_module(w, X)
+    sz = stable_hom(w, Z)
+    hyp = sz.quotient.is_zero()
     hy = hom_module(w, Y)
-    hz = hom_module(w, Z)
-    ind_i = induced_post_hom(inc, hx, hy)
-    ind_p = induced_post_hom(prj, hy, hz)
-    left = kernel(ind_i).is_zero()
-    mid = homology(ind_p, ind_i).is_zero()
+    ind_i = induced_post_hom(inc, hom_module(w, X), hy)
+    ind_p = induced_post_hom(prj, hy, sz.total)
     right = cokernel(ind_p).is_zero()
+    exact = (kernel(ind_i).is_zero() and homology(ind_p, ind_i).is_zero()
+             and right)
     counter = None
-    if hyp and not (left and mid and right):
+    if hyp and not exact:
         counter = ("Hom(w, Z) generator outside the image of Hom(w, Y)"
                    if not right else "exactness failure in the Hom sequence")
-    return LiftExactnessVerdict(hypothesis_holds=hyp,
-                                left_exact=left and mid,
-                                surjective=right,
-                                hom_exact=left and mid and right,
+    return LiftExactnessVerdict(hypothesis_holds=hyp, hom_exact=exact,
                                 counterexample=counter)
 
 

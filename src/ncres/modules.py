@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 from .ring import (AlgebraError, EngineError, RingContext, mono_degree,
                    mono_divides, monomials_of_degree)
@@ -27,22 +28,15 @@ def _shifted(m: FreeModuleMap, e: int) -> FreeModuleMap:
                       tuple(d + e for d in m.target_degrees))
 
 
-def column_relations(x: FreeModuleMap, y: FreeModuleMap | None) -> FreeModuleMap:
-    """Generators of {c : x*c lies in the column span of y}.
-
-    With y empty this is just the syzygy module of x.  The output is a map
-    into the source of x.
-    """
-    return _block_relations(_beside(x, y), x)
-
-
 def _beside(x: FreeModuleMap, y: FreeModuleMap | None) -> FreeModuleMap:
     """The block [x | y], which is x itself when y has no columns."""
     return x if y is None or y.source_rank == 0 else x.hstack(y)
 
 
 def _block_relations(block: FreeModuleMap, x: FreeModuleMap) -> FreeModuleMap:
-    """``column_relations(x, y)`` read off the syzygies of block = [x | y]."""
+    """Generators of {c : x*c lies in the column span of y}, a map into the
+    source of x, read off the syzygies of block = [x | y]; with y empty
+    they are the syzygies of x."""
     syz = syzygy_basis(block)
     if block is x:
         return syz
@@ -270,46 +264,20 @@ class ModuleMorphism:
 
 # -- direct sums -------------------------------------------------------------
 
-def direct_sum_with_maps(a: FPModule, b: FPModule):
-    """(a + b, inject_a, inject_b, project_a, project_b)."""
+def direct_sum(a: FPModule, b: FPModule) -> FPModule:
     if a.ctx != b.ctx:
         raise AlgebraError("context mismatch in direct sum")
     ctx = a.ctx
-    zero = (0,) * ctx.nvars
     gens = a.gen_degrees + b.gen_degrees
-    ra, rb = a.rank, b.rank
     vecs = a.relations.column_vecs() + [
-        shift_vec(ctx, v, ra) for v in b.relations.column_vecs()]
+        shift_vec(ctx, v, a.rank) for v in b.relations.column_vecs()]
     rel = FreeModuleMap.from_vecs(
         ctx, vecs, gens,
         a.relations.source_degrees + b.relations.source_degrees)
-    s = FPModule(ctx, gens, rel, check=False)
-
-    def units(positions, target_degrees, source_degrees):
-        """Map sending basis vector j to e_positions[j], or to 0 at None."""
-        return FreeModuleMap.from_vecs(
-            ctx, [{} if i is None else {term(ctx, i, zero): 1}
-                  for i in positions],
-            target_degrees, source_degrees)
-
-    ia = ModuleMorphism(a, s, units(range(ra), gens, a.gen_degrees),
-                        check=False)
-    ib = ModuleMorphism(b, s, units(range(ra, ra + rb), gens, b.gen_degrees),
-                        check=False)
-    pa = ModuleMorphism(
-        s, a, units(list(range(ra)) + [None] * rb, a.gen_degrees, gens),
-        check=False)
-    pb = ModuleMorphism(
-        s, b, units([None] * ra + list(range(rb)), b.gen_degrees, gens),
-        check=False)
-    return s, ia, ib, pa, pb
+    return FPModule(ctx, gens, rel, check=False)
 
 
-def direct_sum(a: FPModule, b: FPModule) -> FPModule:
-    return direct_sum_with_maps(a, b)[0]
-
-
-# -- kernels, images, cokernels ---------------------------------------------
+# -- kernels and cokernels ---------------------------------------------------
 
 def _kernel_modulo(g: ModuleMorphism, sub: FreeModuleMap):
     """(K, pre, block): the kernel of g modulo the span of the columns
@@ -317,7 +285,7 @@ def _kernel_modulo(g: ModuleMorphism, sub: FreeModuleMap):
     generators, and the block [pre | sub] whose syzygies give K's relations.
     The block keeps its extended basis, which also lifts into K."""
     ctx = g.ctx
-    pre = column_relations(g.matrix, g.target.relations)
+    pre = _block_relations(_beside(g.matrix, g.target.relations), g.matrix)
     # pre lives over the shifted cover of the source; shift degrees back
     gen_degrees = tuple(d - g.degree for d in pre.source_degrees)
     block = _beside(pre, _shifted(sub, g.degree))
@@ -335,26 +303,6 @@ def kernel_with_inclusion(f: ModuleMorphism):
 
 def kernel(f: ModuleMorphism) -> FPModule:
     return kernel_with_inclusion(f)[0]
-
-
-def image_with_maps(f: ModuleMorphism):
-    """(image, inclusion into target, surjection from source)."""
-    S, T = f.source, f.target
-    ctx = f.ctx
-    gen_degrees = tuple(d + f.degree for d in S.gen_degrees)
-    rel = column_relations(f.matrix, T.relations)
-    rel = rel.regraded(rel.source_degrees, gen_degrees)
-    I = FPModule(ctx, gen_degrees, rel, check=False)
-    incl = ModuleMorphism(
-        I, T, f.matrix.regraded(gen_degrees, T.gen_degrees), check=False)
-    proj = ModuleMorphism(
-        S, I, FreeModuleMap.identity(ctx, gen_degrees), degree=f.degree,
-        check=False)
-    return I, incl, proj
-
-
-def image(f: ModuleMorphism) -> FPModule:
-    return image_with_maps(f)[0]
 
 
 def cokernel_with_projection(f: ModuleMorphism):
@@ -456,31 +404,17 @@ def minimal_presentation(m: FPModule):
     return m._min
 
 
-class FreeResolution:
+class FreeResolution(NamedTuple):
     """Minimal graded free resolution data.
 
     ``maps`` are the differentials d_1, d_2, ... over the minimalized
-    presentation; ``complete`` records whether the last kernel vanished.
+    presentation ``min_module``; ``complete`` records whether the last
+    kernel vanished.
     """
 
-    def __init__(self, module: FPModule, min_module: FPModule, maps,
-                 complete: bool):
-        self.module = module
-        self.min_module = min_module
-        self.maps = list(maps)
-        self.complete = complete
-        self._validate()
-
-    def _validate(self):
-        for a, b in zip(self.maps, self.maps[1:]):
-            if not a.compose(b).is_zero():
-                raise AlgebraError("resolution differentials do not compose to 0")
-        if any(d.constant_vecs() for d in self.maps):
-            raise AlgebraError("resolution is not minimal")
-
-    @property
-    def length(self) -> int:
-        return len(self.maps)
+    min_module: FPModule
+    maps: list
+    complete: bool
 
     @property
     def betti(self):
@@ -488,27 +422,38 @@ class FreeResolution:
                                                for d in self.maps)
 
 
+def _check_differential(d: FreeModuleMap, prev: FreeModuleMap | None):
+    """Refuse a new differential d that does not compose to zero with the
+    differential ``prev`` before it, or that has a constant entry."""
+    if prev is not None and not prev.compose(d).is_zero():
+        raise AlgebraError("resolution differentials do not compose to 0")
+    if d.constant_vecs():
+        raise AlgebraError("resolution is not minimal")
+
+
 def minimal_resolution(m: FPModule, max_len: int) -> FreeResolution:
-    """Minimal graded free resolution up to length max_len (cached)."""
+    """Minimal graded free resolution up to length max_len (cached).
+
+    Each differential is checked once, when it is computed."""
     if max_len < 0:
         raise AlgebraError("max_len must be >= 0")
     m_min, _, _ = minimal_presentation(m)
     if m._res_maps is None:
-        m._res_maps = []
+        _check_differential(m_min.relations, None)
         m._res_complete = m_min.relations.source_rank == 0
-        if not m._res_complete:
-            m._res_maps.append(m_min.relations)
+        m._res_maps = [] if m._res_complete else [m_min.relations]
     while not m._res_complete and len(m._res_maps) < max_len:
         nxt = _trim_columns(syzygy_basis(m._res_maps[-1]))
         if nxt.source_rank == 0:
             m._res_complete = True
         else:
+            _check_differential(nxt, m._res_maps[-1])
             m._res_maps.append(nxt)
             if len(m._res_maps) > m.ctx.nvars:
                 raise EngineError(
                     "resolution exceeded the Hilbert syzygy bound; "
                     "this is an engine bug")
-    return FreeResolution(m, m_min, m._res_maps[:max_len],
+    return FreeResolution(m_min, m._res_maps[:max_len],
                           m._res_complete and len(m._res_maps) <= max_len)
 
 

@@ -99,11 +99,9 @@ def theorem_bound(gM: int, gX: int) -> int:
     return 2 * gM + gX + 1
 
 
-def _require_finite_length(X: FPModule) -> int:
-    kd = X.k_dimension()
-    if kd is INFINITE:
+def _require_finite_length(X: FPModule):
+    if X.k_dimension() is INFINITE:
         raise AlgebraError("X must have finite length")
-    return kd
 
 
 def _transport_to_syzygy(phi: ModuleMorphism, c: int) -> ModuleMorphism:
@@ -191,13 +189,13 @@ def verify_exact2(h: NCRHypotheses, depth: int) -> Verdict:
     for i in range(1, n):
         maps.append(induced_post_hom(amr.connecting_map(i),
                                      hom_mods[i + 1], hom_mods[i]))
-    HK = hom_module(Z, amr.modules[n])
-    maps.append(induced_post_hom(amr.inclusions[n - 1], HK, hom_mods[n]))
+    stable = [stable_hom(Z, amr.modules[i]) for i in range(1, n + 1)]
+    maps.append(induced_post_hom(amr.inclusions[n - 1], stable[-1].total,
+                                 hom_mods[n]))
     interior = [homology(maps[i], maps[i + 1]).is_zero() for i in range(n)]
     left = kernel(maps[n]).is_zero()
     Dcok = cokernel(maps[0]).k_dimension()
-    vanishing = [stable_hom(Z, amr.modules[i]).quotient.is_zero()
-                 for i in range(1, n + 1)]
+    vanishing = [sh.quotient.is_zero() for sh in stable]
     evidence.update({"cokernel_dimension": Dcok, "interior_exact": interior,
                      "left_injective": left,
                      "stable_hom_vanishing": vanishing})
@@ -211,12 +209,9 @@ def verify_exact2(h: NCRHypotheses, depth: int) -> Verdict:
 class NCRReport:
     """Serializable record of one construction / verification run."""
 
-    def __init__(self, engine_version: str, ring: dict,
-                 trace: list | None = None,
+    def __init__(self, trace: list | None = None,
                  hypothesis_results: list | None = None,
                  bound: int | None = None, closed_form: int | None = None):
-        self.engine_version = engine_version
-        self.ring = ring
         self.trace = [] if trace is None else trace
         self.hypothesis_results = ([] if hypothesis_results is None
                                    else hypothesis_results)
@@ -228,11 +223,6 @@ class NCRReport:
 
     def all_verified(self) -> bool:
         return all(v.ok for v in self.hypothesis_results)
-
-
-def _ring_summary(ctx) -> dict:
-    return {"char": ctx.characteristic, "vars": list(ctx.variables),
-            "order": ctx.order}
 
 
 def normalize_cs(cs) -> tuple:
@@ -250,7 +240,9 @@ def corollary_build(r: int, N: FPModule, cs, gldim_end_N: int) -> NCRReport:
     ctx = N.ctx
     if r != ctx.nvars:
         raise AlgebraError("r must equal the number of variables")
-    kd = _require_finite_length(N)
+    kd = N.k_dimension()
+    if kd is INFINITE:
+        raise AlgebraError("N must have finite length")
     if kd == 0:
         raise AlgebraError("N must be nonzero")
     if gldim_end_N < 0:
@@ -262,24 +254,20 @@ def corollary_build(r: int, N: FPModule, cs, gldim_end_N: int) -> NCRReport:
     n = len(cs_norm)
     R = free_module(ctx)
     res_N = minimal_resolution(N, r)
-    report = NCRReport(engine_version=ENGINE_VERSION,
-                       ring=_ring_summary(ctx))
+    report = NCRReport()
     report.trace.append({"step": 0, "module": "R", "gens": [0],
                          "betti_N": list(res_N.betti)})
     M = R
-    summands = [R]
     bound = r
     prev_d = r
     for j, c in enumerate(cs_norm, 1):
         h = NCRHypotheses(M=M, X=N, c=c, d=prev_d,
                           gldim_end_M=bound if j > 1 else r,
-                          gldim_end_X=gldim_end_N,
-                          summands=tuple(summands))
+                          gldim_end_X=gldim_end_N)
         verdict = check_theorem_part1(h)
         report.hypothesis_results.append(verdict)
         Om = syzygy(N, c)
         M = direct_sum(M, Om)
-        summands.append(Om)
         report.trace.append({
             "step": j, "syzygy_index": c,
             "summand_gens": list(Om.gen_degrees),

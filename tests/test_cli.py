@@ -200,6 +200,15 @@ def test_main_malformed_parameters_exit_two(tmp_path, capsys, params,
     assert "error:" in capsys.readouterr().err
 
 
+def test_build_of_infinite_length_module_exits_two(tmp_path, capsys):
+    """A build job has no X: its module of infinite length is refused as N,
+    the module the corollary builds over."""
+    path = write_job(tmp_path, RING + R_MOD + "command: build\nmodule: R\n"
+                     "cs: [1]\ngldim_end_N: 0\n")
+    assert main(["--job", path]) == 2
+    assert capsys.readouterr().err == "error: N must have finite length\n"
+
+
 BIG_EXPONENT_JOB = (RING + "module m: {gens: [0], relations: "
                     "[[x^40000], [y]]}\ncommand: grade\nmodule: m\n")
 BIG_EXPONENT_REPORT = """\
