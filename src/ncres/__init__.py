@@ -10,7 +10,7 @@ from .groebner import (FreeModuleMap, GroebnerBasis, buchberger, lift_solve,
 from .modules import (FPModule, FreeResolution, INFINITE, ModuleMorphism,
                       cokernel, cokernel_with_projection, direct_sum,
                       free_module, homology, kernel, kernel_with_inclusion,
-                      make_module, minimal_generator_indices,
+                      make_module, make_morphism, minimal_generator_indices,
                       minimal_presentation, minimal_resolution, syzygy)
 from .homalg import (AddMResolution, HomModule, LiftExactnessVerdict,
                      StableHom, add_M_resolution,

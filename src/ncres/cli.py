@@ -83,11 +83,11 @@ class JobSpec:
     jobs have equal fields."""
 
     def __init__(self, ring: RingContext, modules: dict, command: str,
-                 params: dict | None = None):
+                 params: dict):
         self.ring = ring
         self.modules = modules
         self.command = command
-        self.params = {} if params is None else params
+        self.params = params
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -141,6 +141,9 @@ def _parse_module(name: str, desc, ctx: RingContext) -> FPModule:
         col = []
         deg = None
         for i, text in enumerate(row):
+            if not (isinstance(text, str) or _is_int(text)):
+                raise ParseError(f"module {name}, relation {j}, entry {i}: "
+                                 "expected a polynomial")
             try:
                 p = parse_polynomial(str(text), ctx)
             except ParseError as e:
@@ -161,8 +164,8 @@ def _parse_module(name: str, desc, ctx: RingContext) -> FPModule:
                         "entry (column degrees differ)")
         cols.append(col)
         col_degs.append(0 if deg is None else deg)
-    rel = FreeModuleMap(ctx, tuple(col_degs), tuple(gens), cols, check=False)
-    return FPModule(ctx, tuple(gens), rel, check=True)
+    rel = FreeModuleMap(ctx, tuple(col_degs), tuple(gens), cols)
+    return FPModule(ctx, tuple(gens), rel)
 
 
 def parse_job(source) -> JobSpec:
@@ -268,8 +271,8 @@ def _builtin_lemma_family(ctx: RingContext):
     """Residue-field syzygy data used by verify-lemmas."""
     r = ctx.nvars
     cols = [[ctx.variable(v)] for v in ctx.variables]
-    rel = FreeModuleMap(ctx, (1,) * r, (0,), cols, check=False)
-    return FPModule(ctx, (0,), rel, check=False)
+    rel = FreeModuleMap(ctx, (1,) * r, (0,), cols)
+    return FPModule(ctx, (0,), rel)
 
 
 # -- commands ----------------------------------------------------------------
@@ -382,8 +385,8 @@ def _run_verify_lemmas(job, report, max_degree, depth):
         Kn = syzygy(k, i + 1)
         F = free_module(ctx, Ki.gen_degrees)
         cover = ModuleMorphism(
-            F, Ki, FreeModuleMap.identity(ctx, F.gen_degrees), check=False)
-        inc = ModuleMorphism(Kn, F, res.maps[i], check=False)
+            F, Ki, FreeModuleMap.identity(ctx, F.gen_degrees))
+        inc = ModuleMorphism(Kn, F, res.maps[i])
         for w_name, w in (("free", free_module(ctx)),
                           ("omega^1", syzygy(k, 1))):
             verdict = check_lift_exactness((Kn, F, Ki, inc, cover), w)

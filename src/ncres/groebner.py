@@ -454,13 +454,13 @@ class FreeModuleMap:
     vectors are never mutated; a caller that needs to change one copies it
     first.
 
-    The constructor takes columns of Polynomials and converts them once;
-    ``from_vecs`` keeps the vectors it is given, and ``cols`` rebuilds the
-    Polynomial columns for printing and tests.
+    The constructor takes columns of Polynomials, converts them once and
+    refuses an inhomogeneous entry with a DegreeError; ``from_vecs`` keeps
+    the vectors it is given unchecked, and ``cols`` rebuilds the Polynomial
+    columns for printing and tests.
     """
 
-    def __init__(self, ctx: RingContext, source_degrees, target_degrees,
-                 cols, check: bool = True):
+    def __init__(self, ctx: RingContext, source_degrees, target_degrees, cols):
         source_degrees = tuple(source_degrees)
         target_degrees = tuple(target_degrees)
         cols = [list(col) for col in cols]
@@ -472,8 +472,7 @@ class FreeModuleMap:
         vecs = [{lay.pack(i, m): c for i, f in enumerate(col)
                  for m, c in f.terms.items()} for col in cols]
         self._set(ctx, source_degrees, target_degrees, vecs)
-        if check:
-            self._check_homogeneous()
+        self._check_homogeneous()
 
     def _set(self, ctx, source_degrees, target_degrees, vecs):
         self.ctx = ctx

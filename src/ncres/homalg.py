@@ -37,7 +37,7 @@ def hom_free(degrees, n: FPModule) -> FPModule:
             vecs.append(shift_vec(ctx, v, jblk * nr))
             col_degs.append(e - d)
     rel = FreeModuleMap.from_vecs(ctx, vecs, gens, col_degs)
-    return FPModule(ctx, gens, rel, check=False)
+    return FPModule(ctx, gens, rel)
 
 
 def induced_hom_map(d: FreeModuleMap, n: FPModule,
@@ -55,7 +55,7 @@ def induced_hom_map(d: FreeModuleMap, n: FPModule,
              for t, c in row.items()}
             for row in d.transpose().column_vecs() for i in range(nr)]
     mat = FreeModuleMap.from_vecs(ctx, vecs, ha.gen_degrees, hb.gen_degrees)
-    return ModuleMorphism(hb, ha, mat, check=False)
+    return ModuleMorphism(hb, ha, mat)
 
 
 class HomModule:
@@ -155,7 +155,7 @@ def _unjoined(vec: dict, source: FPModule, target: FPModule,
     mat = FreeModuleMap.from_vecs(
         ctx, cols, target.gen_degrees,
         tuple(d + deg for d in source.gen_degrees))
-    return ModuleMorphism(source, target, mat, degree=deg, check=False)
+    return ModuleMorphism(source, target, mat, degree=deg)
 
 
 def hom_module(m: FPModule, n: FPModule) -> HomModule:
@@ -187,7 +187,7 @@ def transpose(m: FPModule) -> FPModule:
     if a.source_rank == 0:
         return FPModule(m.ctx, (), None)
     at = a.transpose()
-    return FPModule(m.ctx, at.target_degrees, at, check=False)
+    return FPModule(m.ctx, at.target_degrees, at)
 
 
 def grade(m: FPModule):
@@ -196,26 +196,12 @@ def grade(m: FPModule):
     R is Cohen-Macaulay, so a nonzero m has grade r - dim m (Bruns-Herzog,
     Cohen-Macaulay Rings, Cor. 2.1.4).  m has the Hilbert function of the
     sum of the R/J_i, J_i the monomial ideal of the leading terms of its
-    relation basis in position i, so dim m is the largest dim R/J_i; every
-    J_i is the unit ideal exactly when m is zero.
+    relation basis in position i, so dim m is the largest dim R/J_i, the
+    pole order of its Hilbert series at s = 1; every J_i is the unit ideal
+    exactly when m is zero.
     """
-    r = m.ctx.nvars
-    dim = max((_monomial_quotient_dim(lts, r) for lts in m._position_lts()),
-              default=-1)
-    return INFINITE if dim < 0 else r - dim
-
-
-def _monomial_quotient_dim(monos, r: int) -> int:
-    """dim R/J for J generated by the monomials ``monos``: the size of the
-    largest set of variables that contains the support of no generator,
-    or -1 when J is the unit ideal."""
-    supports = {frozenset(v for v, e in enumerate(mono) if e)
-                for mono in monos}
-    for size in range(r, -1, -1):
-        for free in itertools.combinations(range(r), size):
-            if not any(s.issubset(free) for s in supports):
-                return size
-    return -1
+    dim = max((d for _, d, _ in m._series()), default=-1)
+    return INFINITE if dim < 0 else m.ctx.nvars - dim
 
 
 def is_d_torsionfree(m: FPModule, d: int) -> bool:
@@ -258,8 +244,7 @@ def _split_pair(m: FPModule):
                 mat = FreeModuleMap.from_vecs(
                     ctx, [{term(ctx, j, zero): ctx.inv(c)}], m.gen_degrees,
                     (m.gen_degrees[j],))
-                g = ModuleMorphism(R, m, mat, degree=m.gen_degrees[j],
-                                   check=False)
+                g = ModuleMorphism(R, m, mat, degree=m.gen_degrees[j])
                 if f.compose(g) == ModuleMorphism.identity(R):
                     return f, g
                 raise EngineError("split pair failed to verify; engine bug")
@@ -277,7 +262,7 @@ def _quotient(h: HomModule, cols: FreeModuleMap) -> FPModule:
     """Hom module modulo the submodule spanned by ``cols``; the generator
     columns come before the relations of ``h.module``."""
     return FPModule(h.ctx, h.module.gen_degrees,
-                    cols.hstack(h.module.relations), check=False)
+                    cols.hstack(h.module.relations))
 
 
 class StableHom(NamedTuple):
@@ -296,23 +281,20 @@ def stable_hom(w: FPModule, z: FPModule) -> StableHom:
     ctx = w.ctx
     total = hom_module(w, z)
     F = free_module(ctx, z.gen_degrees)
-    cover = ModuleMorphism(
-        F, z, FreeModuleMap.identity(ctx, z.gen_degrees), check=False)
+    cover = ModuleMorphism(F, z, FreeModuleMap.identity(ctx, z.gen_degrees))
     cols = induced_post_hom(cover, hom_module(w, F), total).matrix
     return StableHom(total, _quotient(total, cols))
 
 
-def factor_ideal(z: FPModule, m: FPModule,
-                 end: HomModule | None = None) -> FPModule:
-    """Quotient End(z)/[m] by the morphisms factoring through add m.
+def factor_ideal(z: FPModule, m: FPModule, end: HomModule) -> FPModule:
+    """Quotient End(z)/[m] by the morphisms factoring through add m, with
+    ``end`` the Hom module End(z).
 
     The ideal [m] is generated as an R-submodule by the composites of the
     Hom(z, m) and Hom(m, z) generators; bilinearity of composition makes
     that span the whole two-sided ideal.  A morphism lies in [m] exactly
     when the normal form of its coordinates in the quotient is zero.
     """
-    if end is None:
-        end = hom_module(z, z)
     hzm = hom_module(z, m)
     hmz = hom_module(m, z)
     outs = [hzm.basis_morphisms[i]
@@ -347,7 +329,7 @@ def omega_on_morphism(phi: ModuleMorphism) -> ModuleMorphism:
         raise EngineError("chain lift failed against a free target; engine bug")
     mat = lifted.regraded(tuple(d + phi.degree for d in ox.gen_degrees),
                           oy.gen_degrees)
-    return ModuleMorphism(ox, oy, mat, degree=phi.degree, check=False)
+    return ModuleMorphism(ox, oy, mat, degree=phi.degree)
 
 
 def omega_power_on_morphism(phi: ModuleMorphism, c: int) -> ModuleMorphism:
@@ -360,8 +342,7 @@ def induced_post_hom(f: ModuleMorphism, src: "HomModule",
                      tgt: "HomModule") -> ModuleMorphism:
     """Hom(w, f): Hom(w, source(f)) -> Hom(w, target(f)), on presentations."""
     mat = tgt.coords_map(f.compose(b) for b in src.basis_morphisms)
-    return ModuleMorphism(src.module, tgt.module, mat, degree=f.degree,
-                          check=False)
+    return ModuleMorphism(src.module, tgt.module, mat, degree=f.degree)
 
 
 # -- Hom-exactness of short exact sequences ----------------------------------
@@ -371,7 +352,7 @@ class LiftExactnessVerdict(NamedTuple):
 
     hypothesis_holds: bool       # stable Hom(w, Z) vanishes
     hom_exact: bool
-    counterexample: str | None = None
+    counterexample: str | None
 
 
 def check_lift_exactness(ses, w: FPModule) -> LiftExactnessVerdict:
@@ -559,7 +540,7 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
         Mi = functools.reduce(direct_sum, blocks)
         ev_mat = functools.reduce(
             FreeModuleMap.hstack, [g.matrix for _, g in morphs])
-        return ModuleMorphism(Mi, K, ev_mat, check=False)
+        return ModuleMorphism(Mi, K, ev_mat)
 
     modules = [z]
     approximations = []

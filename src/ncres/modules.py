@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple
 
 from .ring import (AlgebraError, EngineError, RingContext, mono_degree,
-                   mono_divides, monomials_of_degree)
+                   mono_divides)
 from .groebner import (FreeModuleMap, GroebnerBasis, buchberger,
                        is_constant, shift_vec, split_term, syzygy_basis,
                        term, term_pos, vec_below)
@@ -28,9 +28,9 @@ def _shifted(m: FreeModuleMap, e: int) -> FreeModuleMap:
                       tuple(d + e for d in m.target_degrees))
 
 
-def _beside(x: FreeModuleMap, y: FreeModuleMap | None) -> FreeModuleMap:
+def _beside(x: FreeModuleMap, y: FreeModuleMap) -> FreeModuleMap:
     """The block [x | y], which is x itself when y has no columns."""
-    return x if y is None or y.source_rank == 0 else x.hstack(y)
+    return x if y.source_rank == 0 else x.hstack(y)
 
 
 def _block_relations(block: FreeModuleMap, x: FreeModuleMap) -> FreeModuleMap:
@@ -47,18 +47,16 @@ def _block_relations(block: FreeModuleMap, x: FreeModuleMap) -> FreeModuleMap:
 
 
 class FPModule:
-    """Finitely presented graded module: generator degrees + relations."""
+    """Finitely presented graded module: generator degrees + relations,
+    trusted to be homogeneous (``make_module`` is the validated entry)."""
 
-    def __init__(self, ctx: RingContext, gen_degrees, relations=None,
-                 check: bool = True):
+    def __init__(self, ctx: RingContext, gen_degrees, relations=None):
         self.ctx = ctx
         self.gen_degrees = tuple(gen_degrees)
         if relations is None:
             relations = FreeModuleMap.zero_map(ctx, (), self.gen_degrees)
         if relations.target_degrees != self.gen_degrees:
             raise AlgebraError("relation target degrees do not match generators")
-        if check:
-            relations._check_homogeneous()
         self.relations = relations
         self._rel_gb = None
         self._min = None           # (min_module, to_min, from_min)
@@ -99,7 +97,7 @@ class FPModule:
 
     def twist(self, e: int) -> "FPModule":
         return FPModule(self.ctx, [d + e for d in self.gen_degrees],
-                        _shifted(self.relations, e), check=False)
+                        _shifted(self.relations, e))
 
     # -- standard monomials --------------------------------------------------
 
@@ -110,21 +108,28 @@ class FPModule:
             lts[pos].append(m)
         return lts
 
-    def hilbert_function(self, up_to: int):
-        """Dimension of each graded piece 0..up_to."""
-        lts = self._position_lts()
+    def _series(self):
+        """Per position, (N, dim, h(1)) for R/J, J the ideal of the leading
+        terms there: R/J has Hilbert series N(s)/(1-s)^r = h(s)/(1-s)^dim
+        with h(1) != 0, and dim = -1 when J = R."""
+        r = self.ctx.nvars
         out = []
-        for t in range(up_to + 1):
-            n = 0
-            for i, d in enumerate(self.gen_degrees):
-                e = t - d
-                if e < 0:
-                    continue
-                for mono in monomials_of_degree(self.ctx.nvars, e):
-                    if not any(mono_divides(l, mono) for l in lts[i]):
-                        n += 1
-            out.append(n)
+        for lts in self._position_lts():
+            num = _hilbert_numerator(lts, r)
+            h, dim = [num.get(k, 0) for k in range(max(num) + 1)], r
+            while any(h) and not sum(h):       # (1 - s) divides h
+                h, dim = list(itertools.accumulate(h))[:-1], dim - 1
+            out.append((num, dim if any(h) else -1, sum(h)))
         return out
+
+    def hilbert_function(self, up_to: int):
+        """Dimension of each graded piece 0..up_to, counted, not listed:
+        s^k / (1-s)^r has C(e - k + r - 1, r - 1) in degree e."""
+        r, series = self.ctx.nvars, self._series()
+        return [sum(c * math.comb(t - d - k + r - 1, r - 1)
+                    for d, (num, _, _) in zip(self.gen_degrees, series)
+                    for k, c in num.items() if k <= t - d)
+                for t in range(up_to + 1)]
 
     def standard_monomials(self):
         """All (position, monomial) standard pairs; requires finite length."""
@@ -146,14 +151,55 @@ class FPModule:
         return out
 
     def k_dimension(self):
-        """Number of standard monomials, or INFINITE."""
-        std = self.standard_monomials()
-        return INFINITE if std is None else len(std)
+        """Number of standard monomials, counted, or INFINITE."""
+        series = self._series()
+        return (INFINITE if any(dim > 0 for _, dim, _ in series)
+                else sum(h1 for _, _, h1 in series))
+
+
+def _hilbert_numerator(monos, r: int) -> dict:
+    """{k: a_k}, sum a_k s^k / (1-s)^r the Hilbert series of R/J, J = (monos),
+    by HS(R/J) = HS(R/(J + p)) + s^e HS(R/(J : p)) (Bayer and Stillman 1992)
+    for p = x_v^e not in J: x_v in the most minimal generators, e the lower
+    median of its exponents there; coprime generators give prod (1 - s^deg)."""
+    gens = []
+    for m in sorted(set(monos), key=lambda m: (sum(m), m)):
+        if not any(mono_divides(g, m) for g in gens):
+            gens.append(m)
+    counts = [sum(1 for m in gens if m[v]) for v in range(r)]
+    v = max(range(r), key=counts.__getitem__)
+    if counts[v] < 2:
+        out = {0: 1}
+        for d in map(sum, gens):
+            for k, c in list(out.items()):
+                out[k + d] = out.get(k + d, 0) - c
+        return out
+    e = sorted(m[v] for m in gens if m[v])[(counts[v] - 1) // 2]
+    out = _hilbert_numerator(
+        gens + [tuple(e if w == v else 0 for w in range(r))], r)
+    colon = [m[:v] + (max(m[v] - e, 0),) + m[v + 1:] for m in gens]
+    for k, c in _hilbert_numerator(colon, r).items():
+        out[k + e] = out.get(k + e, 0) + c
+    return out
 
 
 def make_module(gen_degrees, relations, ctx: RingContext) -> FPModule:
     """Validated FPModule; relation columns must be homogeneous."""
-    return FPModule(ctx, gen_degrees, relations, check=True)
+    m = FPModule(ctx, gen_degrees, relations)
+    m.relations._check_homogeneous()
+    return m
+
+
+def make_morphism(source: FPModule, target: FPModule, matrix: FreeModuleMap,
+                  degree: int = 0) -> "ModuleMorphism":
+    """Validated ModuleMorphism: the matrix entries must be homogeneous and
+    the matrix must carry the source relations into the target relations."""
+    f = ModuleMorphism(source, target, matrix, degree)
+    matrix._check_homogeneous()
+    pushed = matrix.compose(_shifted(source.relations, degree))
+    if not all(map(target.rel_gb().contains_vec, pushed.column_vecs())):
+        raise AlgebraError("matrix does not descend to a morphism of modules")
+    return f
 
 
 def free_module(ctx: RingContext, degrees=(0,)) -> FPModule:
@@ -163,14 +209,15 @@ def free_module(ctx: RingContext, degrees=(0,)) -> FPModule:
 # -- morphisms ---------------------------------------------------------------
 
 class ModuleMorphism:
-    """Matrix on generator covers, certified to descend to the quotients.
+    """Matrix on generator covers, trusted to descend to the quotients;
+    ``make_morphism`` is the validated entry.
 
     ``degree`` is the homogeneous degree of the morphism; the matrix maps the
     source cover shifted by ``degree`` to the target cover.
     """
 
     def __init__(self, source: FPModule, target: FPModule,
-                 matrix: FreeModuleMap, degree: int = 0, check: bool = True):
+                 matrix: FreeModuleMap, degree: int = 0):
         self.source = source
         self.target = target
         self.degree = degree
@@ -180,20 +227,6 @@ class ModuleMorphism:
         if matrix.source_degrees != want_src:
             raise AlgebraError("matrix source does not match source module")
         self.matrix = matrix
-        if check:
-            matrix._check_homogeneous()
-            self._check_well_defined()
-
-    def _check_well_defined(self):
-        if self.source.relations.source_rank == 0:
-            return
-        pushed = self.matrix.compose(_shifted(self.source.relations,
-                                              self.degree))
-        gb = self.target.rel_gb()
-        for v in pushed.column_vecs():
-            if not gb.contains_vec(v):
-                raise AlgebraError(
-                    "matrix does not descend to a morphism of modules")
 
     def is_zero(self) -> bool:
         gb = self.target.rel_gb()
@@ -216,7 +249,7 @@ class ModuleMorphism:
         """self o other."""
         mat = self.matrix.compose(_shifted(other.matrix, self.degree))
         return ModuleMorphism(other.source, self.target, mat,
-                              self.degree + other.degree, check=False)
+                              self.degree + other.degree)
 
     def _entrywise(self, other, sign: int) -> "ModuleMorphism":
         if self.degree != other.degree:
@@ -231,8 +264,7 @@ class ModuleMorphism:
         mat = FreeModuleMap.from_vecs(self.ctx, vecs,
                                       self.matrix.target_degrees,
                                       self.matrix.source_degrees)
-        return ModuleMorphism(self.source, self.target, mat, self.degree,
-                              check=False)
+        return ModuleMorphism(self.source, self.target, mat, self.degree)
 
     def __add__(self, other):
         return self._entrywise(other, 1)
@@ -246,8 +278,7 @@ class ModuleMorphism:
 
     @classmethod
     def identity(cls, m: FPModule) -> "ModuleMorphism":
-        return cls(m, m, FreeModuleMap.identity(m.ctx, m.gen_degrees),
-                   check=False)
+        return cls(m, m, FreeModuleMap.identity(m.ctx, m.gen_degrees))
 
     @classmethod
     def zero(cls, source: FPModule, target: FPModule,
@@ -255,7 +286,7 @@ class ModuleMorphism:
         mat = FreeModuleMap.zero_map(
             source.ctx, tuple(d + degree for d in source.gen_degrees),
             target.gen_degrees)
-        return cls(source, target, mat, degree, check=False)
+        return cls(source, target, mat, degree)
 
     def __repr__(self):
         return (f"ModuleMorphism(degree={self.degree}, "
@@ -274,7 +305,7 @@ def direct_sum(a: FPModule, b: FPModule) -> FPModule:
     rel = FreeModuleMap.from_vecs(
         ctx, vecs, gens,
         a.relations.source_degrees + b.relations.source_degrees)
-    return FPModule(ctx, gens, rel, check=False)
+    return FPModule(ctx, gens, rel)
 
 
 # -- kernels and cokernels ---------------------------------------------------
@@ -292,30 +323,29 @@ def _kernel_modulo(g: ModuleMorphism, sub: FreeModuleMap):
     rel = _block_relations(block, pre)
     rel = rel.regraded(tuple(d - g.degree for d in rel.source_degrees),
                        gen_degrees)
-    return FPModule(ctx, gen_degrees, rel, check=False), pre, block
+    return FPModule(ctx, gen_degrees, rel), pre, block
 
 
 def kernel_with_inclusion(f: ModuleMorphism):
     K, pre, _ = _kernel_modulo(f, f.source.relations)
     incl_mat = pre.regraded(K.gen_degrees, f.source.gen_degrees)
-    return K, ModuleMorphism(K, f.source, incl_mat, check=False)
+    return K, ModuleMorphism(K, f.source, incl_mat)
 
 
 def kernel(f: ModuleMorphism) -> FPModule:
     return kernel_with_inclusion(f)[0]
 
 
-def cokernel_with_projection(f: ModuleMorphism):
-    T = f.target
-    rel = f.matrix.hstack(T.relations)
-    C = FPModule(f.ctx, T.gen_degrees, rel, check=False)
-    proj = ModuleMorphism(T, C, FreeModuleMap.identity(f.ctx, T.gen_degrees),
-                          check=False)
-    return C, proj
-
-
 def cokernel(f: ModuleMorphism) -> FPModule:
-    return cokernel_with_projection(f)[0]
+    T = f.target
+    return FPModule(f.ctx, T.gen_degrees, f.matrix.hstack(T.relations))
+
+
+def cokernel_with_projection(f: ModuleMorphism):
+    C = cokernel(f)
+    T = f.target
+    return C, ModuleMorphism(T, C, FreeModuleMap.identity(f.ctx,
+                                                         T.gen_degrees))
 
 
 def homology(g: ModuleMorphism, f: ModuleMorphism) -> FPModule:
@@ -395,9 +425,9 @@ def minimal_presentation(m: FPModule):
         rho = sub.compose(rho)
         iota = iota.compose(inc)
     rel = _trim_columns(rel)
-    m_min = FPModule(ctx, gens, rel, check=False)
-    to_min = ModuleMorphism(m, m_min, rho, check=False)
-    from_min = ModuleMorphism(m_min, m, iota, check=False)
+    m_min = FPModule(ctx, gens, rel)
+    to_min = ModuleMorphism(m, m_min, rho)
+    from_min = ModuleMorphism(m_min, m, iota)
     m._min = (m_min, to_min, from_min)
     m_min._min = (m_min, ModuleMorphism.identity(m_min),
                   ModuleMorphism.identity(m_min))
@@ -467,8 +497,7 @@ def syzygy(m: FPModule, c: int) -> FPModule:
     if c == 0:
         out = res.min_module
     elif c < len(res.maps):
-        out = FPModule(m.ctx, res.maps[c - 1].source_degrees, res.maps[c],
-                       check=False)
+        out = FPModule(m.ctx, res.maps[c - 1].source_degrees, res.maps[c])
     elif c == len(res.maps) and res.complete and res.maps:
         out = FPModule(m.ctx, res.maps[c - 1].source_degrees, None)
     else:

@@ -27,11 +27,11 @@ STATUSES = (VERIFIED, HYPOTHESIS_FAILED, DEPTH_EXHAUSTED)
 class Verdict:
     """Outcome of one verification item, with its supporting evidence."""
 
-    def __init__(self, status: str, evidence: dict | None = None):
+    def __init__(self, status: str, evidence: dict):
         if status not in STATUSES:
             raise AlgebraError(f"unknown verdict status {status!r}")
         self.status = status
-        self.evidence = {} if evidence is None else evidence
+        self.evidence = evidence
 
     @property
     def ok(self) -> bool:
@@ -206,20 +206,13 @@ def verify_exact2(h: NCRHypotheses, depth: int) -> Verdict:
     return Verdict(HYPOTHESIS_FAILED, evidence)
 
 
-class NCRReport:
+class NCRReport(NamedTuple):
     """Serializable record of one construction / verification run."""
 
-    def __init__(self, trace: list | None = None,
-                 hypothesis_results: list | None = None,
-                 bound: int | None = None, closed_form: int | None = None):
-        self.trace = [] if trace is None else trace
-        self.hypothesis_results = ([] if hypothesis_results is None
-                                   else hypothesis_results)
-        for v in self.hypothesis_results:
-            if v.status not in STATUSES:
-                raise AlgebraError("illegal verdict in report")
-        self.bound = bound
-        self.closed_form = closed_form
+    trace: list
+    hypothesis_results: list
+    bound: int
+    closed_form: int
 
     def all_verified(self) -> bool:
         return all(v.ok for v in self.hypothesis_results)
@@ -254,9 +247,9 @@ def corollary_build(r: int, N: FPModule, cs, gldim_end_N: int) -> NCRReport:
     n = len(cs_norm)
     R = free_module(ctx)
     res_N = minimal_resolution(N, r)
-    report = NCRReport()
-    report.trace.append({"step": 0, "module": "R", "gens": [0],
-                         "betti_N": list(res_N.betti)})
+    trace = [{"step": 0, "module": "R", "gens": [0],
+              "betti_N": list(res_N.betti)}]
+    verdicts = []
     M = R
     bound = r
     prev_d = r
@@ -265,10 +258,10 @@ def corollary_build(r: int, N: FPModule, cs, gldim_end_N: int) -> NCRReport:
                           gldim_end_M=bound if j > 1 else r,
                           gldim_end_X=gldim_end_N)
         verdict = check_theorem_part1(h)
-        report.hypothesis_results.append(verdict)
+        verdicts.append(verdict)
         Om = syzygy(N, c)
         M = direct_sum(M, Om)
-        report.trace.append({
+        trace.append({
             "step": j, "syzygy_index": c,
             "summand_gens": list(Om.gen_degrees),
             "module_gens": list(M.gen_degrees),
@@ -279,6 +272,4 @@ def corollary_build(r: int, N: FPModule, cs, gldim_end_N: int) -> NCRReport:
     if bound != closed:
         raise EngineError("recursive bound disagrees with the closed form; "
                           "engine bug")
-    report.bound = bound
-    report.closed_form = closed
-    return report
+    return NCRReport(trace, verdicts, bound, closed)

@@ -61,6 +61,10 @@ def test_parse_job_basic():
      "ring.vars: 'y^2' is not a variable name"),
     ("ring: {char: 101, vars: [[x]]}\ncommand: grade\n",
      "ring.vars: ['x'] is not a variable name"),
+    (RING + "module q: {gens: [0], relations: [[null]]}\ncommand: grade\n",
+     "module q, relation 0, entry 0: expected a polynomial"),
+    (RING + "module q: {gens: [0], relations: [[true]]}\ncommand: grade\n",
+     "module q, relation 0, entry 0: expected a polynomial"),
 ])
 def test_parse_job_errors(doc, fragment):
     with pytest.raises(ParseError) as err:
@@ -317,3 +321,34 @@ def test_decomposable_summand_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: summand OO of M")
     assert "indecomposable summands" in err and "Traceback" not in err
+
+
+RING3 = ("ring: {char: 101, vars: [x, y, z], order: grevlex}\n"
+         "module R: {gens: [0], relations: []}\n")
+
+
+@pytest.mark.parametrize("params, expected", [
+    ("module N: {gens: [-100000], relations: [[x]]}\n"
+     "command: hom\nsource: R\ntarget: N\n",
+     ["hilbert: [100001, 100002, 100003, 100004, 100005, 100006, 100007]",
+      "k_dimension: infinite"]),
+    ("module M: {gens: [0, 100000], relations: []}\n"
+     "module k: {gens: [0], relations: [[x], [y], [z]]}\n"
+     "command: verify-exact2\nM: M\nX: k\nc: 0\nd: 1\n",
+     ["status: verified"]),
+    ("module Q: {gens: [0], relations: [[x^3000], [y^3000], [z^3000]]}\n"
+     "command: hom\nsource: R\ntarget: Q\n",
+     ["hilbert: [1, 3, 6, 10, 15, 21, 28]", "k_dimension: 27000000000"]),
+], ids=["hom-far-twist", "exact2-far-twist", "hom-high-powers"])
+def test_hilbert_data_is_counted_not_enumerated(tmp_path, params, expected):
+    """Hilbert functions and k-dimensions far out of reach of listing
+    monomials one by one: a generator in degree -100000, a free summand in
+    degree 100000 (dim End(M)_0), and 3000^3 standard monomials.  Each job
+    runs as its own process under a timeout, so a hang fails the test."""
+    path = write_job(tmp_path, RING3 + params)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncres.cli", "--job", path],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    for line in expected:
+        assert line in proc.stdout

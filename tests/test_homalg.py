@@ -177,8 +177,7 @@ def test_coords_map_refuses_a_morphism_outside_hom(ctx2):
     src = make_module([0], FreeModuleMap(ctx2, (1,), (0,), [[x]]), ctx2)
     tgt = make_module([0], FreeModuleMap(ctx2, (1,), (0,), [[y]]), ctx2)
     h = hom_module(src, tgt)
-    bad = ModuleMorphism(src, tgt, FreeModuleMap.identity(ctx2, (0,)),
-                         check=False)
+    bad = ModuleMorphism(src, tgt, FreeModuleMap.identity(ctx2, (0,)))
     assert _coords_by_own_lift(h, bad) is None
     for fs in ([bad], [ModuleMorphism.zero(src, tgt), bad]):
         with pytest.raises(EngineError):
@@ -382,7 +381,7 @@ def test_stable_hom_cover_independence(ctx2):
     x = ctx2.variable("x")
     F = free_module(ctx2, (0, 1))
     mat = FreeModuleMap(ctx2, (0, 1), (0,), [[ctx2.one()], [x]])
-    cover = ModuleMorphism(F, k, mat, check=False)
+    cover = ModuleMorphism(F, k, mat)
     assert cokernel(cover).is_zero()
     cols = induced_post_hom(cover, hom_module(m2, F), sh.total).matrix
     redundant = homalg._quotient(sh.total, cols)
@@ -419,7 +418,7 @@ def test_omega_bijective_on_stable_end_of_k(ctx3):
 def test_factor_ideal_of_free_in_end_k(ctx2):
     k = residue_field(ctx2)
     R = free_module(ctx2)
-    fi = factor_ideal(k, R)
+    fi = factor_ideal(k, R, end=hom_module(k, k))
     # nothing factors k -> R -> k, so the quotient is all of End(k)
     assert fi.k_dimension() == 1
 
@@ -504,10 +503,9 @@ def syzygy_ses(m, i, twist=0):
     Kn = syzygy(m, i + 1).twist(twist)
     F = free_module(ctx, Ki.gen_degrees)
     prj = ModuleMorphism(F, Ki,
-                         FreeModuleMap.identity(ctx, F.gen_degrees),
-                         check=False)
+                         FreeModuleMap.identity(ctx, F.gen_degrees))
     from ncres.modules import _shifted
-    inc = ModuleMorphism(Kn, F, _shifted(res.maps[i], twist), check=False)
+    inc = ModuleMorphism(Kn, F, _shifted(res.maps[i], twist))
     return (Kn, F, Ki, inc, prj)
 
 

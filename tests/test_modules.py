@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import comb
 
@@ -6,15 +7,16 @@ import pytest
 from conftest import maximal_ideal, module_family, residue_field, square_quotient
 from oracles import (complex_homology_dim, hilbert_oracle, koszul_betti,
                      membership_oracle)
-from ncres.ring import (AlgebraError, Polynomial, RingContext,
+from ncres.ring import (AlgebraError, DegreeError, Polynomial, RingContext,
                         monomials_of_degree, parse_polynomial)
 from ncres import groebner, modules
+from ncres.homalg import grade
 from ncres.groebner import FreeModuleMap, buchberger, term
 from ncres.modules import (FPModule, INFINITE, ModuleMorphism, cokernel,
                            cokernel_with_projection, direct_sum,
                            free_module, homology,
                            _nakayama_keep, kernel, kernel_with_inclusion,
-                           make_module,
+                           make_module, make_morphism,
                            minimal_generator_indices, minimal_presentation,
                            minimal_resolution, syzygy)
 
@@ -52,6 +54,61 @@ def test_k_dimension(ctx2):
     assert fam["m"].k_dimension() is INFINITE
 
 
+def _random_monomial_module(rng, nvars):
+    """A module over F_101[x_1..x_nvars] presented by monomial relations,
+    its generators in random degrees; half of the positions also kill a
+    pure power of every variable, so they have finite length."""
+    ctx = RingContext(101, tuple("abcd"[:nvars]))
+    gens = tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 3)))
+    vecs = []
+    for pos in range(len(gens)):
+        monos = [tuple(rng.randint(0, 3) for _ in range(nvars))
+                 for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.5:
+            monos += [tuple(rng.randint(1, 4) if w == v else 0
+                            for w in range(nvars)) for v in range(nvars)]
+        vecs += [{term(ctx, pos, m): 1} for m in monos]
+    return FPModule(ctx, gens, FreeModuleMap.from_vecs(ctx, vecs, gens))
+
+
+def _brute_force_counts(m, up_to):
+    """Hilbert function and dim of a module with monomial relations, by
+    listing every monomial of each degree and every set of variables."""
+    nvars = m.ctx.nvars
+    lts = m._position_lts()
+    hilbert = []
+    for t in range(up_to + 1):
+        hilbert.append(sum(
+            1 for i, d in enumerate(m.gen_degrees)
+            for mono in itertools.product(range(t - d + 1), repeat=nvars)
+            if sum(mono) == t - d
+            and not any(all(a <= b for a, b in zip(g, mono))
+                        for g in lts[i])))
+    # dim R/J: the largest set of variables that holds no generator's support
+    dim = max((len(free) for free in itertools.chain.from_iterable(
+        itertools.combinations(range(nvars), k) for k in range(nvars + 1))
+        for i in range(m.rank)
+        if not any(all(v in free for v, e in enumerate(g) if e)
+                   for g in lts[i])), default=-1)
+    return hilbert, dim
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_hilbert_counts_match_enumeration_on_monomial_ideals(seed):
+    """Hilbert function, k-dimension and grade, all read off the Hilbert
+    series numerators, against listing the monomials one by one."""
+    rng = random.Random(seed)
+    for nvars in (1, 2, 3, 4):
+        for _ in range(4):
+            m = _random_monomial_module(rng, nvars)
+            hilbert, dim = _brute_force_counts(m, 7)
+            assert m.hilbert_function(7) == hilbert
+            assert grade(m) == (INFINITE if dim < 0 else nvars - dim)
+            std = m.standard_monomials()
+            assert m.k_dimension() == (INFINITE if std is None else len(std))
+            assert (m.k_dimension() is INFINITE) == (dim > 0)
+
+
 def test_standard_monomials_sorted(ctx2):
     m = square_quotient(ctx2)
     std = m.standard_monomials()
@@ -80,13 +137,39 @@ def test_morphism_well_definedness(ctx2):
     R = free_module(ctx2)
     x = ctx2.variable("x")
     # R -> k sending 1 to class of 1: fine
-    ModuleMorphism(R, k, FreeModuleMap.identity(ctx2, (0,)))
+    make_morphism(R, k, FreeModuleMap.identity(ctx2, (0,)))
     # k -> R sending class of 1 to 1 is not well defined (x * 1 != 0 in R)
     with pytest.raises(AlgebraError):
-        ModuleMorphism(k, R, FreeModuleMap.identity(ctx2, (0,)))
+        make_morphism(k, R, FreeModuleMap.identity(ctx2, (0,)))
     # but k -> k is
     ident = ModuleMorphism.identity(k)
     assert ident.compose(ident) == ident
+
+
+def test_validated_entry_points_refuse_inhomogeneous_entries(ctx2):
+    """The polynomial-column constructor of FreeModuleMap, make_module and
+    make_morphism refuse an entry of the wrong degree; from_vecs and the
+    module and morphism constructors take their input as given."""
+    x, y = ctx2.variable("x"), ctx2.variable("y")
+    with pytest.raises(DegreeError):
+        FreeModuleMap(ctx2, (1,), (0,), [[x * y]])
+    with pytest.raises(DegreeError):
+        FreeModuleMap(ctx2, (2, 1), (0,), [[x * x], [x * y]])
+    # a relation column x e_0 + y^2 e_1 with gens (0, 0) mixes degrees 1, 2
+    bad = FreeModuleMap.from_vecs(
+        ctx2, [{term(ctx2, 0, (1, 0)): 1, term(ctx2, 1, (0, 2)): 1}],
+        (0, 0), (1,))
+    FPModule(ctx2, (0, 0), bad)
+    with pytest.raises(DegreeError):
+        make_module((0, 0), bad, ctx2)
+    R = free_module(ctx2)
+    twisted = FreeModuleMap.from_vecs(ctx2, [{term(ctx2, 0, (1, 0)): 1}],
+                                      (0,), (0,))
+    ModuleMorphism(R, R, twisted)
+    with pytest.raises(DegreeError):
+        make_morphism(R, R, twisted)
+    assert make_morphism(R, R, FreeModuleMap.identity(ctx2, (0,))) == \
+        ModuleMorphism.identity(R)
 
 
 def test_direct_sum_hilbert(ctx2):
