@@ -32,6 +32,8 @@ from .ncr import (ENGINE_VERSION, NCRHypotheses, Verdict, corollary_build,
 
 CANONICAL_MARK = "# --- report (canonical) ---"
 TIMING_MARK = "# --- timing (non-canonical) ---"
+# hom and ext print the Hilbert function in degrees 0..HILBERT_DEGREE
+HILBERT_DEGREE = 6
 
 
 class _UniqueKeys:
@@ -278,12 +280,12 @@ def _builtin_lemma_family(ctx: RingContext):
 # -- commands ----------------------------------------------------------------
 # Each command fills the report and returns whether every verdict is verified.
 
-def _run_grade(job, report, max_degree, depth):
+def _run_grade(job, report):
     report["grade"] = _clean(grade(_need_module(job, "module")))
     return True
 
 
-def _run_syzygy(job, report, max_degree, depth):
+def _run_syzygy(job, report):
     m = _need_module(job, "module")
     c = _need_int(job, "c")
     report["betti"] = list(minimal_resolution(m, min(c + 1, job.ring.nvars)).betti)
@@ -291,31 +293,31 @@ def _run_syzygy(job, report, max_degree, depth):
     return True
 
 
-def _run_torsionfree(job, report, max_degree, depth):
+def _run_torsionfree(job, report):
     m = _need_module(job, "module")
     report["torsionfree"] = is_d_torsionfree(m, _need_int(job, "d"))
     return True
 
 
-def _run_ext(job, report, max_degree, depth):
+def _run_ext(job, report):
     m = _need_module(job, "module")
     n = _need_module(job, "target")
     e = ext(_need_int(job, "i"), m, n)
     report["ext"] = _module_desc(e)
     report["k_dimension"] = _clean(e.k_dimension())
-    report["hilbert"] = e.hilbert_function(max_degree)
+    report["hilbert"] = e.hilbert_function(HILBERT_DEGREE)
     return True
 
 
-def _run_hom(job, report, max_degree, depth):
+def _run_hom(job, report):
     h = hom_module(_need_module(job, "source"), _need_module(job, "target"))
     report["hom"] = _module_desc(h.module)
     report["k_dimension"] = _clean(h.module.k_dimension())
-    report["hilbert"] = h.module.hilbert_function(max_degree)
+    report["hilbert"] = h.module.hilbert_function(HILBERT_DEGREE)
     return True
 
 
-def _run_stablehom(job, report, max_degree, depth):
+def _run_stablehom(job, report):
     sh = stable_hom(_need_module(job, "source"), _need_module(job, "target"))
     report["quotient"] = _module_desc(sh.quotient)
     report["quotient_is_zero"] = sh.quotient.is_zero()
@@ -323,12 +325,12 @@ def _run_stablehom(job, report, max_degree, depth):
     return True
 
 
-def _run_transpose(job, report, max_degree, depth):
+def _run_transpose(job, report):
     report["transpose"] = _module_desc(transpose(_need_module(job, "module")))
     return True
 
 
-def _run_build(job, report, max_degree, depth):
+def _run_build(job, report):
     N = _need_module(job, "module")
     cs = job.params.get("cs")
     if not (isinstance(cs, list) and all(_is_int(c) for c in cs)):
@@ -342,16 +344,16 @@ def _run_build(job, report, max_degree, depth):
     return rep.all_verified()
 
 
-def _run_verify_claim1(job, report, max_degree, depth):
+def _run_verify_claim1(job, report):
     v = verify_claim1(_hypotheses(job))
     report["verdict"] = _verdict_desc(v)
     return v.ok
 
 
-def _run_verify_exact2(job, report, max_degree, depth):
+def _run_verify_exact2(job, report):
     h = _hypotheses(job)
     try:
-        v = verify_exact2(h, _need_int(job, "depth", depth))
+        v = verify_exact2(h, _need_int(job, "depth", 4))
     except AlgebraError as e:
         l = getattr(e, "summand", None)
         if l is None:
@@ -364,7 +366,7 @@ def _run_verify_exact2(job, report, max_degree, depth):
     return v.ok
 
 
-def _run_verify_lemmas(job, report, max_degree, depth):
+def _run_verify_lemmas(job, report):
     ctx = job.ring
     r = ctx.nvars
     k = _builtin_lemma_family(ctx)
@@ -412,20 +414,15 @@ _HANDLERS = {
 COMMANDS = tuple(_HANDLERS)
 
 
-def run_job(job: JobSpec, max_degree: int = 6, depth: int = 4):
+def run_job(job: JobSpec):
     """Execute a job; returns (canonical_text, timing_text, all_verified)."""
-    if max_degree < 0:
-        raise AlgebraError(f"max degree {max_degree}: expected an integer "
-                           ">= 0")
-    if depth < 1:
-        raise AlgebraError(f"depth {depth}: expected an integer >= 1")
     start = time.perf_counter()
     report = {"engine": ENGINE_VERSION,
               "ring": _ring_summary(job.ring),
               "command": job.command,
               "modules": {name: _module_desc(m)
                           for name, m in sorted(job.modules.items())}}
-    ok = _HANDLERS[job.command](job, report, max_degree, depth)
+    ok = _HANDLERS[job.command](job, report)
     elapsed = time.perf_counter() - start
     canonical = (CANONICAL_MARK + "\n"
                  + _dump_yaml(_clean(report), default_flow_style=None))
@@ -449,10 +446,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="write the report here instead of stdout")
     ap.add_argument("--summary", action="store_true",
                     help="print a one-line plain-text summary")
-    ap.add_argument("--max-degree", type=int, default=6,
-                    help="Hilbert screening bound (default 6)")
-    ap.add_argument("--depth", type=int, default=4,
-                    help="add-M resolution depth (default 4)")
     args = ap.parse_args(argv)
     try:
         try:
@@ -461,8 +454,7 @@ def main(argv=None) -> int:
         except UnicodeDecodeError as e:
             raise ParseError(f"{args.job}: not UTF-8 text ({e.reason} at "
                              f"byte {e.start})") from None
-        canonical, timing, ok = run_job(job, max_degree=args.max_degree,
-                                        depth=args.depth)
+        canonical, timing, ok = run_job(job)
     except EngineError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3

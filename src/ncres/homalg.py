@@ -94,6 +94,12 @@ class HomModule:
                 for v, deg in zip(self._incl.column_vecs(),
                                   self.module.gen_degrees)]
 
+    @functools.cached_property
+    def minimal_morphisms(self):
+        """A minimal generating set of ``module``, as morphisms."""
+        return [self.basis_morphisms[i]
+                for i in minimal_generator_indices(self.module)]
+
     def coords_of_morphism(self, f: ModuleMorphism) -> dict:
         """Coordinate vector of f on the presentation generators."""
         return self.coords_map((f,)).column_vec(0)
@@ -117,14 +123,6 @@ class HomModule:
             self.ctx, [vec_below(self.ctx, v, self.module.rank)
                        for v in sol.column_vecs()],
             self.module.gen_degrees, rhs.source_degrees)
-
-    def morphism_from_element(self, coords: dict,
-                              degree: int) -> ModuleMorphism:
-        """Realize a cover element (a coordinate vector on the generators)."""
-        elem = FreeModuleMap.from_vecs(self.ctx, [coords],
-                                       self.module.gen_degrees, (degree,))
-        return _unjoined(self._incl.compose(elem).column_vec(0), self.source,
-                         self.target, degree)
 
 
 def _joined(ctx, morphisms, degrees) -> FreeModuleMap:
@@ -295,12 +293,8 @@ def factor_ideal(z: FPModule, m: FPModule, end: HomModule) -> FPModule:
     that span the whole two-sided ideal.  A morphism lies in [m] exactly
     when the normal form of its coordinates in the quotient is zero.
     """
-    hzm = hom_module(z, m)
-    hmz = hom_module(m, z)
-    outs = [hzm.basis_morphisms[i]
-            for i in minimal_generator_indices(hzm.module)]
-    ins = [hmz.basis_morphisms[i]
-           for i in minimal_generator_indices(hmz.module)]
+    outs = hom_module(z, m).minimal_morphisms
+    ins = hom_module(m, z).minimal_morphisms
     comps = (g.compose(f) for f in outs for g in ins)
     cols = end.coords_map(c for c in comps if not c.is_zero())
     return _quotient(end, cols)
@@ -429,15 +423,10 @@ def _radicals(summands):
     Hom(S_a, S_b), without the degree-0 one (the identity, up to a scalar)
     when a = b.
     """
-    def mingens(Sa, Sb):
-        h = hom_module(Sa, Sb)
-        return h.module, [h.basis_morphisms[i]
-                          for i in minimal_generator_indices(h.module)]
-
     def end_zero(S):
         """dim End(S)_0 and the minimal generators of End(S)."""
-        end, gens = mingens(S, S)
-        return end.hilbert_function(0)[0], gens
+        end = hom_module(S, S)
+        return end.module.hilbert_function(0)[0], end.minimal_morphisms
 
     R = free_module(summands[0].ctx)
     parts = []                     # (S, minimal generators of End(S))
@@ -459,8 +448,8 @@ def _radicals(summands):
             parts.append((S, gens))
     basic, rad = [], []
     for S, gens in parts:
-        ins = [mingens(T, S)[1] for T in basic]
-        outs = [mingens(S, T)[1] for T in basic]
+        ins = [hom_module(T, S).minimal_morphisms for T in basic]
+        outs = [hom_module(S, T).minimal_morphisms for T in basic]
         if any(f.degree + g.degree == 0 and not g.compose(f).is_zero()
                for fs, gs in zip(ins, outs) for f in fs for g in gs):
             continue

@@ -12,8 +12,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .ring import (AlgebraError, EngineError, RingContext, mono_degree,
-                   mono_divides)
+from .ring import AlgebraError, EngineError, RingContext, mono_divides
 from .groebner import (FreeModuleMap, GroebnerBasis, buchberger,
                        is_constant, shift_vec, split_term, syzygy_basis,
                        term, term_pos, vec_below)
@@ -99,7 +98,7 @@ class FPModule:
         return FPModule(self.ctx, [d + e for d in self.gen_degrees],
                         _shifted(self.relations, e))
 
-    # -- standard monomials --------------------------------------------------
+    # -- Hilbert data ---------------------------------------------------------
 
     def _position_lts(self):
         lts = [[] for _ in range(self.rank)]
@@ -130,25 +129,6 @@ class FPModule:
                     for d, (num, _, _) in zip(self.gen_degrees, series)
                     for k, c in num.items() if k <= t - d)
                 for t in range(up_to + 1)]
-
-    def standard_monomials(self):
-        """All (position, monomial) standard pairs; requires finite length."""
-        lts = self._position_lts()
-        out = []
-        for i in range(self.rank):
-            bounds = []
-            for v in range(self.ctx.nvars):
-                pure = [m[v] for m in lts[i]
-                        if all(e == 0 for w, e in enumerate(m) if w != v)]
-                if not pure:
-                    return None
-                bounds.append(min(pure))
-            for exps in itertools.product(*(range(b) for b in bounds)):
-                if not any(mono_divides(l, exps) for l in lts[i]):
-                    out.append((i, exps))
-        out.sort(key=lambda t: (mono_degree(t[1]) + self.gen_degrees[t[0]],
-                                t[0], t[1]))
-        return out
 
     def k_dimension(self):
         """Number of standard monomials, counted, or INFINITE."""

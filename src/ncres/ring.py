@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Iterator
 
 
 class AlgebraError(Exception):
@@ -88,16 +87,6 @@ def mono_div(a: tuple, b: tuple) -> tuple:
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(map(max, a, b))
-
-
-def monomials_of_degree(nvars: int, d: int) -> Iterator[tuple]:
-    """All exponent tuples of total degree d, deterministic order."""
-    if nvars == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, d - first):
-            yield (first,) + rest
 
 
 class RingContext:

@@ -11,7 +11,17 @@ import itertools
 from math import comb
 
 from ncres.groebner import split_term, term
-from ncres.ring import mono_degree, mono_mul, monomials_of_degree
+from ncres.ring import mono_degree, mono_mul
+
+
+def monomials_of_degree(nvars, d):
+    """All exponent tuples of total degree d, deterministic order."""
+    if nvars == 1:
+        yield (d,)
+        return
+    for first in range(d, -1, -1):
+        for rest in monomials_of_degree(nvars - 1, d - first):
+            yield (first,) + rest
 
 
 def tuple_vec(ctx, vec):

@@ -11,9 +11,9 @@ import sys
 
 from conftest import maximal_ideal, module_family, residue_field, square_quotient
 from oracles import (grade_oracle, hom_k_dimension_oracle, koszul_betti,
-                     koszul_ext_dims, membership_oracle)
+                     koszul_ext_dims, membership_oracle, monomials_of_degree)
 from test_homalg import run_lift_exactness_harness
-from ncres.ring import RingContext, monomials_of_degree
+from ncres.ring import RingContext
 from ncres.groebner import buchberger, term
 from ncres.modules import (direct_sum, free_module, minimal_resolution,
                            syzygy)

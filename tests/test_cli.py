@@ -181,26 +181,20 @@ def test_canonical_section_stable_across_processes(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-HOM_PARAMS = "command: hom\nsource: k\ntarget: k\n"
-
-
-@pytest.mark.parametrize("params, options", [
-    ("command: grade\nmodule: [k]\n", []),
-    ("command: build\nmodule: k\ncs: [a]\ngldim_end_N: 0\n", []),
-    ("command: verify-claim1\nM: R\nX: k\nc: 1\nd: 2\nsummands: 5\n", []),
-    ("command: build\nmodule: k\ncs: [true]\ngldim_end_N: 0\n", []),
-    ("command: syzygy\nmodule: k\nc: true\n", []),
-    ("command: verify-exact2\nM: R\nX: k\nc: 1\nd: 2\nsummands: []\n", []),
-    ("command: build\nmodule: k\ncs: [1]\ngldim_end_N: -100\n", []),
-    (HOM_PARAMS, ["--max-degree", "-3"]),
-    (HOM_PARAMS, ["--depth", "0"]),
+@pytest.mark.parametrize("params", [
+    "command: grade\nmodule: [k]\n",
+    "command: build\nmodule: k\ncs: [a]\ngldim_end_N: 0\n",
+    "command: verify-claim1\nM: R\nX: k\nc: 1\nd: 2\nsummands: 5\n",
+    "command: build\nmodule: k\ncs: [true]\ngldim_end_N: 0\n",
+    "command: syzygy\nmodule: k\nc: true\n",
+    "command: verify-exact2\nM: R\nX: k\nc: 1\nd: 2\nsummands: []\n",
+    "command: build\nmodule: k\ncs: [1]\ngldim_end_N: -100\n",
+    "command: verify-exact2\nM: R\nX: k\nc: 1\nd: 2\ndepth: 0\n",
 ], ids=["module-list", "cs-strings", "summands-int", "cs-bool", "c-bool",
-        "summands-empty", "gldim-negative", "max-degree-negative",
-        "depth-zero"])
-def test_main_malformed_parameters_exit_two(tmp_path, capsys, params,
-                                            options):
+        "summands-empty", "gldim-negative", "depth-zero"])
+def test_main_malformed_parameters_exit_two(tmp_path, capsys, params):
     path = write_job(tmp_path, RING + K_MOD + R_MOD + params)
-    assert main(["--job", path] + options) == 2
+    assert main(["--job", path]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -339,12 +333,19 @@ RING3 = ("ring: {char: 101, vars: [x, y, z], order: grevlex}\n"
     ("module Q: {gens: [0], relations: [[x^3000], [y^3000], [z^3000]]}\n"
      "command: hom\nsource: R\ntarget: Q\n",
      ["hilbert: [1, 3, 6, 10, 15, 21, 28]", "k_dimension: 27000000000"]),
-], ids=["hom-far-twist", "exact2-far-twist", "hom-high-powers"])
+    ("module X: {gens: [0], relations: [[x^1000], [y^1000], [z^1000]]}\n"
+     "command: verify-claim1\nM: R\nX: X\nc: 1\nd: 3\n",
+     ["D1: 1000000000", "D2: 1000000000", "map_rank: 1000000000",
+      "status: verified"]),
+], ids=["hom-far-twist", "exact2-far-twist", "hom-high-powers",
+        "claim1-high-powers"])
 def test_hilbert_data_is_counted_not_enumerated(tmp_path, params, expected):
-    """Hilbert functions and k-dimensions far out of reach of listing
+    """Hilbert functions, k-dimensions and ranks far out of reach of listing
     monomials one by one: a generator in degree -100000, a free summand in
-    degree 100000 (dim End(M)_0), and 3000^3 standard monomials.  Each job
-    runs as its own process under a timeout, so a hang fails the test."""
+    degree 100000 (dim End(M)_0), 3000^3 standard monomials, and the claim-1
+    map rank on 1000^3 of them, read off the one generator of End(X).
+    Each job runs as its own process under a timeout, so a hang fails the
+    test."""
     path = write_job(tmp_path, RING3 + params)
     proc = subprocess.run(
         [sys.executable, "-m", "ncres.cli", "--job", path],
@@ -352,3 +353,4 @@ def test_hilbert_data_is_counted_not_enumerated(tmp_path, params, expected):
     assert proc.returncode == 0, proc.stderr
     for line in expected:
         assert line in proc.stdout
+

@@ -4,7 +4,8 @@ Each job below runs through ``parse_job`` and ``run_job``; its canonical
 section must equal ``tests/golden/<name>.yml`` exactly.  There is one small
 job for every command, and ``verify-claim1`` and ``verify-exact2`` also run
 on acceptance scenarios 1-4 over F_101 in the coordinates x, y, z;
-scenarios 2 and 4 also run at depths 1 and 2.  The four r=4 jobs of
+scenarios 2 and 4 also run at depths 1 and 2, and ``verify-claim1`` runs
+once more with X = R/m^2, whose map rank is 4.  The four r=4 jobs of
 ``examples/r4/`` (three with X = k, one with X = R/m^2) and the r=5 job of
 ``examples/r5/`` pin the add-M path beyond three variables, and three jobs
 repeat others under the lex order.  A change
@@ -70,6 +71,9 @@ JOBS = {
     "verify-exact2-failing": (RING3 + MODULES3 + "command: verify-exact2\n"
                               "M: O2\nX: k\nc: 1\nd: 2\ndepth: 2\n"),
     "verify-lemmas-r2": RING2 + "command: verify-lemmas\n",
+    # the one claim-1 job with X other than k: map_rank 4, not 1
+    "claim1-Rm2": (RING3 + MODULES3 + "command: verify-claim1\n"
+                   "M: R\nX: Rm2\nc: 1\nd: 3\n"),
 }
 for _tag, _doc in SCENARIOS.items():
     JOBS[f"claim1-{_tag}"] = _doc + "X: k\ncommand: verify-claim1\n"

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import membership_oracle, packed_vec, rank_mod_p, tuple_vec
-from ncres.ring import (Polynomial, RingContext, monomials_of_degree,
-                        parse_polynomial)
+from oracles import (membership_oracle, monomials_of_degree, packed_vec,
+                     rank_mod_p, tuple_vec)
+from ncres.ring import Polynomial, RingContext, parse_polynomial
 from ncres import groebner
 from ncres.groebner import (FreeModuleMap, GroebnerBasis, buchberger,
                             buchberger_vecs, by_position, is_constant,

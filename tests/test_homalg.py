@@ -84,14 +84,18 @@ def test_hom_additive_in_direct_sums(ctx2):
 
 
 def test_hom_module_round_trip(ctx2):
-    """coords_of_morphism and morphism_from_element are mutually inverse."""
+    """The coordinates of the j-th realized generator are the unit vector
+    e_j, modulo the relations of the Hom module."""
     k = residue_field(ctx2)
     m2 = square_quotient(ctx2)
-    h = hom_module(m2, k)
-    for f in h.basis_morphisms:
-        coords = h.coords_of_morphism(f)
-        again = h.morphism_from_element(coords, f.degree)
-        assert again == f
+    zero = (0,) * ctx2.nvars
+    for h in (hom_module(m2, k), hom_module(m2, m2), hom_module(k, m2)):
+        for j, f in enumerate(h.basis_morphisms):
+            coords = dict(h.coords_of_morphism(f))
+            e_j = term(ctx2, j, zero)
+            coords[e_j] = (coords.get(e_j, 0) - 1) % ctx2.characteristic
+            assert h.module.element_nf({t: c for t, c in coords.items()
+                                        if c}) == {}
 
 
 # -- Ext, grade, torsionfreeness --------------------------------------------

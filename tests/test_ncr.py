@@ -1,9 +1,15 @@
+import itertools
+
 import pytest
 
-from conftest import residue_field
-from ncres import groebner
+from conftest import residue_field, square_quotient
+from oracles import rank_mod_p, tuple_vec
+from ncres import groebner, ncr
 from ncres.ring import AlgebraError
-from ncres.modules import FPModule, direct_sum, free_module, syzygy
+from ncres.groebner import FreeModuleMap, term
+from ncres.modules import (FPModule, ModuleMorphism, direct_sum, free_module,
+                           make_module, syzygy)
+from ncres.homalg import _unjoined, factor_ideal, hom_module
 from ncres.ncr import (DEPTH_EXHAUSTED, HYPOTHESIS_FAILED, NCRHypotheses,
                        VERIFIED, Verdict, check_theorem_part1, corollary_build,
                        normalize_cs, theorem_bound, verify_claim1,
@@ -70,9 +76,10 @@ def test_verify_claim1_small(ctx2):
 
 def test_verify_claim1_rank_runs_no_buchberger_on_constants(ctx2, ctx3,
                                                             monkeypatch):
-    """``map_rank`` is the rank of constant rows, grown by ``add``: no
-    ``buchberger_vecs`` run in ``verify_claim1`` is given only constant
-    (degree-0, plain) vectors."""
+    """``map_rank`` is D1 less the length of the cokernel of the transported
+    generators, and a zero cokernel is found by graded Nakayama, on constant
+    vectors grown by ``add``: no ``buchberger_vecs`` run in
+    ``verify_claim1`` is given only constant (degree-0, plain) vectors."""
     real = groebner.buchberger_vecs
     constant = []
 
@@ -91,6 +98,119 @@ def test_verify_claim1_rank_runs_no_buchberger_on_constants(ctx2, ctx3,
             gldim_end_M=ctx.nvars, gldim_end_X=0))
         assert v.ok and v.evidence["map_rank"] == 1
     assert constant == []
+
+
+def _monomial_module(ctx, gens, monos):
+    """A module presented by monomial relations: (position, exponents)."""
+    vecs = [{term(ctx, pos, m): 1} for pos, m in monos]
+    return make_module(gens, FreeModuleMap.from_vecs(ctx, vecs, gens), ctx)
+
+
+def _claim1_X(ctx3, name):
+    """The finite-length X of the claim-1 oracle tests, over x, y, z."""
+    if name == "R/m2":
+        return square_quotient(ctx3)
+    if name == "R/(x2,y2,z2)":
+        return _monomial_module(ctx3, (0,), [(0, (2, 0, 0)), (0, (0, 2, 0)),
+                                             (0, (0, 0, 2))])
+    # R/(x, y^2, z^2) + k(-1)
+    return _monomial_module(ctx3, (0, 1), [
+        (0, (1, 0, 0)), (0, (0, 2, 0)), (0, (0, 0, 2)),
+        (1, (1, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1))])
+
+
+def _claim1_M(ctx3, name):
+    """(M, summands, d): M = R, or M = R + Omega^2 k with its summands."""
+    R = free_module(ctx3)
+    if name == "R":
+        return R, None, 3
+    O2 = syzygy(residue_field(ctx3), 2)
+    return direct_sum(R, O2), (R, O2), 2
+
+
+def _claim1_rank_by_basis(h):
+    """The k-rank of End(X) -> End(Omega^c X)/[M], one k-basis element of
+    End(X) at a time: every monomial of the box below the pure powers of
+    the leading terms of End(X) that no leading term divides, realized
+    through the Hom generators, transported through Omega^c and reduced in
+    the quotient; the rank of the reduced rows by dense elimination."""
+    ctx = h.X.ctx
+    Z = syzygy(h.X, h.c)
+    end_z = hom_module(Z, Z)
+    Q = factor_ideal(Z, h.M, end=end_z)
+    end_x = hom_module(h.X, h.X)
+    EX = end_x.module
+    rows = []
+    for pos, lts in enumerate(EX._position_lts()):
+        bounds = [min(g[v] for g in lts
+                      if all(e == 0 for w, e in enumerate(g) if w != v))
+                  for v in range(ctx.nvars)]
+        for mono in itertools.product(*map(range, bounds)):
+            if any(all(a <= b for a, b in zip(g, mono)) for g in lts):
+                continue
+            deg = EX.gen_degrees[pos] + sum(mono)
+            elem = FreeModuleMap.from_vecs(
+                ctx, [{term(ctx, pos, mono): 1}], EX.gen_degrees, (deg,))
+            phi = _unjoined(end_x._incl.compose(elem).column_vec(0),
+                            h.X, h.X, deg)
+            psi = ncr._transport_to_syzygy(phi, h.c)
+            rows.append(tuple_vec(ctx, Q.element_nf(
+                end_z.coords_of_morphism(psi))))
+    keys = sorted(set().union(*rows))
+    dense = [[row.get(key, 0) for key in keys] for row in rows]
+    return rank_mod_p(dense, ctx.characteristic) if keys else 0
+
+
+CLAIM1_CASES = [(x, m, c) for x in ("R/m2", "R/(x2,y2,z2)", "R/(x,y2,z2)+k(-1)")
+                for m, cs in (("R", (0, 1, 2)), ("R+O2", (0, 1)))
+                for c in cs]
+
+
+@pytest.mark.parametrize("x_name, m_name, c", CLAIM1_CASES)
+def test_verify_claim1_map_rank_matches_basis_oracle(ctx3, x_name, m_name,
+                                                     c):
+    """Claim 1 for X other than k, every allowed c: D1 = D2 = map_rank
+    (4, 8 and 7), and the rank read off generators equals the rank over a
+    k-basis of End(X), which needs no R-linearity of the transport."""
+    M, summands, d = _claim1_M(ctx3, m_name)
+    h = NCRHypotheses(M=M, X=_claim1_X(ctx3, x_name), c=c, d=d,
+                      gldim_end_M=0, gldim_end_X=0, summands=summands)
+    v = verify_claim1(h)
+    want = {"R/m2": 4, "R/(x2,y2,z2)": 8, "R/(x,y2,z2)+k(-1)": 7}[x_name]
+    assert v.ok
+    assert v.evidence["D1"] == v.evidence["D2"] == want
+    assert v.evidence["map_rank"] == want == _claim1_rank_by_basis(h)
+
+
+def _zero_transport(phi, c):
+    Z = syzygy(phi.source, c)
+    return ModuleMorphism.zero(Z, Z, phi.degree)
+
+
+def _times_x_transport(phi, c, real=ncr._transport_to_syzygy):
+    psi = real(phi, c)
+    Z, ctx = psi.target, psi.ctx
+    x = (1,) + (0,) * (ctx.nvars - 1)
+    mat = FreeModuleMap.from_vecs(
+        ctx, [{term(ctx, i, x): 1} for i in range(Z.rank)], Z.gen_degrees,
+        tuple(e + 1 for e in Z.gen_degrees))
+    return ModuleMorphism(Z, Z, mat, degree=1).compose(psi)
+
+
+@pytest.mark.parametrize("mutant, x_name, rank", [
+    (_zero_transport, "k", 0), (_zero_transport, "R/m2", 0),
+    (_times_x_transport, "R/m2", 1)], ids=["zero-k", "zero-Rm2", "x-Rm2"])
+def test_verify_claim1_catches_a_broken_transport(ctx3, monkeypatch, mutant,
+                                                  x_name, rank):
+    """A transport that sends every endomorphism to zero, or multiplies it
+    by x, is no bijection: a falsification with the rank such a map has."""
+    X = (residue_field(ctx3) if x_name == "k" else square_quotient(ctx3))
+    monkeypatch.setattr(ncr, "_transport_to_syzygy", mutant)
+    v = verify_claim1(NCRHypotheses(M=free_module(ctx3), X=X, c=1, d=3,
+                                    gldim_end_M=0, gldim_end_X=0))
+    assert v.evidence["map_rank"] == rank
+    assert v.status == HYPOTHESIS_FAILED
+    assert v.evidence["falsification"] is True
 
 
 def test_verify_claim1_degenerate_c0(ctx2):
