@@ -22,7 +22,8 @@ from .homalg import (AddMResolution, HomModule, LiftExactnessVerdict,
 from .ncr import (DEPTH_EXHAUSTED, ENGINE_VERSION, HYPOTHESIS_FAILED,
                   NCRHypotheses, NCRReport, VERIFIED, Verdict,
                   check_theorem_part1, corollary_build, normalize_cs,
-                  theorem_bound, verify_claim1, verify_exact2)
+                  theorem_bound, verify_claim1, verify_exact2,
+                  verify_lemmas)
 from .cli import JobSpec, main, parse_job, print_job, run_job
 
 __version__ = ENGINE_VERSION

@@ -17,18 +17,18 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import NamedTuple
 
 import yaml
 
 from .ring import (_VAR_RE, AlgebraError, EngineError, ParseError,
                    RingContext, format_polynomial, parse_polynomial)
 from .groebner import FreeModuleMap
-from .modules import (FPModule, INFINITE, ModuleMorphism, free_module,
-                      minimal_resolution, syzygy)
-from .homalg import (check_lift_exactness, ext, grade, hom_module,
-                     is_d_torsionfree, stable_hom, transpose)
+from .modules import FPModule, INFINITE, minimal_resolution, syzygy
+from .homalg import (ext, grade, hom_module, is_d_torsionfree, stable_hom,
+                     transpose)
 from .ncr import (ENGINE_VERSION, NCRHypotheses, Verdict, corollary_build,
-                  verify_claim1, verify_exact2)
+                  verify_claim1, verify_exact2, verify_lemmas)
 
 CANONICAL_MARK = "# --- report (canonical) ---"
 TIMING_MARK = "# --- timing (non-canonical) ---"
@@ -80,21 +80,13 @@ def _dump_yaml(doc, **options) -> str:
     return yaml.dump(doc, Dumper=_Dumper, sort_keys=True, **options)
 
 
-class JobSpec:
-    """Parsed job: ring, named modules, command and flat parameters; equal
-    jobs have equal fields."""
+class JobSpec(NamedTuple):
+    """Parsed job: ring, named modules, command and flat parameters."""
 
-    def __init__(self, ring: RingContext, modules: dict, command: str,
-                 params: dict):
-        self.ring = ring
-        self.modules = modules
-        self.command = command
-        self.params = params
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return vars(self) == vars(other)
-        return NotImplemented
+    ring: RingContext
+    modules: dict
+    command: str
+    params: dict
 
 
 def _is_int(value) -> bool:
@@ -269,14 +261,6 @@ def _hypotheses(job: JobSpec) -> NCRHypotheses:
         summands=summands)
 
 
-def _builtin_lemma_family(ctx: RingContext):
-    """Residue-field syzygy data used by verify-lemmas."""
-    r = ctx.nvars
-    cols = [[ctx.variable(v)] for v in ctx.variables]
-    rel = FreeModuleMap(ctx, (1,) * r, (0,), cols)
-    return FPModule(ctx, (0,), rel)
-
-
 # -- commands ----------------------------------------------------------------
 # Each command fills the report and returns whether every verdict is verified.
 
@@ -335,8 +319,7 @@ def _run_build(job, report):
     cs = job.params.get("cs")
     if not (isinstance(cs, list) and all(_is_int(c) for c in cs)):
         raise AlgebraError("parameter 'cs': expected a list of integers")
-    rep = corollary_build(job.ring.nvars, N, cs,
-                          _need_int(job, "gldim_end_N", 0))
+    rep = corollary_build(N, cs, _need_int(job, "gldim_end_N", 0))
     report["bound"] = rep.bound
     report["closed_form"] = rep.closed_form
     report["trace"] = _clean(rep.trace)
@@ -367,40 +350,9 @@ def _run_verify_exact2(job, report):
 
 
 def _run_verify_lemmas(job, report):
-    ctx = job.ring
-    r = ctx.nvars
-    k = _builtin_lemma_family(ctx)
-    items = []
-    ok = True
-    for c in range(r):
-        for n in range(1, r - c + 1):
-            vanish = stable_hom(syzygy(k, c), syzygy(k, c + n)).quotient.is_zero()
-            items.append({"check": f"stable-hom omega^{c} -> omega^{c + n}",
-                          "status": "verified" if vanish else
-                          "hypothesis-failed"})
-            ok = ok and vanish
-    for i in range(r):
-        res = minimal_resolution(k, i + 2)
-        if i >= len(res.maps):
-            break
-        Ki = syzygy(k, i)
-        Kn = syzygy(k, i + 1)
-        F = free_module(ctx, Ki.gen_degrees)
-        cover = ModuleMorphism(
-            F, Ki, FreeModuleMap.identity(ctx, F.gen_degrees))
-        inc = ModuleMorphism(Kn, F, res.maps[i])
-        for w_name, w in (("free", free_module(ctx)),
-                          ("omega^1", syzygy(k, 1))):
-            verdict = check_lift_exactness((Kn, F, Ki, inc, cover), w)
-            consistent = (not verdict.hypothesis_holds) or verdict.hom_exact
-            items.append({"check": f"lift-exactness syzygy {i}, w = {w_name}",
-                          "hypothesis_holds": verdict.hypothesis_holds,
-                          "hom_exact": verdict.hom_exact,
-                          "status": "verified" if consistent else
-                          "hypothesis-failed"})
-            ok = ok and consistent
-    report["items"] = items
-    return ok
+    v = verify_lemmas(job.ring)
+    report["items"] = v.evidence["items"]
+    return v.ok
 
 
 _HANDLERS = {
@@ -455,18 +407,17 @@ def main(argv=None) -> int:
             raise ParseError(f"{args.job}: not UTF-8 text ({e.reason} at "
                              f"byte {e.start})") from None
         canonical, timing, ok = run_job(job)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(canonical + timing)
+        else:
+            sys.stdout.write(canonical + timing)
     except EngineError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
     except (ParseError, AlgebraError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    text = canonical + timing
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     if args.summary:
         print(summarize(job, ok))
     return 0 if ok else 1

@@ -505,7 +505,7 @@ class FreeModuleMap:
                 i, m = lay.split(t)
                 want = self.source_degrees[j] - self.target_degrees[i]
                 if mono_degree(m) != want:
-                    f = self.cols[j][i]
+                    f = vec_to_column(v, self.target_rank, self.ctx)[i]
                     raise DegreeError(
                         f"entry ({i},{j}) = {f} has degree {f.degree}, "
                         f"expected {want}")

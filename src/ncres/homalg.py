@@ -12,8 +12,8 @@ from .ring import AlgebraError, EngineError
 from .groebner import (FreeModuleMap, lift_solve, shift_term, shift_vec,
                        split_vec, term, term_pos, vec_below)
 from .modules import (FPModule, ModuleMorphism, INFINITE, _beside,
-                      _kernel_modulo, _nakayama_keep, _shifted, cokernel,
-                      direct_sum, free_module, homology, kernel,
+                      _kernel_modulo, _nakayama_keep, _quotient, _shifted,
+                      cokernel, direct_sum, free_module, homology, kernel,
                       kernel_with_inclusion, minimal_generator_indices,
                       minimal_presentation, minimal_resolution, syzygy)
 
@@ -256,13 +256,6 @@ def is_generator(m: FPModule) -> bool:
 
 # -- stable Hom --------------------------------------------------------------
 
-def _quotient(h: HomModule, cols: FreeModuleMap) -> FPModule:
-    """Hom module modulo the submodule spanned by ``cols``; the generator
-    columns come before the relations of ``h.module``."""
-    return FPModule(h.ctx, h.module.gen_degrees,
-                    cols.hstack(h.module.relations))
-
-
 class StableHom(NamedTuple):
     """Hom(w, z) and its quotient by the morphisms through projectives."""
 
@@ -281,7 +274,7 @@ def stable_hom(w: FPModule, z: FPModule) -> StableHom:
     F = free_module(ctx, z.gen_degrees)
     cover = ModuleMorphism(F, z, FreeModuleMap.identity(ctx, z.gen_degrees))
     cols = induced_post_hom(cover, hom_module(w, F), total).matrix
-    return StableHom(total, _quotient(total, cols))
+    return StableHom(total, _quotient(total.module, cols))
 
 
 def factor_ideal(z: FPModule, m: FPModule, end: HomModule) -> FPModule:
@@ -297,7 +290,7 @@ def factor_ideal(z: FPModule, m: FPModule, end: HomModule) -> FPModule:
     ins = hom_module(m, z).minimal_morphisms
     comps = (g.compose(f) for f in outs for g in ins)
     cols = end.coords_map(c for c in comps if not c.is_zero())
-    return _quotient(end, cols)
+    return _quotient(end.module, cols)
 
 
 # -- syzygy action on morphisms ----------------------------------------------
@@ -313,7 +306,7 @@ def omega_on_morphism(phi: ModuleMorphism) -> ModuleMorphism:
     if ox.rank == 0 or oy.rank == 0:
         return ModuleMorphism.zero(ox, oy, phi.degree)
     _, to_x, from_x = minimal_presentation(X)
-    _, to_y, from_y = minimal_presentation(Y)
+    to_y = minimal_presentation(Y)[1]
     psi = to_y.compose(phi).compose(from_x)
     d1x = minimal_resolution(X, 1).maps[0]
     d1y = minimal_resolution(Y, 1).maps[0]
@@ -531,11 +524,8 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
             FreeModuleMap.hstack, [g.matrix for _, g in morphs])
         return ModuleMorphism(Mi, K, ev_mat)
 
-    modules = [z]
-    approximations = []
-    inclusions = []
-    K = z
-    terminated = z.is_zero()
+    modules, approximations, inclusions = [z], [], []
+    K, terminated = z, z.is_zero()
     for step in range(depth + 1):
         if terminated:
             break
@@ -545,19 +535,15 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
                               "engine bug")
         Knext, incl = kernel_with_inclusion(ev)
         # K lies in add m exactly when its minimal approximation ev is an
-        # isomorphism, that is, injective.  The first step is always taken
-        # so that a z already in add m still gets its cover recorded; the
-        # pass at step == depth only tests.
-        if step >= 1 or step == depth:
-            terminated = Knext.is_zero()
-            if terminated or step == depth:
-                break
+        # isomorphism, that is, injective.  The first cover is recorded
+        # even then, so that a z already in add m still has one; the pass
+        # at step == depth only tests.
+        terminated = Knext.is_zero()
+        if step == depth or (terminated and step >= 1):
+            break
         # keep presentations small: replace the kernel by its minimal model
-        Kmin, _, from_min = minimal_presentation(Knext)
-        Knext, incl = Kmin, incl.compose(from_min)
+        K, _, from_min = minimal_presentation(Knext)
         approximations.append(ev)
-        inclusions.append(incl)
-        modules.append(Knext)
-        K = Knext
-        terminated = K.is_zero()
+        inclusions.append(incl.compose(from_min))
+        modules.append(K)
     return AddMResolution(modules, approximations, inclusions, terminated)

@@ -316,9 +316,14 @@ def kernel(f: ModuleMorphism) -> FPModule:
     return kernel_with_inclusion(f)[0]
 
 
+def _quotient(m: FPModule, cols: FreeModuleMap) -> FPModule:
+    """m modulo the submodule spanned by the columns ``cols`` on its cover;
+    they come before the relations of m."""
+    return FPModule(m.ctx, m.gen_degrees, cols.hstack(m.relations))
+
+
 def cokernel(f: ModuleMorphism) -> FPModule:
-    T = f.target
-    return FPModule(f.ctx, T.gen_degrees, f.matrix.hstack(T.relations))
+    return _quotient(f.target, f.matrix)
 
 
 def cokernel_with_projection(f: ModuleMorphism):

@@ -1,19 +1,21 @@
 """Hypothesis checks, bound certificates and mechanical verification of the
 main construction: the torsionfree-generator statement, the endomorphism-ring
-comparison (claim 1), the induced Hom complex (exact2), and the inductive
-build over a finite-length module with its global-dimension bound."""
+comparison (claim 1), the induced Hom complex (exact2), the syzygy lemmas,
+and the inductive build over a finite-length module with its
+global-dimension bound.  Every verdict is concluded here."""
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .ring import AlgebraError, EngineError
-from .modules import (FPModule, ModuleMorphism, INFINITE, cokernel,
-                      direct_sum, free_module, homology, kernel,
+from .ring import AlgebraError, EngineError, RingContext
+from .groebner import FreeModuleMap
+from .modules import (FPModule, ModuleMorphism, INFINITE, _quotient,
+                      cokernel, direct_sum, free_module, homology, kernel,
                       minimal_presentation, minimal_resolution, syzygy)
-from .homalg import (add_M_resolution, factor_ideal, grade, hom_module,
-                     induced_post_hom, is_d_torsionfree, is_generator,
-                     omega_power_on_morphism, stable_hom)
+from .homalg import (add_M_resolution, check_lift_exactness, factor_ideal,
+                     grade, hom_module, induced_post_hom, is_d_torsionfree,
+                     is_generator, omega_power_on_morphism, stable_hom)
 
 ENGINE_VERSION = "0.1.0"
 
@@ -73,22 +75,26 @@ class NCRHypotheses(NamedTuple):
         return Verdict(VERIFIED, evidence)
 
 
+def _conclude(base: Verdict, ok: bool, found: dict) -> Verdict:
+    """Verdict of a check run on hypotheses that hold: the evidence of
+    ``base`` and ``found``; verified when ``ok``, and otherwise
+    hypothesis-failed as a falsification of the claim checked."""
+    evidence = {**base.evidence, **found}
+    if not ok:
+        evidence["falsification"] = True
+    return Verdict(VERIFIED if ok else HYPOTHESIS_FAILED, evidence)
+
+
 def check_theorem_part1(h: NCRHypotheses) -> Verdict:
     """M + Omega^c X is a c-torsionfree generator (direct verification)."""
     base = h.validate()
     if not base.ok:
         return base
-    Z = syzygy(h.X, h.c)
-    W = direct_sum(h.M, Z)
+    W = direct_sum(h.M, syzygy(h.X, h.c))
     gen = is_generator(W)
-    tf = is_d_torsionfree(W, h.c) if h.c >= 1 else True
-    evidence = dict(base.evidence)
-    evidence.update({"sum_is_generator": gen, "sum_is_c_torsionfree": tf,
-                     "c": h.c})
-    if gen and tf:
-        return Verdict(VERIFIED, evidence)
-    evidence["falsification"] = True
-    return Verdict(HYPOTHESIS_FAILED, evidence)
+    tf = h.c < 1 or is_d_torsionfree(W, h.c)
+    return _conclude(base, gen and tf, {
+        "sum_is_generator": gen, "sum_is_c_torsionfree": tf, "c": h.c})
 
 
 def theorem_bound(gM: int, gX: int) -> int:
@@ -98,9 +104,12 @@ def theorem_bound(gM: int, gX: int) -> int:
     return 2 * gM + gX + 1
 
 
-def _require_finite_length(X: FPModule):
-    if X.k_dimension() is INFINITE:
-        raise AlgebraError("X must have finite length")
+def _require_finite_length(module: FPModule, name: str):
+    """The k-dimension of ``module``, refused when it is infinite."""
+    kd = module.k_dimension()
+    if kd is INFINITE:
+        raise AlgebraError(f"{name} must have finite length")
+    return kd
 
 
 def _transport_to_syzygy(phi: ModuleMorphism, c: int) -> ModuleMorphism:
@@ -124,7 +133,7 @@ def verify_claim1(h: NCRHypotheses) -> Verdict:
     base = h.validate()
     if not base.ok:
         return base
-    _require_finite_length(h.X)
+    _require_finite_length(h.X, "X")
     ctx = h.X.ctx
     Z = syzygy(h.X, h.c)
     end_z = hom_module(Z, Z)
@@ -141,17 +150,12 @@ def verify_claim1(h: NCRHypotheses) -> Verdict:
     intermediate = Q.rel_gb().generators == Q_R.rel_gb().generators
     cols = end_z.coords_map(_transport_to_syzygy(phi, h.c)
                             for phi in end_x.minimal_morphisms)
-    coker = FPModule(ctx, Q.gen_degrees, cols.hstack(Q.relations))
+    coker = _quotient(Q, cols)
     rank = D1 - (0 if coker.is_zero() else coker.k_dimension())
     bijective = (rank == D1 == D2)
-    evidence = dict(base.evidence)
-    evidence.update({"D1": D1, "D2": D2, "map_rank": rank,
-                     "bijective": bijective,
-                     "factor_ideal_equals_free_ideal": intermediate})
-    if bijective and intermediate:
-        return Verdict(VERIFIED, evidence)
-    evidence["falsification"] = True
-    return Verdict(HYPOTHESIS_FAILED, evidence)
+    return _conclude(base, bijective and intermediate, {
+        "D1": D1, "D2": D2, "map_rank": rank, "bijective": bijective,
+        "factor_ideal_equals_free_ideal": intermediate})
 
 
 def verify_exact2(h: NCRHypotheses, depth: int) -> Verdict:
@@ -161,7 +165,7 @@ def verify_exact2(h: NCRHypotheses, depth: int) -> Verdict:
     base = h.validate()
     if not base.ok:
         return base
-    _require_finite_length(h.X)
+    _require_finite_length(h.X, "X")
     Z = syzygy(h.X, h.c)
     amr = add_M_resolution(Z, h.M, depth, summands=h.summands)
     kernel_ranks = [K.rank for K in amr.modules]
@@ -171,35 +175,72 @@ def verify_exact2(h: NCRHypotheses, depth: int) -> Verdict:
     n = amr.depth
     HZ = hom_module(Z, Z)
     D1 = factor_ideal(Z, h.M, end=HZ).k_dimension()
-    evidence = dict(base.evidence)
-    evidence.update({"depth_used": n, "kernel_ranks": kernel_ranks,
-                     "quotient_dimension": D1})
     if n == 0:
         # the first add-M step is always taken, so only a zero Omega^c X
-        # ends here, and its End quotient D1 is 0
-        evidence.update({"cokernel_dimension": 0, "interior_exact": [],
-                         "left_injective": True, "stable_hom_vanishing": []})
-        return Verdict(VERIFIED, evidence)
-    hom_mods = [HZ] + [hom_module(Z, ev.source) for ev in amr.approximations]
-    maps = [induced_post_hom(amr.approximations[0], hom_mods[1], hom_mods[0])]
-    for i in range(1, n):
-        maps.append(induced_post_hom(amr.connecting_map(i),
-                                     hom_mods[i + 1], hom_mods[i]))
-    stable = [stable_hom(Z, amr.modules[i]) for i in range(1, n + 1)]
-    maps.append(induced_post_hom(amr.inclusions[n - 1], stable[-1].total,
-                                 hom_mods[n]))
-    interior = [homology(maps[i], maps[i + 1]).is_zero() for i in range(n)]
-    left = kernel(maps[n]).is_zero()
-    Dcok = cokernel(maps[0]).k_dimension()
-    vanishing = [sh.quotient.is_zero() for sh in stable]
-    evidence.update({"cokernel_dimension": Dcok, "interior_exact": interior,
-                     "left_injective": left,
-                     "stable_hom_vanishing": vanishing})
-    ok = all(interior) and left and Dcok == D1 and all(vanishing)
-    if ok:
-        return Verdict(VERIFIED, evidence)
-    evidence["falsification"] = True
-    return Verdict(HYPOTHESIS_FAILED, evidence)
+        # ends here, and every Hom module of the sequence is zero
+        interior, left, Dcok, vanishing = [], True, 0, []
+    else:
+        hom_mods = [HZ] + [hom_module(Z, ev.source)
+                           for ev in amr.approximations]
+        maps = [induced_post_hom(amr.approximations[0], hom_mods[1], HZ)]
+        for i in range(1, n):
+            maps.append(induced_post_hom(amr.connecting_map(i),
+                                         hom_mods[i + 1], hom_mods[i]))
+        stable = [stable_hom(Z, amr.modules[i]) for i in range(1, n + 1)]
+        maps.append(induced_post_hom(amr.inclusions[n - 1], stable[-1].total,
+                                     hom_mods[n]))
+        interior = [homology(maps[i], maps[i + 1]).is_zero()
+                    for i in range(n)]
+        left = kernel(maps[n]).is_zero()
+        Dcok = cokernel(maps[0]).k_dimension()
+        vanishing = [sh.quotient.is_zero() for sh in stable]
+    return _conclude(
+        base, all(interior) and left and Dcok == D1 and all(vanishing),
+        {"depth_used": n, "kernel_ranks": kernel_ranks,
+         "quotient_dimension": D1, "cokernel_dimension": Dcok,
+         "interior_exact": interior, "left_injective": left,
+         "stable_hom_vanishing": vanishing})
+
+
+def verify_lemmas(ctx: RingContext) -> Verdict:
+    """The syzygy lemmas on the residue field k over ``ctx``: stable
+    Hom(Omega^c k, Omega^{c+n} k) vanishes for n >= 1, and Hom(w, -) is
+    exact on 0 -> Omega^{i+1} k -> F_i -> Omega^i k -> 0, w = R or
+    Omega k, whenever stable Hom(w, Omega^i k) vanishes.  One evidence
+    item per check, under ``items``."""
+    r = ctx.nvars
+    k = FPModule(ctx, (0,), FreeModuleMap(
+        ctx, (1,) * r, (0,), [[ctx.variable(v)] for v in ctx.variables]))
+    items = []
+
+    def item(check, ok, **found):
+        items.append({"check": check, **found,
+                      "status": VERIFIED if ok else HYPOTHESIS_FAILED})
+
+    for c in range(r):
+        for n in range(1, r - c + 1):
+            item(f"stable-hom omega^{c} -> omega^{c + n}",
+                 stable_hom(syzygy(k, c), syzygy(k, c + n)).quotient.is_zero())
+    for i in range(r):
+        res = minimal_resolution(k, i + 2)
+        if i >= len(res.maps):
+            break
+        Ki = syzygy(k, i)
+        Kn = syzygy(k, i + 1)
+        F = free_module(ctx, Ki.gen_degrees)
+        cover = ModuleMorphism(
+            F, Ki, FreeModuleMap.identity(ctx, F.gen_degrees))
+        inc = ModuleMorphism(Kn, F, res.maps[i])
+        for w_name, w in (("free", free_module(ctx)),
+                          ("omega^1", syzygy(k, 1))):
+            v = check_lift_exactness((Kn, F, Ki, inc, cover), w)
+            item(f"lift-exactness syzygy {i}, w = {w_name}",
+                 not v.hypothesis_holds or v.hom_exact,
+                 hypothesis_holds=v.hypothesis_holds, hom_exact=v.hom_exact)
+    # the lemmas have no hypotheses of their own to validate
+    return _conclude(Verdict(VERIFIED, {}),
+                     all(it["status"] == VERIFIED for it in items),
+                     {"items": items})
 
 
 class NCRReport(NamedTuple):
@@ -219,20 +260,16 @@ def normalize_cs(cs) -> tuple:
     return tuple(sorted(set(cs), reverse=True))
 
 
-def corollary_build(r: int, N: FPModule, cs, gldim_end_N: int) -> NCRReport:
+def corollary_build(N: FPModule, cs, gldim_end_N: int) -> NCRReport:
     """Inductive construction M = R + Omega^{c_1}N + ... with its bound.
 
     Each step re-verifies the torsionfree-generator hypothesis for the next
     syzygy summand; the recursive bound accumulation is cross-checked against
-    the closed form.
+    the closed form; r is the number of variables of N's ring.
     """
     ctx = N.ctx
-    if r != ctx.nvars:
-        raise AlgebraError("r must equal the number of variables")
-    kd = N.k_dimension()
-    if kd is INFINITE:
-        raise AlgebraError("N must have finite length")
-    if kd == 0:
+    r = ctx.nvars
+    if _require_finite_length(N, "N") == 0:
         raise AlgebraError("N must be nonzero")
     if gldim_end_N < 0:
         raise AlgebraError("gldim_end_N must be >= 0")

@@ -7,7 +7,7 @@ import pytest
 
 from ncres import cli, homalg
 from ncres.ring import EngineError, ParseError
-from ncres.cli import (CANONICAL_MARK, TIMING_MARK, JobSpec, main, parse_job,
+from ncres.cli import (CANONICAL_MARK, TIMING_MARK, main, parse_job,
                        print_job, run_job)
 from test_golden import GOLDEN, JOBS
 
@@ -128,6 +128,17 @@ def test_main_writes_out_file(tmp_path):
     assert text.startswith(CANONICAL_MARK)
     assert "status: verified" in text
     assert TIMING_MARK in text
+
+
+def test_main_unwritable_out_exits_two(tmp_path, capsys):
+    """A report that cannot be written is refused with exit 2 and a
+    message, not a traceback; exit 1 stays the non-verified verdict."""
+    path = write_job(tmp_path, GRADE_JOB)
+    out = tmp_path / "missing" / "report.yml"
+    assert main(["--job", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert not out.exists()
 
 
 def test_main_failing_verdict_exit_one(tmp_path):

@@ -10,9 +10,9 @@ from oracles import (grade_oracle, hom_k_dimension_oracle, koszul_ext_dims,
 from ncres.ring import LEX, AlgebraError, EngineError, RingContext
 from ncres import groebner, homalg
 from ncres.groebner import FreeModuleMap, lift_solve, split_term, term
-from ncres.modules import (INFINITE, ModuleMorphism, cokernel, direct_sum,
-                           free_module, kernel, kernel_with_inclusion,
-                           make_module, minimal_generator_indices,
+from ncres.modules import (INFINITE, ModuleMorphism, _quotient, cokernel,
+                           direct_sum, free_module, kernel,
+                           kernel_with_inclusion, make_module,
                            minimal_resolution, syzygy)
 from ncres.homalg import (add_M_resolution, check_lift_exactness, ext,
                           factor_ideal, grade, hom_module, induced_hom_map,
@@ -388,7 +388,7 @@ def test_stable_hom_cover_independence(ctx2):
     cover = ModuleMorphism(F, k, mat)
     assert cokernel(cover).is_zero()
     cols = induced_post_hom(cover, hom_module(m2, F), sh.total).matrix
-    redundant = homalg._quotient(sh.total, cols)
+    redundant = _quotient(sh.total.module, cols)
     assert (redundant.hilbert_function(4)
             == sh.quotient.hilbert_function(4))
 
@@ -634,7 +634,7 @@ def _quotient_rule_selection(hmk, comp, degrees):
     def covers(sel):
         cols = functools.reduce(FreeModuleMap.hstack,
                                 (comp[j] for j in sel), none)
-        return homalg._quotient(hmk, cols).is_zero()
+        return _quotient(hmk.module, cols).is_zero()
 
     kept = list(range(len(comp)))
     assert covers(kept)
@@ -748,12 +748,8 @@ def _all_composites(hmk, m, summands):
     K = hmk.target
     blocks, degrees, labels = [], [], []
     for l, S in enumerate(summands):
-        hS = hom_module(m, S)
-        psis = [hS.basis_morphisms[i]
-                for i in minimal_generator_indices(hS.module)]
-        hSK = hom_module(S, K)
-        for i in minimal_generator_indices(hSK.module):
-            g = hSK.basis_morphisms[i]
+        psis = hom_module(m, S).minimal_morphisms
+        for g in hom_module(S, K).minimal_morphisms:
             blocks.append(hmk.coords_map(g.compose(psi) for psi in psis))
             degrees.append(g.degree)
             labels.append(l)

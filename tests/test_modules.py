@@ -1,22 +1,19 @@
 import itertools
 import random
-from math import comb
 
 import pytest
 
 from conftest import maximal_ideal, module_family, residue_field, square_quotient
 from oracles import (complex_homology_dim, hilbert_oracle, koszul_betti,
                      membership_oracle, monomials_of_degree)
-from ncres.ring import (AlgebraError, DegreeError, Polynomial, RingContext,
-                        parse_polynomial)
+from ncres.ring import AlgebraError, DegreeError, Polynomial, RingContext
 from ncres import groebner, modules
 from ncres.homalg import grade
 from ncres.groebner import FreeModuleMap, buchberger, term
 from ncres.modules import (FPModule, INFINITE, ModuleMorphism, cokernel,
                            cokernel_with_projection, direct_sum,
-                           free_module, homology,
-                           _nakayama_keep, kernel, kernel_with_inclusion,
-                           make_module, make_morphism,
+                           free_module, homology, _nakayama_keep,
+                           kernel_with_inclusion, make_module, make_morphism,
                            minimal_generator_indices, minimal_presentation,
                            minimal_resolution, syzygy)
 
@@ -212,6 +209,20 @@ def test_kernel_image_cokernel_euler(ctx2):
     assert proj.compose(inc).is_zero()
     # kernel of a surjection R -> R/m^2 is m^2
     assert ker.hilbert_function(4) == [0, 0, 3, 4, 5]
+
+
+def test_cokernel_with_projection(ctx2):
+    """Multiplication by x on R/m^2: the projection onto its cokernel
+    R/(x, y^2) kills the image, is onto, and lands in cokernel(f)."""
+    m2 = square_quotient(ctx2)
+    f = make_morphism(free_module(ctx2, (1,)), m2,
+                      FreeModuleMap(ctx2, (1,), (0,), [[ctx2.variable("x")]]))
+    C, proj = cokernel_with_projection(f)
+    assert proj.source is m2 and proj.target is C
+    assert proj.compose(f).is_zero()
+    assert cokernel(proj).is_zero()
+    assert C == cokernel(f)
+    assert C.hilbert_function(3) == [1, 1, 0, 0]
 
 
 def test_homology_of_exact_pair(ctx3):

@@ -9,11 +9,12 @@ from ncres.ring import AlgebraError
 from ncres.groebner import FreeModuleMap, term
 from ncres.modules import (FPModule, ModuleMorphism, direct_sum, free_module,
                            make_module, syzygy)
-from ncres.homalg import _unjoined, factor_ideal, hom_module
+from ncres.homalg import (LiftExactnessVerdict, _unjoined, factor_ideal,
+                          hom_module)
 from ncres.ncr import (DEPTH_EXHAUSTED, HYPOTHESIS_FAILED, NCRHypotheses,
                        VERIFIED, Verdict, check_theorem_part1, corollary_build,
                        normalize_cs, theorem_bound, verify_claim1,
-                       verify_exact2)
+                       verify_exact2, verify_lemmas)
 
 
 def test_theorem_bound_values():
@@ -253,6 +254,22 @@ def test_verify_exact2_zero_syzygy_needs_no_step(ctx2):
         v.evidence["cokernel_dimension"] == 0
 
 
+def test_verify_lemmas_fails_on_an_inexact_lift_check(ctx2, monkeypatch):
+    """A lift check whose hypothesis holds while its Hom sequence is not
+    exact fails its item, and the verdict is a falsification; the
+    stable-Hom items are untouched."""
+    v = verify_lemmas(ctx2)
+    assert v.ok and "falsification" not in v.evidence
+    monkeypatch.setattr(ncr, "check_lift_exactness",
+                        lambda ses, w: LiftExactnessVerdict(True, False, ""))
+    v = verify_lemmas(ctx2)
+    assert v.status == HYPOTHESIS_FAILED and v.evidence["falsification"]
+    statuses = {(it["check"].split()[0], it["status"])
+                for it in v.evidence["items"]}
+    assert statuses == {("stable-hom", VERIFIED),
+                        ("lift-exactness", HYPOTHESIS_FAILED)}
+
+
 def test_verify_exact2_depth_exhaustion(ctx3):
     R = free_module(ctx3)
     k = residue_field(ctx3)
@@ -264,7 +281,7 @@ def test_verify_exact2_depth_exhaustion(ctx3):
 
 def test_corollary_build_r2(ctx2):
     k = residue_field(ctx2)
-    rep = corollary_build(2, k, (1,), 0)
+    rep = corollary_build(k, (1,), 0)
     assert rep.bound == 5
     assert rep.closed_form == 5
     assert rep.all_verified()
@@ -273,21 +290,19 @@ def test_corollary_build_r2(ctx2):
 
 def test_corollary_build_deduplicates(ctx2):
     k = residue_field(ctx2)
-    assert corollary_build(2, k, (1, 1), 0).bound == 5
+    assert corollary_build(k, (1, 1), 0).bound == 5
 
 
 def test_corollary_build_rejects_bad_input(ctx2):
     k = residue_field(ctx2)
     with pytest.raises(AlgebraError):
-        corollary_build(3, k, (1,), 0)          # r mismatch
+        corollary_build(k, (2,), 0)          # c >= r
     with pytest.raises(AlgebraError):
-        corollary_build(2, k, (2,), 0)          # c >= r
-    with pytest.raises(AlgebraError):
-        corollary_build(2, free_module(ctx2), (1,), 0)  # not finite length
+        corollary_build(free_module(ctx2), (1,), 0)  # not finite length
 
 
 def test_corollary_trace_records_summands(ctx2):
     k = residue_field(ctx2)
-    rep = corollary_build(2, k, (1,), 0)
+    rep = corollary_build(k, (1,), 0)
     assert rep.trace[0]["step"] == 0
     assert rep.trace[1]["verdict"] == VERIFIED
