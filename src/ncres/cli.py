@@ -21,8 +21,9 @@ from typing import NamedTuple
 
 import yaml
 
-from .ring import (_VAR_RE, AlgebraError, EngineError, ParseError,
-                   RingContext, format_polynomial, parse_polynomial)
+from .ring import (_VAR_RE, AlgebraError, DegreeError, EngineError,
+                   ParseError, RingContext, format_polynomial,
+                   parse_polynomial)
 from .groebner import FreeModuleMap
 from .modules import FPModule, INFINITE, minimal_resolution, syzygy
 from .homalg import (ext, grade, hom_module, is_d_torsionfree, stable_hom,
@@ -133,32 +134,24 @@ def _parse_module(name: str, desc, ctx: RingContext) -> FPModule:
             raise ParseError(
                 f"module {name}, relation {j}: expected {len(gens)} entries")
         col = []
-        deg = None
         for i, text in enumerate(row):
             if not (isinstance(text, str) or _is_int(text)):
                 raise ParseError(f"module {name}, relation {j}, entry {i}: "
                                  "expected a polynomial")
             try:
-                p = parse_polynomial(str(text), ctx)
+                col.append(parse_polynomial(str(text), ctx))
             except ParseError as e:
                 raise ParseError(
                     f"module {name}, relation {j}, entry {i}: {e}") from e
-            if not p.is_homogeneous():
-                raise ParseError(
-                    f"module {name}, relation {j}, entry {i}: "
-                    "inhomogeneous matrix entry")
-            col.append(p)
-            if not p.is_zero():
-                d = gens[i] + p.degree
-                if deg is None:
-                    deg = d
-                elif deg != d:
-                    raise ParseError(
-                        f"module {name}, relation {j}: inhomogeneous matrix "
-                        "entry (column degrees differ)")
+        # the degree of the first nonzero entry; the constructor checks
+        # every term against it
+        col_degs.append(next((gens[i] + p.degree for i, p in enumerate(col)
+                              if not p.is_zero()), 0))
         cols.append(col)
-        col_degs.append(0 if deg is None else deg)
-    rel = FreeModuleMap(ctx, tuple(col_degs), tuple(gens), cols)
+    try:
+        rel = FreeModuleMap(ctx, tuple(col_degs), tuple(gens), cols)
+    except DegreeError as e:
+        raise ParseError(f"module {name}: inhomogeneous relation: {e}") from e
     return FPModule(ctx, tuple(gens), rel)
 
 
@@ -189,6 +182,9 @@ def parse_job(source) -> JobSpec:
             params[key] = value
     if command not in COMMANDS:
         raise ParseError(f"unknown command {command!r}")
+    for key in params:
+        if key not in _KEYS[command]:
+            raise ParseError(f"command {command} reads no key {key!r}")
     return JobSpec(ring=ctx, modules=modules, command=command, params=params)
 
 
@@ -361,6 +357,16 @@ _HANDLERS = {
     "stablehom": _run_stablehom, "transpose": _run_transpose,
     "build": _run_build, "verify-claim1": _run_verify_claim1,
     "verify-exact2": _run_verify_exact2, "verify-lemmas": _run_verify_lemmas,
+}
+# the parameter keys each command reads; a job with any other is refused
+_HYPOTHESES = ("M", "X", "c", "d", "summands", "gldim_end_M", "gldim_end_X")
+_KEYS = {
+    "grade": ("module",), "syzygy": ("module", "c"),
+    "torsionfree": ("module", "d"), "ext": ("module", "target", "i"),
+    "hom": ("source", "target"), "stablehom": ("source", "target"),
+    "transpose": ("module",), "build": ("module", "cs", "gldim_end_N"),
+    "verify-claim1": _HYPOTHESES, "verify-exact2": _HYPOTHESES + ("depth",),
+    "verify-lemmas": (),
 }
 # a tuple, so that ``in COMMANDS`` also answers for unhashable YAML values
 COMMANDS = tuple(_HANDLERS)

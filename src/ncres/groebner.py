@@ -355,24 +355,18 @@ def buchberger_vecs(vecs, ctx: RingContext):
     """Auto-reduced monic Groebner basis of the span of vecs, sorted by
     descending leading term.
 
-    Completion by ``_complete``: pairs are taken by lcm degree from a heap,
-    ties by index, so the output is deterministic.  An element led by a
-    plain term that carries flagged (bookkeeping) terms, which only
-    ``_extended_gb`` makes, keeps its tail: lifts read normal forms, unique
-    against any Groebner basis, and syzygies read only the elements led by
-    a flagged term, whose tails are flagged and reduce only against each
-    other.
+    One basis grows from empty through ``GroebnerBasis.extend``: pairs are
+    taken by lcm degree from a heap, ties by index, so the output is
+    deterministic.  An element led by a plain term that carries flagged
+    (bookkeeping) terms, which only ``_extended_gb`` makes, keeps its tail:
+    lifts read normal forms, unique against any Groebner basis, and
+    syzygies read only the elements led by a flagged term, whose tails are
+    flagged and reduce only against each other.
     """
     lay = _layout(ctx)
-    basis = []
-    lts = []
-    reducers = {}
-    # the nonzero normal forms of vecs, each against the basis so far
-    for v in filter(None, vecs):
-        r = reduce_vec(v, basis, reducers, ctx)
-        if r:
-            _push(basis, lts, reducers, r, ctx)
-    _complete(basis, lts, reducers, 0, ctx)
+    gb = GroebnerBasis(ctx)
+    gb.extend(vecs)
+    basis, lts, reducers = gb.generators, gb.leading_terms, gb.reducers
     # auto-reduce: drop redundant leading terms, then tail-reduce
     keep = []
     for i, t in enumerate(lts):
@@ -404,7 +398,7 @@ def buchberger_vecs(vecs, ctx: RingContext):
 
 class GroebnerBasis:
     """Groebner basis of a submodule of a graded free module: auto-reduced
-    when it comes from ``buchberger_vecs``, not after ``add``.  The term
+    when it comes from ``buchberger_vecs``, not after ``extend``.  The term
     order is the one packed into the terms; ``generators`` are monic."""
 
     def __init__(self, ctx: RingContext, generators=()):
@@ -419,18 +413,23 @@ class GroebnerBasis:
     def contains_vec(self, v: dict) -> bool:
         return not self.normal_form_vec(v)
 
-    def add(self, v: dict) -> bool:
-        """Grow this basis in place to a Groebner basis of its span plus v,
-        forming only the pairs with new elements; False, with the basis
-        unchanged, when v already lies in the span."""
-        r = self.normal_form_vec(v)
-        if not r:
-            return False
+    def extend(self, vecs) -> bool:
+        """Grow this basis in place to a Groebner basis of its span plus
+        vecs: push the nonzero normal form of each vector against the basis
+        so far, then form only the pairs with new elements.  False, with
+        the basis unchanged, when every vector already lies in the span."""
+        parts = (self.generators, self.leading_terms, self.reducers)
         start = len(self.generators)
-        _push(self.generators, self.leading_terms, self.reducers, r, self.ctx)
-        _complete(self.generators, self.leading_terms, self.reducers, start,
-                  self.ctx)
-        return True
+        for v in filter(None, vecs):
+            if r := self.normal_form_vec(v):
+                _push(*parts, r, self.ctx)
+        if len(self.generators) > start:
+            _complete(*parts, start, self.ctx)
+        return len(self.generators) > start
+
+    def add(self, v: dict) -> bool:
+        """``extend((v,))``: False when v already lies in the span."""
+        return self.extend((v,))
 
 
 def buchberger(vecs, ctx: RingContext) -> GroebnerBasis:
@@ -507,8 +506,8 @@ class FreeModuleMap:
                 if mono_degree(m) != want:
                     f = vec_to_column(v, self.target_rank, self.ctx)[i]
                     raise DegreeError(
-                        f"entry ({i},{j}) = {f} has degree {f.degree}, "
-                        f"expected {want}")
+                        f"entry ({i},{j}) = {f} has a term of degree "
+                        f"{mono_degree(m)}, expected {want}")
 
     @property
     def cols(self):

@@ -75,9 +75,6 @@ class FPModule:
             self._rel_gb = buchberger(self.relations.column_vecs(), self.ctx)
         return self._rel_gb
 
-    def element_nf(self, vec: dict) -> dict:
-        return self.rel_gb().normal_form_vec(vec)
-
     def is_zero(self) -> bool:
         return not minimal_generator_indices(self)
 
@@ -231,26 +228,20 @@ class ModuleMorphism:
         return ModuleMorphism(other.source, self.target, mat,
                               self.degree + other.degree)
 
-    def _entrywise(self, other, sign: int) -> "ModuleMorphism":
+    def __sub__(self, other) -> "ModuleMorphism":
         if self.degree != other.degree:
-            raise AlgebraError("cannot add morphisms of different degrees")
+            raise AlgebraError("cannot subtract morphisms of different degrees")
         p = self.ctx.characteristic
         vecs = []
         for v, w in zip(self.matrix.column_vecs(), other.matrix.column_vecs()):
             acc = dict(v)
             for t, c in w.items():
-                acc[t] = (acc.get(t, 0) + sign * c) % p
+                acc[t] = (acc.get(t, 0) - c) % p
             vecs.append({t: c for t, c in acc.items() if c})
         mat = FreeModuleMap.from_vecs(self.ctx, vecs,
                                       self.matrix.target_degrees,
                                       self.matrix.source_degrees)
         return ModuleMorphism(self.source, self.target, mat, self.degree)
-
-    def __add__(self, other):
-        return self._entrywise(other, 1)
-
-    def __sub__(self, other):
-        return self._entrywise(other, -1)
 
     @property
     def ctx(self):

@@ -15,7 +15,8 @@ from .modules import (FPModule, ModuleMorphism, INFINITE, _quotient,
                       minimal_presentation, minimal_resolution, syzygy)
 from .homalg import (add_M_resolution, check_lift_exactness, factor_ideal,
                      grade, hom_module, induced_post_hom, is_d_torsionfree,
-                     is_generator, omega_power_on_morphism, stable_hom)
+                     is_generator, omega_power_on_morphism, stable_hom,
+                     summand_list)
 
 ENGINE_VERSION = "0.1.0"
 
@@ -43,10 +44,10 @@ class NCRHypotheses(NamedTuple):
     """Input data for the main construction.
 
     The gldim values are asserted, caller-supplied integers; they are never
-    computed here.  ``summands`` optionally records M as a direct sum.  The
-    add-M machinery splits free summands off and drops repeated summands
-    itself, so it needs ``summands`` only when the non-free part of M
-    decomposes.
+    computed here.  ``summands`` optionally records M as a direct sum, and
+    the checks refuse a list that does not present M.  The add-M machinery
+    splits free summands off and drops repeated summands itself, so it
+    needs ``summands`` only when the non-free part of M decomposes.
     """
 
     M: FPModule
@@ -134,6 +135,7 @@ def verify_claim1(h: NCRHypotheses) -> Verdict:
     if not base.ok:
         return base
     _require_finite_length(h.X, "X")
+    summand_list(h.M, h.summands)
     ctx = h.X.ctx
     Z = syzygy(h.X, h.c)
     end_z = hom_module(Z, Z)

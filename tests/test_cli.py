@@ -63,6 +63,15 @@ def test_parse_job_basic():
      "ring.vars: ['x'] is not a variable name"),
     (RING + "module q: {gens: [0], relations: [[null]]}\ncommand: grade\n",
      "module q, relation 0, entry 0: expected a polynomial"),
+    (RING + "command: grade\nmodule: k\nc: 1\n",
+     "command grade reads no key 'c'"),
+    # the column degree is read off its first nonzero entry, x^2 in degree 2
+    (RING + "module q: {gens: [0, 1], relations: [[x^2, y + 1]]}\n"
+     "command: grade\n", "module q: inhomogeneous relation: entry (1,0) = "
+     "y + 1 has a term of degree 0, expected 1"),
+    (RING + "module q: {gens: [0, 0], relations: [[x, y^2]]}\n"
+     "command: grade\n", "module q: inhomogeneous relation: entry (1,0) = "
+     "y^2 has a term of degree 2, expected 1"),
     (RING + "module q: {gens: [0], relations: [[true]]}\ncommand: grade\n",
      "module q, relation 0, entry 0: expected a polynomial"),
 ])
@@ -201,12 +210,29 @@ def test_canonical_section_stable_across_processes(tmp_path):
     "command: verify-exact2\nM: R\nX: k\nc: 1\nd: 2\nsummands: []\n",
     "command: build\nmodule: k\ncs: [1]\ngldim_end_N: -100\n",
     "command: verify-exact2\nM: R\nX: k\nc: 1\nd: 2\ndepth: 0\n",
+    # a key the command does not read: a misspelled depth must not run at
+    # the default depth, nor a depth on claim 1 be ignored
+    "command: verify-exact2\nM: R\nX: k\nc: 1\nd: 2\ndpeth: 8\n",
+    "command: verify-claim1\nM: R\nX: k\nc: 1\nd: 2\ndepth: 4\n",
 ], ids=["module-list", "cs-strings", "summands-int", "cs-bool", "c-bool",
-        "summands-empty", "gldim-negative", "depth-zero"])
+        "summands-empty", "gldim-negative", "depth-zero", "key-misspelled",
+        "depth-on-claim1"])
 def test_main_malformed_parameters_exit_two(tmp_path, capsys, params):
     path = write_job(tmp_path, RING + K_MOD + R_MOD + params)
     assert main(["--job", path]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify-claim1", "verify-exact2"])
+def test_summands_that_do_not_present_M_exit_two(tmp_path, capsys, command):
+    """Both checks that read ``summands`` refuse a list whose direct sum is
+    not M, with one message."""
+    path = write_job(tmp_path, RING + K_MOD + R_MOD
+                     + f"command: {command}\nM: R\nX: k\nc: 1\nd: 2\n"
+                       "summands: [R, k]\n")
+    assert main(["--job", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: summands do not present the direct sum m\n")
 
 
 def test_build_of_infinite_length_module_exits_two(tmp_path, capsys):

@@ -349,6 +349,28 @@ def test_extend_agrees_with_rebuild(seed):
         assert want == membership_oracle(a + b, probe, (0,) * rank, ctx)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_extend_by_a_batch_matches_a_rebuild(seed):
+    """``extend`` pushes a whole batch before it forms pairs: the grown
+    basis has the span of a rebuild, auto-reduces to the same unique
+    basis, and a second batch from the span leaves it unchanged."""
+    rng = random.Random(seed)
+    ctx = CTX3 if seed % 2 else CTX
+    rank = rng.randrange(1, 3)
+    a = _random_module_vecs(ctx, rng, rank, rng.randrange(1, 4))
+    b = _random_module_vecs(ctx, rng, rank, rng.randrange(1, 4))
+    base = a if seed % 3 == 0 else []
+    grown = buchberger(base, ctx) if base else GroebnerBasis(ctx)
+    outside = not all(map(buchberger(base, ctx).contains_vec, a + b))
+    assert grown.extend([{}] + b + a) is outside
+    assert (buchberger_vecs(grown.generators, ctx)
+            == buchberger(a + b, ctx).generators)
+    before = copy.deepcopy(grown.generators)
+    members = [random_combination(a + b, ctx, rng) for _ in range(5)]
+    assert grown.extend(members + [{}]) is False
+    assert grown.generators == before
+
+
 def test_extend_indexes_its_leading_terms_once(monkeypatch):
     """``add`` keeps the position index of the leading terms up to date in
     place: extending a basis never calls ``by_position``, and the grown

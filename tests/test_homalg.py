@@ -94,8 +94,8 @@ def test_hom_module_round_trip(ctx2):
             coords = dict(h.coords_of_morphism(f))
             e_j = term(ctx2, j, zero)
             coords[e_j] = (coords.get(e_j, 0) - 1) % ctx2.characteristic
-            assert h.module.element_nf({t: c for t, c in coords.items()
-                                        if c}) == {}
+            assert h.module.rel_gb().contains_vec(
+                {t: c for t, c in coords.items() if c})
 
 
 # -- Ext, grade, torsionfreeness --------------------------------------------
@@ -399,7 +399,8 @@ def test_omega_action_on_identity_is_stably_identity(ctx2):
     lifted = omega_on_morphism(ModuleMorphism.identity(k))
     diff = lifted - ModuleMorphism.identity(o1)
     sh = stable_hom(o1, o1)
-    assert not sh.quotient.element_nf(sh.total.coords_of_morphism(diff))
+    assert sh.quotient.rel_gb().contains_vec(
+        sh.total.coords_of_morphism(diff))
 
 
 def test_omega_bijective_on_stable_end_of_k(ctx3):
@@ -412,7 +413,7 @@ def test_omega_bijective_on_stable_end_of_k(ctx3):
         q = sh.quotient
         # stable End(k) is 1-dimensional; its image under Omega^c is nonzero
         img = omega_power_on_morphism(ident, c)
-        v = q.element_nf(sh.total.coords_of_morphism(img))
+        v = q.rel_gb().normal_form_vec(sh.total.coords_of_morphism(img))
         assert v, c
         assert q.k_dimension() >= 1
 
@@ -434,14 +435,15 @@ def test_identity_in_own_factor_ideal(ctx2):
         end = hom_module(m, m)
         fi = factor_ideal(m, m, end=end)
         ident = end.coords_of_morphism(ModuleMorphism.identity(m))
-        assert not fi.element_nf(ident)
+        assert fi.rel_gb().contains_vec(ident)
 
 
 def test_factor_ideal_quotients_equal_by_reduced_basis(ctx2, ctx3):
     """Two quotients of End(z) have equal reduced relation bases exactly
     when each one's relations lie in the other's span."""
     def within(q1, q2):
-        return all(not q2.element_nf(v) for v in q1.relations.column_vecs())
+        return all(map(q2.rel_gb().contains_vec,
+                       q1.relations.column_vecs()))
 
     for ctx in (ctx2, ctx3):
         k = residue_field(ctx)
@@ -468,7 +470,7 @@ def _identity_in_factor_ideal(K, M):
     """id_K lies in [M](K, K): the reference test for K in add M."""
     end = hom_module(K, K)
     ident = end.coords_of_morphism(ModuleMorphism.identity(K))
-    return not factor_ideal(K, M, end=end).element_nf(ident)
+    return factor_ideal(K, M, end=end).rel_gb().contains_vec(ident)
 
 
 def _cover_injective(K, M, summands=None):
@@ -538,7 +540,7 @@ def run_lift_exactness_harness(seed=2024, min_hypothesis_cases=20):
         if verdict.hypothesis_holds:
             hyp_cases += 1
             if not verdict.hom_exact:
-                failures.append((ctx.nvars, i, wc, verdict.counterexample))
+                failures.append((ctx.nvars, i, wc))
         if total > 200:
             break
     return hyp_cases, failures

@@ -165,11 +165,15 @@ def test_duplicate_key_exits_two(backend, tmp_path, capsys, doc, key, line):
 
 def test_merge_and_value_keys_load_as_before(backend):
     """A key that overrides a merged one is not a repeat, and the special
-    keys << and = read as PyYAML's safe loader reads them."""
-    doc = (RING + MODULES + "base: &b {x: 1, y: 1}\n"
-           "over: {<<: *b, x: 2}\n'=': 3\ncommand: grade\nmodule: k\n")
-    job = parse_job(doc)
-    assert job.params["over"] == {"x": 2, "y": 1}
+    keys << and = read as PyYAML's safe loader reads them.  The merge sits
+    in a module mapping: parse_job refuses a top-level key that the
+    command does not read."""
+    doc = (RING + "module k: &k {gens: [0], relations: [[x], [y]]}\n"
+           "module m: {<<: *k, relations: [[x]]}\n"
+           "command: grade\nmodule: m\n")
+    m = parse_job(doc).modules["m"]
+    assert (m.gen_degrees, m.relations.source_rank) == ((0,), 1)
+    doc += "'=': 3\n"
     assert cli._load_yaml(doc) == yaml.safe_load(doc)
     assert cli._load_yaml("=: 1\n") == yaml.safe_load("=: 1\n") == {"=": 1}
 

@@ -155,7 +155,7 @@ def _claim1_rank_by_basis(h):
             phi = _unjoined(end_x._incl.compose(elem).column_vec(0),
                             h.X, h.X, deg)
             psi = ncr._transport_to_syzygy(phi, h.c)
-            rows.append(tuple_vec(ctx, Q.element_nf(
+            rows.append(tuple_vec(ctx, Q.rel_gb().normal_form_vec(
                 end_z.coords_of_morphism(psi))))
     keys = sorted(set().union(*rows))
     dense = [[row.get(key, 0) for key in keys] for row in rows]
@@ -261,7 +261,7 @@ def test_verify_lemmas_fails_on_an_inexact_lift_check(ctx2, monkeypatch):
     v = verify_lemmas(ctx2)
     assert v.ok and "falsification" not in v.evidence
     monkeypatch.setattr(ncr, "check_lift_exactness",
-                        lambda ses, w: LiftExactnessVerdict(True, False, ""))
+                        lambda ses, w: LiftExactnessVerdict(True, False))
     v = verify_lemmas(ctx2)
     assert v.status == HYPOTHESIS_FAILED and v.evidence["falsification"]
     statuses = {(it["check"].split()[0], it["status"])
