@@ -17,8 +17,8 @@ from .homalg import (AddMResolution, HomModule, LiftExactnessVerdict,
                      check_lift_exactness, ext, factor_ideal,
                      generator_split_pair, grade, hom_module,
                      induced_post_hom, is_d_torsionfree,
-                     is_generator, omega_on_morphism,
-                     omega_power_on_morphism, stable_hom, transpose)
+                     is_generator, omega_power_on_morphism,
+                     stable_hom, transpose)
 from .ncr import (DEPTH_EXHAUSTED, ENGINE_VERSION, HYPOTHESIS_FAILED,
                   NCRHypotheses, NCRReport, VERIFIED, Verdict,
                   check_theorem_part1, corollary_build, normalize_cs,

@@ -555,12 +555,13 @@ class FreeModuleMap:
              for v in other._vecs],
             self.target_degrees, other.source_degrees)
 
-    def hstack(self, other: "FreeModuleMap") -> "FreeModuleMap":
-        if other.target_degrees != self.target_degrees:
+    def hstack(self, *others: "FreeModuleMap") -> "FreeModuleMap":
+        maps = (self,) + others
+        if any(m.target_degrees != self.target_degrees for m in others):
             raise AlgebraError("cannot stack maps with different targets")
         return FreeModuleMap.from_vecs(
-            self.ctx, self._vecs + other._vecs, self.target_degrees,
-            self.source_degrees + other.source_degrees)
+            self.ctx, [v for m in maps for v in m._vecs], self.target_degrees,
+            tuple(d for m in maps for d in m.source_degrees))
 
     def transpose(self) -> "FreeModuleMap":
         """Dual map between the dual free modules (degrees negated)."""

@@ -24,8 +24,7 @@ def hom_free(degrees, n: FPModule) -> FPModule:
     """Hom(F, n) for a free module F with the given twist degrees, the sum
     of the twists n(-d): basis index (j, i), flattened as j * n.rank + i,
     sends source basis vector j of F to generator i of n."""
-    return functools.reduce(direct_sum, [n.twist(-d) for d in degrees],
-                            FPModule(n.ctx, ()))
+    return direct_sum(FPModule(n.ctx, ()), *(n.twist(-d) for d in degrees))
 
 
 def induced_hom_map(d: FreeModuleMap, n: FPModule,
@@ -283,34 +282,25 @@ def factor_ideal(z: FPModule, m: FPModule, end: HomModule) -> FPModule:
 
 # -- syzygy action on morphisms ----------------------------------------------
 
-def omega_on_morphism(phi: ModuleMorphism) -> ModuleMorphism:
-    """Chain-map lift of phi restricted to the first syzygies.
-
-    Well-defined up to morphisms through projectives; iterating gives the
-    action of the c-fold syzygy functor on stable Hom.
-    """
+def omega_power_on_morphism(phi: ModuleMorphism, c: int) -> ModuleMorphism:
+    """Omega^c phi: syzygy(X, c) -> syzygy(Y, c) for phi: X -> Y, the c-th
+    component of a chain map lifting phi between the cached minimal
+    resolutions, so Omega^0 phi is phi on the minimal models; unique up to
+    maps through projectives (the syzygy functor on stable Hom)."""
     X, Y = phi.source, phi.target
-    ox, oy = syzygy(X, 1), syzygy(Y, 1)
+    ox, oy = syzygy(X, c), syzygy(Y, c)
     if ox.rank == 0 or oy.rank == 0:
         return ModuleMorphism.zero(ox, oy, phi.degree)
-    _, to_x, from_x = minimal_presentation(X)
-    to_y = minimal_presentation(Y)[1]
-    psi = to_y.compose(phi).compose(from_x)
-    d1x = minimal_resolution(X, 1).maps[0]
-    d1y = minimal_resolution(Y, 1).maps[0]
-    rhs = psi.matrix.compose(_shifted(d1x, phi.degree))
-    lifted = lift_solve(d1y, rhs)
-    if lifted is None:
-        raise EngineError("chain lift failed against a free target; engine bug")
-    mat = lifted.regraded(tuple(d + phi.degree for d in ox.gen_degrees),
-                          oy.gen_degrees)
+    mat = (minimal_presentation(Y)[1].compose(phi)
+           .compose(minimal_presentation(X)[2]).matrix)
+    dx, dy = minimal_resolution(X, c).maps, minimal_resolution(Y, c).maps
+    for k in range(c):
+        # phi_{k+1} with d^Y_{k+1} o phi_{k+1} = phi_k o d^X_{k+1}
+        mat = lift_solve(dy[k], mat.compose(_shifted(dx[k], phi.degree)))
+        if mat is None:
+            raise EngineError("chain lift failed against a free target; "
+                              "engine bug")
     return ModuleMorphism(ox, oy, mat, degree=phi.degree)
-
-
-def omega_power_on_morphism(phi: ModuleMorphism, c: int) -> ModuleMorphism:
-    for _ in range(c):
-        phi = omega_on_morphism(phi)
-    return phi
 
 
 def induced_post_hom(f: ModuleMorphism, src: "HomModule",
@@ -474,7 +464,7 @@ def summand_list(m: FPModule, summands) -> tuple:
     summands = (m,) if summands is None else tuple(summands)
     if not summands:
         raise AlgebraError("summands: expected at least one module")
-    if functools.reduce(direct_sum, summands) != m:
+    if direct_sum(*summands) != m:
         raise AlgebraError("summands do not present the direct sum m")
     return summands
 
@@ -503,10 +493,8 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
         if not morphs:
             raise EngineError("Hom(m, K) vanished for a generator; engine bug")
         blocks = [summands[l].twist(g.degree) for l, g in morphs]
-        Mi = functools.reduce(direct_sum, blocks)
-        ev_mat = functools.reduce(
-            FreeModuleMap.hstack, [g.matrix for _, g in morphs])
-        return ModuleMorphism(Mi, K, ev_mat)
+        ev_mat = FreeModuleMap.hstack(*(g.matrix for _, g in morphs))
+        return ModuleMorphism(direct_sum(*blocks), K, ev_mat)
 
     modules, approximations, inclusions = [z], [], []
     K, terminated = z, z.is_zero()

@@ -266,17 +266,20 @@ class ModuleMorphism:
 
 # -- direct sums -------------------------------------------------------------
 
-def direct_sum(a: FPModule, b: FPModule) -> FPModule:
-    if a.ctx != b.ctx:
+def direct_sum(*modules: FPModule) -> FPModule:
+    """The sum of one or more modules: their generators, then their
+    relation columns, in the order given."""
+    ctx = modules[0].ctx
+    if any(m.ctx != ctx for m in modules):
         raise AlgebraError("context mismatch in direct sum")
-    ctx = a.ctx
-    gens = a.gen_degrees + b.gen_degrees
-    vecs = a.relations.column_vecs() + [
-        shift_vec(ctx, v, a.rank) for v in b.relations.column_vecs()]
-    rel = FreeModuleMap.from_vecs(
-        ctx, vecs, gens,
-        a.relations.source_degrees + b.relations.source_degrees)
-    return FPModule(ctx, gens, rel)
+    gens, vecs, degrees = (), [], ()
+    for m in modules:
+        vecs += [shift_vec(ctx, v, len(gens))
+                 for v in m.relations.column_vecs()]
+        gens += m.gen_degrees
+        degrees += m.relations.source_degrees
+    return FPModule(ctx, gens, FreeModuleMap.from_vecs(ctx, vecs, gens,
+                                                       degrees))
 
 
 # -- kernels and cokernels ---------------------------------------------------
@@ -472,10 +475,10 @@ def syzygy(m: FPModule, c: int) -> FPModule:
     res = minimal_resolution(m, c + 1)
     if c == 0:
         out = res.min_module
-    elif c < len(res.maps):
-        out = FPModule(m.ctx, res.maps[c - 1].source_degrees, res.maps[c])
-    elif c == len(res.maps) and res.complete and res.maps:
-        out = FPModule(m.ctx, res.maps[c - 1].source_degrees, None)
+    elif c <= len(res.maps):
+        # with c maps of the c + 1 asked for, the resolution is complete
+        out = FPModule(m.ctx, res.maps[c - 1].source_degrees,
+                       res.maps[c] if c < len(res.maps) else None)
     else:
         out = FPModule(m.ctx, (), None)
     m._syz_cache[c] = out

@@ -12,7 +12,7 @@ from .ring import AlgebraError, EngineError, RingContext
 from .groebner import FreeModuleMap
 from .modules import (FPModule, ModuleMorphism, INFINITE, _quotient,
                       cokernel, direct_sum, free_module, homology, kernel,
-                      minimal_presentation, minimal_resolution, syzygy)
+                      minimal_resolution, syzygy)
 from .homalg import (add_M_resolution, check_lift_exactness, factor_ideal,
                      grade, hom_module, induced_post_hom, is_d_torsionfree,
                      is_generator, omega_power_on_morphism, stable_hom,
@@ -113,14 +113,6 @@ def _require_finite_length(module: FPModule, name: str):
     return kd
 
 
-def _transport_to_syzygy(phi: ModuleMorphism, c: int) -> ModuleMorphism:
-    """Omega^c on an endomorphism; c = 0 moves it to the minimal model."""
-    if c == 0:
-        _, to_min, from_min = minimal_presentation(phi.source)
-        return to_min.compose(phi).compose(from_min)
-    return omega_power_on_morphism(phi, c)
-
-
 def verify_claim1(h: NCRHypotheses) -> Verdict:
     """End(X) = End(Omega^c X)/[M] via Phi(phi) = [Omega^c phi].
 
@@ -131,11 +123,11 @@ def verify_claim1(h: NCRHypotheses) -> Verdict:
     D1 minus the length of the cokernel, whose vanishing is a graded
     Nakayama test.
     """
+    _require_finite_length(h.X, "X")
+    summand_list(h.M, h.summands)
     base = h.validate()
     if not base.ok:
         return base
-    _require_finite_length(h.X, "X")
-    summand_list(h.M, h.summands)
     ctx = h.X.ctx
     Z = syzygy(h.X, h.c)
     end_z = hom_module(Z, Z)
@@ -150,7 +142,7 @@ def verify_claim1(h: NCRHypotheses) -> Verdict:
     # the reduced monic basis of a submodule is unique
     Q_R = factor_ideal(Z, free_module(ctx), end=end_z)
     intermediate = Q.rel_gb().generators == Q_R.rel_gb().generators
-    cols = end_z.coords_map(_transport_to_syzygy(phi, h.c)
+    cols = end_z.coords_map(omega_power_on_morphism(phi, h.c)
                             for phi in end_x.minimal_morphisms)
     coker = _quotient(Q, cols)
     rank = D1 - (0 if coker.is_zero() else coker.k_dimension())
@@ -164,12 +156,13 @@ def verify_exact2(h: NCRHypotheses, depth: int) -> Verdict:
     """Exactness of Hom(Omega^c X, add-M resolution) and the cokernel match."""
     if depth < 1:
         raise AlgebraError("depth must be >= 1")
+    _require_finite_length(h.X, "X")
+    summands = summand_list(h.M, h.summands)
     base = h.validate()
     if not base.ok:
         return base
-    _require_finite_length(h.X, "X")
     Z = syzygy(h.X, h.c)
-    amr = add_M_resolution(Z, h.M, depth, summands=h.summands)
+    amr = add_M_resolution(Z, h.M, depth, summands=summands)
     kernel_ranks = [K.rank for K in amr.modules]
     if not amr.terminated:
         return Verdict(DEPTH_EXHAUSTED,

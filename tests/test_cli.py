@@ -214,9 +214,14 @@ def test_canonical_section_stable_across_processes(tmp_path):
     # the default depth, nor a depth on claim 1 be ignored
     "command: verify-exact2\nM: R\nX: k\nc: 1\nd: 2\ndpeth: 8\n",
     "command: verify-claim1\nM: R\nX: k\nc: 1\nd: 2\ndepth: 4\n",
+    # refused inputs, before hypotheses that fail too (M = k is no
+    # generator; grade R = 0 leaves no room for c) are judged
+    "command: verify-claim1\nM: k\nX: k\nc: 1\nd: 2\nsummands: [R, k]\n",
+    "command: verify-exact2\nM: R\nX: R\nc: 1\nd: 3\n",
 ], ids=["module-list", "cs-strings", "summands-int", "cs-bool", "c-bool",
         "summands-empty", "gldim-negative", "depth-zero", "key-misspelled",
-        "depth-on-claim1"])
+        "depth-on-claim1", "summands-before-hypotheses",
+        "infinite-X-before-hypotheses"])
 def test_main_malformed_parameters_exit_two(tmp_path, capsys, params):
     path = write_job(tmp_path, RING + K_MOD + R_MOD + params)
     assert main(["--job", path]) == 2

@@ -8,23 +8,34 @@ scenarios 2 and 4 also run at depths 1 and 2, and ``verify-claim1`` runs
 once more with X = R/m^2, whose map rank is 4.  The four r=4 jobs of
 ``examples/r4/`` (three with X = k, one with X = R/m^2) and the r=5 job of
 ``examples/r5/`` pin the add-M path beyond three variables, and three jobs
-repeat others under the lex order.  A change
-that is meant to alter a report rewrites the files with
+repeat others under the lex order.
+
+``golden/benchmark-seed1.sha256`` pins every exact2-r3 and cli-jobs
+document of the benchmark at seed 1 (``perfbench/workloads.py``) by one
+sha256 per document: of its canonical section, or of its refusal text when
+it is malformed; ``tests/test_job_yaml.py`` checks it.  A change that is
+meant to alter a report rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
 and the diff of ``tests/golden/`` shows what changed.
 """
 
+import hashlib
+import importlib.util
 import pathlib
 import sys
 
 import pytest
 
 from ncres.cli import COMMANDS, parse_job, run_job
+from ncres.ring import AlgebraError, EngineError
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
-EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+EXAMPLES = ROOT / "examples"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+BENCHMARK_DIGESTS = GOLDEN / "benchmark-seed1.sha256"
 
 RING2 = "ring: {char: 101, vars: [x, y]}\n"
 RING3 = "ring: {char: 101, vars: [x, y, z]}\n"
@@ -99,6 +110,35 @@ def canonical(doc):
     return run_job(parse_job(doc))[0]
 
 
+def outcome(doc):
+    """The canonical section of a job document, or the text the CLI
+    prints when it refuses the document (exit 2); an engine fault
+    (exit 3) is raised."""
+    try:
+        return canonical(doc)
+    except EngineError:
+        raise
+    except AlgebraError as e:          # ParseError among them
+        return f"error: {e}"
+
+
+def benchmark_jobs(seed):
+    """The exact2-r3 and cli-jobs documents of the benchmark at ``seed``."""
+    if not WORKLOADS.is_file():
+        pytest.skip("perfbench/ not present")
+    spec = importlib.util.spec_from_file_location("_workloads", WORKLOADS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.exact2_r3(seed) + mod.cli_jobs(seed)[0]
+
+
+def digest_lines(outcomes) -> str:
+    """``sha256  name`` per (name, outcome text), sorted by name."""
+    return "".join(
+        f"{hashlib.sha256(text.encode('utf-8')).hexdigest()}  {name}\n"
+        for name, text in sorted(dict(outcomes).items()))
+
+
 def test_every_command_has_a_job():
     assert {parse_job(doc).command for doc in JOBS.values()} == set(COMMANDS)
 
@@ -115,3 +155,6 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, doc in sorted(JOBS.items()):
         (GOLDEN / f"{name}.yml").write_text(canonical(doc), encoding="utf-8")
+    BENCHMARK_DIGESTS.write_text(
+        digest_lines((name, outcome(doc)) for name, doc in benchmark_jobs(1)),
+        encoding="utf-8")

@@ -8,7 +8,7 @@ from conftest import maximal_ideal, module_family, residue_field, square_quotien
 from oracles import (grade_oracle, hom_k_dimension_oracle, koszul_ext_dims,
                      rank_mod_p)
 from ncres.ring import LEX, AlgebraError, EngineError, RingContext
-from ncres import groebner, homalg
+from ncres import groebner, homalg, modules
 from ncres.groebner import FreeModuleMap, lift_solve, split_term, term
 from ncres.modules import (INFINITE, ModuleMorphism, _quotient, cokernel,
                            direct_sum, free_module, kernel,
@@ -17,8 +17,7 @@ from ncres.modules import (INFINITE, ModuleMorphism, _quotient, cokernel,
 from ncres.homalg import (add_M_resolution, check_lift_exactness, ext,
                           factor_ideal, grade, hom_module, induced_hom_map,
                           induced_post_hom, is_d_torsionfree, is_generator,
-                          omega_on_morphism, omega_power_on_morphism,
-                          stable_hom, transpose)
+                          omega_power_on_morphism, stable_hom, transpose)
 
 
 # -- Hom ---------------------------------------------------------------------
@@ -396,11 +395,42 @@ def test_stable_hom_cover_independence(ctx2):
 def test_omega_action_on_identity_is_stably_identity(ctx2):
     k = residue_field(ctx2)
     o1 = syzygy(k, 1)
-    lifted = omega_on_morphism(ModuleMorphism.identity(k))
+    lifted = omega_power_on_morphism(ModuleMorphism.identity(k), 1)
     diff = lifted - ModuleMorphism.identity(o1)
     sh = stable_hom(o1, o1)
     assert sh.quotient.rel_gb().contains_vec(
         sh.total.coords_of_morphism(diff))
+
+
+@pytest.mark.parametrize("c", [0, 1, 2])
+def test_omega_power_on_identity_is_stably_identity(ctx3, c):
+    """Omega^c id_k is the identity of syzygy(k, c), the cached object
+    itself, modulo maps through projectives."""
+    k = residue_field(ctx3)
+    oc = syzygy(k, c)
+    lifted = omega_power_on_morphism(ModuleMorphism.identity(k), c)
+    assert lifted.source is oc and lifted.target is oc
+    diff = lifted - ModuleMorphism.identity(oc)
+    sh = stable_hom(oc, oc)
+    assert sh.quotient.rel_gb().contains_vec(
+        sh.total.coords_of_morphism(diff))
+
+
+def test_omega_power_lifts_along_the_cached_resolution(ctx3, monkeypatch):
+    """Once syzygy(k, 2) is cached, Omega^2 on a morphism of k computes no
+    syzygies: it lifts along the differentials already there."""
+    k = residue_field(ctx3)
+    syzygy(k, 2)
+    calls = []
+    real = modules.syzygy_basis
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(modules, "syzygy_basis", counted)
+    omega_power_on_morphism(ModuleMorphism.identity(k), 2)
+    assert calls == []
 
 
 def test_omega_bijective_on_stable_end_of_k(ctx3):

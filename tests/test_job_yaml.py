@@ -9,20 +9,17 @@ round trip.  A static check keeps every other YAML call out of
 """
 
 import ast
-import importlib.util
-import pathlib
 
 import pytest
 import yaml
 
 from ncres import cli
-from ncres.cli import CANONICAL_MARK, main, parse_job, print_job, run_job
+from ncres.cli import CANONICAL_MARK, main, parse_job, print_job
 from ncres.ring import ParseError
-from test_golden import GOLDEN, JOBS
+from test_golden import (BENCHMARK_DIGESTS, GOLDEN, JOBS, ROOT,
+                         benchmark_jobs, digest_lines, outcome)
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ncres"
-WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 class _PureLoader(cli._UniqueKeys, yaml.SafeLoader):
@@ -48,53 +45,52 @@ def test_libyaml_is_used_when_present():
     assert cli._Dumper is yaml.CSafeDumper
 
 
-def _benchmark_jobs(seed):
-    """The exact2-r3 and cli-jobs documents of the benchmark at ``seed``."""
-    if not WORKLOADS.is_file():
-        pytest.skip("perfbench/ not present")
-    spec = importlib.util.spec_from_file_location("_workloads", WORKLOADS)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.exact2_r3(seed) + mod.cli_jobs(seed)[0]
-
-
 @pytest.fixture(scope="module")
 def benchmark_reports():
-    """(name, canonical section, report object) for every
-    well-formed benchmark document at seed 1, run once with the default
-    back end; the report object is what ``run_job`` hands the dumper."""
+    """(name, outcome, report object) for every benchmark document at
+    seed 1, run once with the default back end: the outcome is the
+    canonical section, or the refusal text of a malformed document, whose
+    report object is None; the report object is what ``run_job`` hands the
+    dumper."""
     out = []
     real = cli._dump_yaml
-    for name, doc in dict(_benchmark_jobs(1)).items():
+    for name, doc in dict(benchmark_jobs(1)).items():
         seen = []
 
         def spy(value, **options):
             seen.append(value)
             return real(value, **options)
 
+        cli._dump_yaml = spy
         try:
-            job = parse_job(doc)
-            cli._dump_yaml = spy
-            canonical = run_job(job)[0]
-        except (cli.ParseError, cli.AlgebraError):
-            continue  # the malformed documents
+            text = outcome(doc)
         finally:
             cli._dump_yaml = real
-        out.append((name, canonical, seen[0]))
-    assert len(out) >= 50
+        out.append((name, text, seen[0] if seen else None))
+    assert sum(report is not None for _, _, report in out) >= 50
     return out
 
 
 def _all_documents():
-    return list(JOBS.items()) + _benchmark_jobs(1)
+    return list(JOBS.items()) + benchmark_jobs(1)
 
 
 def test_benchmark_canonical_sections_byte_identical(backend,
                                                      benchmark_reports):
     for name, canonical, report in benchmark_reports:
+        if report is None:
+            continue
         text = CANONICAL_MARK + "\n" + cli._dump_yaml(
             report, default_flow_style=None)
         assert text == canonical, name
+
+
+def test_benchmark_outcomes_match_pinned_digests(benchmark_reports):
+    """Each benchmark document's canonical section, or refusal text, hashes
+    to its line of ``golden/benchmark-seed1.sha256``."""
+    want = BENCHMARK_DIGESTS.read_text(encoding="utf-8")
+    assert digest_lines((name, text) for name, text, _ in
+                        benchmark_reports) == want
 
 
 @pytest.mark.parametrize("name", sorted(JOBS))

@@ -154,7 +154,7 @@ def _claim1_rank_by_basis(h):
                 ctx, [{term(ctx, pos, mono): 1}], EX.gen_degrees, (deg,))
             phi = _unjoined(end_x._incl.compose(elem).column_vec(0),
                             h.X, h.X, deg)
-            psi = ncr._transport_to_syzygy(phi, h.c)
+            psi = ncr.omega_power_on_morphism(phi, h.c)
             rows.append(tuple_vec(ctx, Q.rel_gb().normal_form_vec(
                 end_z.coords_of_morphism(psi))))
     keys = sorted(set().union(*rows))
@@ -188,7 +188,7 @@ def _zero_transport(phi, c):
     return ModuleMorphism.zero(Z, Z, phi.degree)
 
 
-def _times_x_transport(phi, c, real=ncr._transport_to_syzygy):
+def _times_x_transport(phi, c, real=ncr.omega_power_on_morphism):
     psi = real(phi, c)
     Z, ctx = psi.target, psi.ctx
     x = (1,) + (0,) * (ctx.nvars - 1)
@@ -206,7 +206,7 @@ def test_verify_claim1_catches_a_broken_transport(ctx3, monkeypatch, mutant,
     """A transport that sends every endomorphism to zero, or multiplies it
     by x, is no bijection: a falsification with the rank such a map has."""
     X = (residue_field(ctx3) if x_name == "k" else square_quotient(ctx3))
-    monkeypatch.setattr(ncr, "_transport_to_syzygy", mutant)
+    monkeypatch.setattr(ncr, "omega_power_on_morphism", mutant)
     v = verify_claim1(NCRHypotheses(M=free_module(ctx3), X=X, c=1, d=3,
                                     gldim_end_M=0, gldim_end_X=0))
     assert v.evidence["map_rank"] == rank
