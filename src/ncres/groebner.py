@@ -2,8 +2,12 @@
 
 Free-module elements are sparse dicts mapping packed terms (below) to a
 coefficient.  Syzygies and lifts both come from one mechanism: a Groebner
-basis of the columns extended by unit-vector bookkeeping components under an
-elimination order, so membership certificates double as lift coefficients.
+basis, under an elimination order, of the columns of a block [x | y] with a
+flagged unit vector added to each column of x only.  Its elements led by a
+flagged term give the relative syzygies {c : x c in im y}, and normal forms
+give lift coefficients on x modulo im y (Greuel & Pfister, *A Singular
+Introduction to Commutative Algebra*, 2.8, ``modulo``); with y empty these
+are the syzygies of x and plain lifts.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .ring import (LEX, AlgebraError, DegreeError, Polynomial, RingContext,
 # formed between checks (a composition adds two degrees).  Only this module
 # reads the bits of a term; others use ``term``, ``split_term``,
 # ``term_pos``, ``shift_term``, ``is_constant`` and the vector forms
-# ``shift_vec``, ``split_vec`` and ``vec_below``.
+# ``shift_vec`` and ``split_vec``.
 
 FIELD_BITS = 32
 POS_BITS = 24
@@ -164,13 +168,6 @@ def split_vec(ctx: RingContext, v: dict, size: int, count: int):
         j = lay.pos(t) // size
         out[j][t - ((j * size) << lay.eb)] = c
     return out
-
-
-def vec_below(ctx: RingContext, v: dict, k: int) -> dict:
-    """The terms of v in positions below k."""
-    lay = _layout(ctx)
-    bound = k << lay.eb
-    return {t: c for t, c in v.items() if t & lay.posmask < bound}
 
 
 def is_constant(ctx: RingContext, t: int) -> bool:
@@ -478,7 +475,7 @@ class FreeModuleMap:
         self.source_degrees = tuple(source_degrees)
         self.target_degrees = tuple(target_degrees)
         self._vecs = vecs
-        self._ext_gb = None
+        self._ext_gb = {}
 
     @classmethod
     def from_vecs(cls, ctx: RingContext, vecs, target_degrees,
@@ -591,29 +588,29 @@ class FreeModuleMap:
 
     # -- membership machinery ------------------------------------------------
 
-    def _extended_gb(self):
-        """GB of {col_j + e_{t+j}} under an elimination order, cached.
+    def _extended_gb(self, kept: int):
+        """GB, cached per ``kept``, of {col_j + e_{t+j} : j < kept} and the
+        plain columns j >= kept under an elimination order.
 
-        Elements supported purely on the bookkeeping block form a generating
-        set of the syzygy module (Schreyer-style), and normal forms yield
-        explicit lift coefficients.  The bookkeeping terms carry the
-        elimination flag, so every term in positions >= t loses to every
-        term in positions < t.
+        The bookkeeping terms carry the elimination flag, so every term in
+        positions >= t loses to every term in positions < t.  For the block
+        [x | y], x its first ``kept`` columns, the elements led by a flagged
+        term are then a Groebner basis of {c : x c in im y}, and the normal
+        form of a vector b of im x + im y is -c, on the flagged positions,
+        for a c with x c = b mod im y.
         """
-        if self._ext_gb is not None:
-            return self._ext_gb
-        last = self.target_rank + len(self._vecs) - 1
+        if kept in self._ext_gb:
+            return self._ext_gb[kept]
+        last = self.target_rank + kept - 1
         if last > MAX_POSITION:
             raise AlgebraError(f"free-module position {last} is out of range "
                                f"0..{MAX_POSITION}")
         flag, eb = _unflag(self), _layout(self.ctx).eb
-        vecs = []
-        for j, col in enumerate(self._vecs):
-            v = dict(col)
+        vecs = [dict(col) for col in self._vecs]
+        for j, v in enumerate(vecs[:kept]):
             v[flag + (j << eb)] = 1       # the flagged term of e_{t+j}
-            vecs.append(v)
-        self._ext_gb = buchberger(vecs, self.ctx)
-        return self._ext_gb
+        self._ext_gb[kept] = buchberger(vecs, self.ctx)
+        return self._ext_gb[kept]
 
     def __repr__(self):
         cols = self.cols
@@ -624,7 +621,7 @@ class FreeModuleMap:
 
 
 def _unflag(m: FreeModuleMap) -> int:
-    """What to subtract from a bookkeeping term of ``m._extended_gb()`` for
+    """What to subtract from a bookkeeping term of ``m._extended_gb`` for
     the term of its column index."""
     lay = _layout(m.ctx)
     return lay.elim + (m.target_rank << lay.eb)
@@ -633,7 +630,14 @@ def _unflag(m: FreeModuleMap) -> int:
 def syzygy_basis(m: FreeModuleMap) -> FreeModuleMap:
     """Map s with m o s = 0 and image(s) = kernel(m), its columns sorted by
     degree, then by their (position, monomial) items."""
-    gb = m._extended_gb()
+    return _relative_syzygies(m, m.source_rank)
+
+
+def _relative_syzygies(m: FreeModuleMap, kept: int) -> FreeModuleMap:
+    """For m = [x | y], x its first ``kept`` columns: the reduced Groebner
+    basis of {c : x c in im y} as a map into the source of x, sorted as
+    ``syzygy_basis`` sorts, read off ``m._extended_gb(kept)``."""
+    gb = m._extended_gb(kept)
     lay = _layout(m.ctx)
     off = _unflag(m)
     syz = []
@@ -645,14 +649,22 @@ def syzygy_basis(m: FreeModuleMap) -> FreeModuleMap:
                         sorted((lay.split(t), c) for t, c in v.items()), v))
     syz.sort(key=operator.itemgetter(0, 1))
     return FreeModuleMap.from_vecs(m.ctx, [v for _, _, v in syz],
-                                   m.source_degrees, [d for d, _, _ in syz])
+                                   m.source_degrees[:kept],
+                                   [d for d, _, _ in syz])
 
 
 def lift_solve(a: FreeModuleMap, b: FreeModuleMap):
     """x with a o x = b when every column of b lies in image(a), else None."""
+    return _relative_lift(a, b, a.source_rank)
+
+
+def _relative_lift(a: FreeModuleMap, b: FreeModuleMap, kept: int):
+    """For a = [x | y], x its first ``kept`` columns: c with x o c = b
+    modulo im y, read off ``a._extended_gb(kept)``; None when some column
+    of b lies outside im x + im y."""
     if a.target_degrees != b.target_degrees:
         raise AlgebraError("targets of a and b do not agree")
-    gb = a._extended_gb()
+    gb = a._extended_gb(kept)
     elim_min = _layout(a.ctx).elim_min
     off = _unflag(a)
     p = a.ctx.characteristic
@@ -663,5 +675,5 @@ def lift_solve(a: FreeModuleMap, b: FreeModuleMap):
             return None
         x = {t - off: (-c) % p for t, c in r.items()}
         xcols.append(x)
-    return FreeModuleMap.from_vecs(a.ctx, xcols, a.source_degrees,
+    return FreeModuleMap.from_vecs(a.ctx, xcols, a.source_degrees[:kept],
                                    degrees=b.source_degrees)

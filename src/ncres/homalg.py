@@ -9,8 +9,8 @@ import itertools
 from typing import NamedTuple
 
 from .ring import AlgebraError, EngineError
-from .groebner import (FreeModuleMap, lift_solve, shift_term, shift_vec,
-                       split_vec, term, term_pos, vec_below)
+from .groebner import (FreeModuleMap, _relative_lift, lift_solve,
+                       shift_term, shift_vec, split_vec, term, term_pos)
 from .modules import (FPModule, ModuleMorphism, INFINITE, _beside,
                       _kernel_modulo, _nakayama_keep, _quotient, _shifted,
                       cokernel, direct_sum, free_module, homology, kernel,
@@ -51,9 +51,10 @@ class HomModule:
     It lies in the ambient Hom(F_0, target), F_0 the cover of source, as
     the kernel of composition with the relations F_1 -> F_0 of source (the
     whole ambient when source is free).  The generators ``_incl`` sit
-    beside the ambient relations in one block, whose syzygies give the
-    relations of a kernel and whose extended basis gives every lift of
-    ``coords_map``.
+    beside the ambient relations in one block [incl | ambient relations].
+    Its one extended basis flags the ``module.rank`` generator columns
+    only: its flagged-led elements are the relations of a kernel, and its
+    normal forms give every lift of ``coords_map``.
     """
 
     def __init__(self, source: FPModule, target: FPModule):
@@ -103,13 +104,10 @@ class HomModule:
         if not rhs.source_rank:
             return FreeModuleMap.zero_map(self.ctx, (),
                                           self.module.gen_degrees)
-        sol = lift_solve(self._block, rhs)
+        sol = _relative_lift(self._block, rhs, self.module.rank)
         if sol is None:
             raise EngineError("morphism does not lie in its Hom module")
-        return FreeModuleMap.from_vecs(
-            self.ctx, [vec_below(self.ctx, v, self.module.rank)
-                       for v in sol.column_vecs()],
-            self.module.gen_degrees, rhs.source_degrees)
+        return sol
 
 
 def _joined(ctx, morphisms, degrees) -> FreeModuleMap:
@@ -460,12 +458,19 @@ def _top_selection(K: FPModule, summands, rad):
 
 def summand_list(m: FPModule, summands) -> tuple:
     """``summands`` as a tuple, ``(m,)`` when it is None; refused unless
-    their direct sum presents m."""
-    summands = (m,) if summands is None else tuple(summands)
+    their direct sum presents m.  The tuple last accepted is kept on m, so
+    that handing it on (``verify_exact2`` to ``add_M_resolution``) checks
+    nothing again."""
+    if summands is None:
+        return (m,)
+    if summands is m._summands:
+        return summands
+    summands = tuple(summands)
     if not summands:
         raise AlgebraError("summands: expected at least one module")
     if direct_sum(*summands) != m:
         raise AlgebraError("summands do not present the direct sum m")
+    m._summands = summands
     return summands
 
 

@@ -13,9 +13,9 @@ import math
 from typing import NamedTuple
 
 from .ring import AlgebraError, EngineError, RingContext, mono_divides
-from .groebner import (FreeModuleMap, GroebnerBasis, buchberger,
-                       is_constant, shift_vec, split_term, syzygy_basis,
-                       term, term_pos, vec_below)
+from .groebner import (FreeModuleMap, GroebnerBasis, _relative_syzygies,
+                       buchberger, is_constant, shift_vec, split_term,
+                       syzygy_basis, term, term_pos)
 
 INFINITE = math.inf
 
@@ -34,15 +34,10 @@ def _beside(x: FreeModuleMap, y: FreeModuleMap) -> FreeModuleMap:
 
 def _block_relations(block: FreeModuleMap, x: FreeModuleMap) -> FreeModuleMap:
     """Generators of {c : x*c lies in the column span of y}, a map into the
-    source of x, read off the syzygies of block = [x | y]; with y empty
-    they are the syzygies of x."""
-    syz = syzygy_basis(block)
-    if block is x:
-        return syz
-    k = x.source_rank
-    vecs = [vec_below(x.ctx, v, k) for v in syz.column_vecs()]
-    return FreeModuleMap.from_vecs(x.ctx, list(filter(None, vecs)),
-                                   x.source_degrees)
+    source of x, for block = [x | y]: the flagged-led elements of the one
+    extended basis of the block that flags the columns of x only; with y
+    empty they are the syzygies of x."""
+    return _relative_syzygies(block, x.source_rank)
 
 
 class FPModule:
@@ -63,6 +58,7 @@ class FPModule:
         self._res_complete = False
         self._syz_cache = {}
         self._split = None         # (generator_split_pair(self),)
+        self._summands = None      # the summands last checked to present it
 
     # -- basics --------------------------------------------------------------
 
@@ -287,8 +283,9 @@ def direct_sum(*modules: FPModule) -> FPModule:
 def _kernel_modulo(g: ModuleMorphism, sub: FreeModuleMap):
     """(K, pre, block): the kernel of g modulo the span of the columns
     ``sub`` on the cover of g's source, the columns ``pre`` of K's
-    generators, and the block [pre | sub] whose syzygies give K's relations.
-    The block keeps its extended basis, which also lifts into K."""
+    generators, and the block [pre | sub] whose relative syzygies
+    {c : pre c in im sub} are K's relations.  The block keeps that extended
+    basis, with the columns of pre flagged, which also lifts into K."""
     ctx = g.ctx
     pre = _block_relations(_beside(g.matrix, g.target.relations), g.matrix)
     # pre lives over the shifted cover of the source; shift degrees back

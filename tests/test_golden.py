@@ -6,9 +6,10 @@ job for every command, and ``verify-claim1`` and ``verify-exact2`` also run
 on acceptance scenarios 1-4 over F_101 in the coordinates x, y, z;
 scenarios 2 and 4 also run at depths 1 and 2, and ``verify-claim1`` runs
 once more with X = R/m^2, whose map rank is 4.  The four r=4 jobs of
-``examples/r4/`` (three with X = k, one with X = R/m^2) and the r=5 job of
-``examples/r5/`` pin the add-M path beyond three variables, and three jobs
-repeat others under the lex order.
+``examples/r4/`` (three with X = k, one with X = R/m^2), the r=5 job of
+``examples/r5/`` and the r=6 job of ``examples/r6/`` (c = 3, about 3.5 s)
+pin the add-M path beyond three variables, and three jobs repeat others
+under the lex order.
 
 ``golden/benchmark-seed1.sha256`` pins every exact2-r3 and cli-jobs
 document of the benchmark at seed 1 (``perfbench/workloads.py``) by one
@@ -97,7 +98,7 @@ for _tag in ("s2", "s4"):
             SCENARIOS[_tag]
             + f"X: k\ncommand: verify-exact2\ndepth: {_depth}\n")
 for _dir, _name in (("r4", "O3-2"), ("r4", "O2-1"), ("r4", "O3-1"),
-                    ("r4", "Rm2-O3-1"), ("r5", "O3-1")):
+                    ("r4", "Rm2-O3-1"), ("r5", "O3-1"), ("r6", "O5-3")):
     JOBS[f"exact2-{_dir}-{_name}"] = (
         EXAMPLES / _dir / f"{_name}.yml").read_text(encoding="utf-8")
 # the lex order: a syzygy, a stable Hom and an add-M resolution

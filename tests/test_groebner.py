@@ -585,7 +585,7 @@ def _extended_reference(a, b):
     p = ctx.characteristic
     lay = groebner._layout(ctx)
     elim, flagged = lay.elim, lay.elim_min
-    full = _fully_reduced(a._extended_gb().generators, ctx)
+    full = _fully_reduced(a._extended_gb(a.source_rank).generators, ctx)
 
     def unflag(t):
         pos, mono = split_term(ctx, t - elim)
@@ -632,7 +632,7 @@ def test_extended_basis_reads_match_fully_reduced_basis(order, nvars):
                      for v in a.column_vecs() for t in v)
         x = random_map(ctx, rng, d2, d1)
         flagged = groebner._layout(ctx).elim_min
-        engine = a._extended_gb().generators
+        engine = a._extended_gb(a.source_rank).generators
         full = _fully_reduced(engine, ctx)
         for g, r in zip(engine, full):
             if min(g) >= flagged or max(g) < flagged:
@@ -655,6 +655,56 @@ def test_extended_basis_reads_match_fully_reduced_basis(order, nvars):
     assert units and refused
     if nvars > 1:
         assert kept_tails > 0
+
+
+# -- relative syzygies: only the columns of x are bookkept -------------------
+
+@given(seed=st.integers(0, 10 ** 6), nvars=st.sampled_from([2, 3]))
+@settings(max_examples=25, deadline=None)
+def test_relative_syzygies_match_projected_full_syzygies(seed, nvars):
+    """For a random homogeneous block [x | y], the relative syzygies
+    {c : x c in im y}, read off the basis that flags the columns of x only,
+    span what the old route spans: the full syzygies of the block projected
+    onto the x positions, zeros dropped.  Both have one reduced basis; the
+    relative syzygies are it.  A lift modulo im y solves x c = b mod im y
+    and is refused exactly off im x + im y."""
+    ctx = CTX if nvars == 2 else CTX3
+    rng = random.Random(seed)
+    d0 = [rng.randrange(0, 2) for _ in range(rng.randrange(1, 3))]
+    dx = [rng.randrange(0, 3) for _ in range(rng.randrange(1, 4))]
+    dy = [rng.randrange(1, 3) for _ in range(rng.randrange(0, 4))]
+    zero = {rng.randrange(len(dx))} if seed % 3 == 0 else set()
+    x = random_map(ctx, rng, dx, d0, zero_cols=zero)
+    y = random_map(ctx, rng, dy, d0)
+    block = x.hstack(y)
+    k = x.source_rank
+
+    rel = groebner._relative_syzygies(block, k)
+    assert rel.target_degrees == x.source_degrees
+    old = [{t: c for t, c in v.items() if split_term(ctx, t)[0] < k}
+           for v in syzygy_basis(x.hstack(y)).column_vecs()]
+    old = [v for v in old if v]
+    new = rel.column_vecs()
+    assert buchberger_vecs(new, ctx) == buchberger_vecs(old, ctx)
+    assert buchberger_vecs(new, ctx) == sorted(new, key=min)
+    span_y = buchberger(y.column_vecs(), ctx)
+    assert all(map(span_y.contains_vec, x.compose(rel).column_vecs()))
+
+    de = [rng.randrange(1, 4) for _ in range(2)]
+    members = block.compose(random_map(ctx, rng, de, block.source_degrees))
+    others = random_map(ctx, rng, de, d0)
+    span_xy = buchberger(block.column_vecs(), ctx)
+    for b in (members, others):
+        sol = groebner._relative_lift(block, b, k)
+        inside = all(map(span_xy.contains_vec, b.column_vecs()))
+        assert (sol is not None) == inside
+        if sol is not None:
+            assert sol.target_degrees == x.source_degrees
+            for have, want in zip(x.compose(sol).column_vecs(),
+                                  b.column_vecs()):
+                assert (span_y.normal_form_vec(have)
+                        == span_y.normal_form_vec(want))
+    assert list(block._ext_gb) == [k]
 
 
 # -- Buchberger runs only where a reduced basis is read ----------------------

@@ -1,5 +1,6 @@
 import collections
 import functools
+import itertools
 import random
 
 import pytest
@@ -138,17 +139,20 @@ def _coords_by_own_lift(h, f):
 
 
 def test_coords_map_is_one_lift_of_all_morphisms(ctx2, ctx3, monkeypatch):
-    """coords_map lifts all its morphisms in one call, and column j equals
-    the lift of the j-th morphism alone: on End(z) with the composites
-    through m that ``factor_ideal`` lifts, the generators, and a zero
-    morphism; no morphisms cost no lift."""
+    """coords_map lifts all its morphisms in one call, on the generator
+    columns of its block, and column j equals the lift of the j-th morphism
+    alone: on End(z) with the composites through m that ``factor_ideal``
+    lifts, the generators, and a zero morphism; no morphisms cost no
+    lift.  Each column c solves incl * c = rhs modulo the ambient
+    relations."""
     calls = []
+    real = homalg._relative_lift
 
-    def counting(a, b):
-        calls.append(b.source_rank)
-        return lift_solve(a, b)
+    def counting(a, b, kept):
+        calls.append((b.source_rank, kept))
+        return real(a, b, kept)
 
-    monkeypatch.setattr(homalg, "lift_solve", counting)
+    monkeypatch.setattr(homalg, "_relative_lift", counting)
     lifted = 0
     for ctx in (ctx2, ctx3):
         fam = module_family(ctx)
@@ -161,15 +165,49 @@ def test_coords_map_is_one_lift_of_all_morphisms(ctx2, ctx3, monkeypatch):
             fs += end.basis_morphisms + [ModuleMorphism.zero(z, z, 1)]
             calls.clear()
             got = end.coords_map(iter(fs))
-            assert calls == [len(fs)]
+            assert calls == [(len(fs), end.module.rank)]
             assert got.target_degrees == end.module.gen_degrees
             assert got.source_degrees == tuple(f.degree for f in fs)
             for f, v in zip(fs, got.column_vecs()):
                 assert v == _coords_by_own_lift(end, f)
+            # incl * c and rhs agree modulo the ambient relations
+            nf = end._ambient.rel_gb().normal_form_vec
+            rhs = homalg._joined(ctx, fs, end._ambient.gen_degrees)
+            back = end._incl.compose(got).column_vecs()
+            for have, want in zip(back, rhs.column_vecs()):
+                assert nf(have) == nf(want)
             lifted += len(fs)
             calls.clear()
             assert end.coords_map(()).source_rank == 0 and calls == []
     assert lifted > 50
+
+
+def test_each_hom_block_builds_one_extended_basis(ctx2, ctx3, monkeypatch):
+    """A Hom module's block [incl | ambient relations] builds one extended
+    basis, with its ``module.rank`` generator columns flagged: it gives the
+    relations of Hom, and every later coords_map only reads it."""
+    built = []
+    real = FreeModuleMap._extended_gb
+
+    def recording(m, kept):
+        if kept not in m._ext_gb:
+            built.append((m, kept))
+        return real(m, kept)
+
+    monkeypatch.setattr(FreeModuleMap, "_extended_gb", recording)
+    cases = 0
+    for ctx in (ctx2, ctx3):
+        fam = module_family(ctx)
+        for a, b in itertools.product(("k", "R/m2", "m", "R"), repeat=2):
+            built.clear()
+            h = hom_module(fam[a], fam[b])
+            h.coords_map(h.basis_morphisms)
+            h.coords_map(h.basis_morphisms[:1])
+            on_block = [kept for m, kept in built if m is h._block]
+            assert on_block == [h.module.rank]
+            assert list(h._block._ext_gb) == [h.module.rank]
+            cases += h._block.source_rank > h.module.rank
+    assert cases > 4
 
 
 def test_coords_map_refuses_a_morphism_outside_hom(ctx2):

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import residue_field, square_quotient
 from oracles import rank_mod_p, tuple_vec
-from ncres import groebner, ncr
+from ncres import groebner, homalg, ncr
 from ncres.ring import AlgebraError
 from ncres.groebner import FreeModuleMap, term
 from ncres.modules import (FPModule, ModuleMorphism, direct_sum, free_module,
@@ -181,6 +181,26 @@ def test_verify_claim1_map_rank_matches_basis_oracle(ctx3, x_name, m_name,
     assert v.ok
     assert v.evidence["D1"] == v.evidence["D2"] == want
     assert v.evidence["map_rank"] == want == _claim1_rank_by_basis(h)
+
+
+def test_verify_exact2_checks_its_summands_once(ctx3, monkeypatch):
+    """verify_exact2 checks once that its summands present M: their direct
+    sum is formed one time, and add_M_resolution takes the checked tuple
+    as it is."""
+    M, (R, O2), d = _claim1_M(ctx3, "R+O2")
+    sums = []
+    real = homalg.direct_sum
+
+    def counting(*modules):
+        if len(modules) == 2 and modules[0] is R and modules[1] is O2:
+            sums.append(modules)
+        return real(*modules)
+
+    monkeypatch.setattr(homalg, "direct_sum", counting)
+    h = NCRHypotheses(M=M, X=residue_field(ctx3), c=1, d=d, gldim_end_M=7,
+                      gldim_end_X=0, summands=[R, O2])
+    assert verify_exact2(h, 4).ok
+    assert len(sums) == 1
 
 
 def _zero_transport(phi, c):

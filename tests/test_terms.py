@@ -15,7 +15,7 @@ import pytest
 from ncres import groebner
 from ncres.groebner import (MAX_EXPONENT, MAX_POSITION, FreeModuleMap,
                             buchberger, is_constant, shift_term, shift_vec,
-                            split_term, split_vec, term, term_pos, vec_below)
+                            split_term, split_vec, term, term_pos)
 from ncres.ring import (AlgebraError, RingContext, mono_divides, mono_mul,
                         parse_polynomial)
 
@@ -106,8 +106,8 @@ def test_split_inverts_term(nvars, order, seed):
 
 @pytest.mark.parametrize("nvars, order, seed", CASES)
 def test_vector_forms_match_term_forms(nvars, order, seed):
-    """shift_vec, split_vec and vec_below act term by term as shift_term
-    and term_pos do."""
+    """shift_vec and split_vec act term by term as shift_term and term_pos
+    do."""
     ctx = ctx_of(nvars, order)
     v = {term(ctx, pos, m): 1 + i for i, (pos, m) in
          enumerate(sample(seed, nvars))}
@@ -121,9 +121,6 @@ def test_vector_forms_match_term_forms(nvars, order, seed):
             assert all(term_pos(ctx, t) < size for t in part)
             joined.update(shift_vec(ctx, part, j * size))
         assert joined == v
-    for k in range(2 * SPLIT + 1):
-        assert vec_below(ctx, v, k) == {t: c for t, c in v.items()
-                                        if term_pos(ctx, t) < k}
 
 
 def test_out_of_range_terms_are_refused():
