@@ -9,13 +9,15 @@ import itertools
 from typing import NamedTuple
 
 from .ring import AlgebraError, EngineError
-from .groebner import (FreeModuleMap, _relative_lift, lift_solve,
+from .groebner import (FreeModuleMap, GroebnerBasis, _relative_lift,
+                       _relative_syzygies, column_key, lift_solve, remap_vec,
                        shift_term, shift_vec, split_vec, term, term_pos)
 from .modules import (FPModule, ModuleMorphism, INFINITE, _beside,
                       _kernel_modulo, _nakayama_keep, _quotient, _shifted,
-                      cokernel, direct_sum, free_module, homology, kernel,
-                      kernel_with_inclusion, minimal_generator_indices,
-                      minimal_presentation, minimal_resolution, syzygy)
+                      _summand_groups, cokernel, direct_sum, free_module,
+                      homology, kernel, kernel_with_inclusion,
+                      minimal_generator_indices, minimal_presentation,
+                      minimal_resolution, syzygy)
 
 
 # -- Hom modules -------------------------------------------------------------
@@ -24,16 +26,17 @@ def hom_free(degrees, n: FPModule) -> FPModule:
     """Hom(F, n) for a free module F with the given twist degrees, the sum
     of the twists n(-d): basis index (j, i), flattened as j * n.rank + i,
     sends source basis vector j of F to generator i of n."""
-    return direct_sum(FPModule(n.ctx, ()), *(n.twist(-d) for d in degrees))
+    ctx, rel = n.ctx, n.relations
+    gens = tuple(g - d for d in degrees for g in n.gen_degrees)
+    return FPModule(ctx, gens, FreeModuleMap.from_vecs(
+        ctx, [shift_vec(ctx, v, j * n.rank) for j in range(len(degrees))
+              for v in rel.column_vecs()],
+        gens, [e - d for d in degrees for e in rel.source_degrees]))
 
 
-def induced_hom_map(d: FreeModuleMap, n: FPModule,
-                    hb: FPModule | None = None) -> ModuleMorphism:
-    """Hom(target(d), n) -> Hom(source(d), n), composition with d; ``hb``
-    is Hom(target(d), n) when it is already built."""
-    if hb is None:
-        hb = hom_free(d.target_degrees, n)
-    ha = hom_free(d.source_degrees, n)
+def induced_hom_map(d: FreeModuleMap, n: FPModule) -> ModuleMorphism:
+    """Hom(target(d), n) -> Hom(source(d), n), composition with d."""
+    hb, ha = hom_free(d.target_degrees, n), hom_free(d.source_degrees, n)
     nr = n.rank
     # basis vector (j, i) goes to row j of d, placed at the offsets i: the
     # row's term in position j2 moves to position j2 * nr + i
@@ -54,7 +57,10 @@ class HomModule:
     beside the ambient relations in one block [incl | ambient relations].
     Its one extended basis flags the ``module.rank`` generator columns
     only: its flagged-led elements are the relations of a kernel, and its
-    normal forms give every lift of ``coords_map``.
+    normal forms give every lift of ``coords_map``.  When source is not
+    free and a summand of target repeats up to twist, all of it is
+    assembled from one Hom(source, S) per distinct summand S: the reduced
+    basis of a block-diagonal module is the union of the blocks'.
     """
 
     def __init__(self, source: FPModule, target: FPModule):
@@ -70,10 +76,40 @@ class HomModule:
             self.module = amb
             self._incl = FreeModuleMap.identity(ctx, amb.gen_degrees)
             self._block = _beside(self._incl, amb.relations)
+        elif ((groups := _summand_groups(target))
+              and any(len(tw) > 1 for _, tw in groups)):
+            self._assemble(groups)
         else:
-            phi = induced_hom_map(a, target, amb)
             self.module, self._incl, self._block = _kernel_modulo(
-                phi, amb.relations)
+                induced_hom_map(a, target), amb.relations)
+
+    def _assemble(self, groups):
+        """Moves each copy's generators and extended basis into place."""
+        ctx, nt, t = self.ctx, self.target.rank, self._ambient.rank
+        gens, copies = [], []
+        for S, twists in groups:
+            piece = HomModule(self.source, S)
+            pgens = list(zip(piece._incl.column_vecs(),
+                             piece.module.gen_degrees))
+            for off, e in twists:
+                emb = [q // S.rank * nt + off + q % S.rank
+                       for q in range(piece._ambient.rank)]
+                copies.append((piece, emb, gmap := [None] * len(pgens)))
+                gens += [(remap_vec(ctx, v, emb), d + e, gmap, k)
+                         for k, (v, d) in enumerate(pgens)]
+        gens.sort(key=lambda g: column_key(ctx, g[0], g[1]))
+        for n, (_, _, gmap, k) in enumerate(gens):
+            gmap[k] = n
+        degrees = [d for _, d, _, _ in gens]
+        self._incl = FreeModuleMap.from_vecs(
+            ctx, [v for v, *_ in gens], self._ambient.gen_degrees, degrees)
+        self._block = _beside(self._incl, self._ambient.relations)
+        self._block._ext_gb[len(gens)] = GroebnerBasis(ctx, [
+            remap_vec(ctx, g, emb + [t + n for n in gmap])
+            for piece, emb, gmap in copies
+            for g in piece._block._extended_gb(piece.module.rank).generators])
+        self.module = FPModule(ctx, degrees,
+                               _relative_syzygies(self._block, len(gens)))
 
     @functools.cached_property
     def basis_morphisms(self):
@@ -192,14 +228,21 @@ def is_d_torsionfree(m: FPModule, d: int) -> bool:
 
     Every module has a free resolution of length at most r, the number of
     variables, so Ext^i(·, R) vanishes for i > r and only i <= min(d, r)
-    are computed.
+    are computed.  Tr and Ext^i(-, R) are additive (Auslander and Bridger
+    1969), so a direct sum asks its distinct summands.  Another m keeps
+    its verdict, monotone in d: true below a true d, false above a false d.
     """
     if d < 1:
         raise AlgebraError("torsionfree index must be >= 1")
-    tr = transpose(m)
-    R = free_module(m.ctx)
-    return all(ext(i, tr, R).is_zero()
-               for i in range(1, min(d, m.ctx.nvars) + 1))
+    d = min(d, m.ctx.nvars)
+    if groups := _summand_groups(m):
+        return all(is_d_torsionfree(S, d) for S, _ in groups)
+    known, failed = m._torsionfree
+    if known < d < failed:
+        tr, R = transpose(m), free_module(m.ctx)
+        ok = all(ext(i, tr, R).is_zero() for i in range(known + 1, d + 1))
+        m._torsionfree = (d, failed) if ok else (known, d)
+    return d <= m._torsionfree[0]
 
 
 def generator_split_pair(m: FPModule):
@@ -235,7 +278,12 @@ def _split_pair(m: FPModule):
 
 
 def is_generator(m: FPModule) -> bool:
-    """True iff the trace ideal of m is the unit ideal (R in add m)."""
+    """True iff the trace ideal of m is the unit ideal (R in add m); that of
+    a direct sum is the sum of the summands', proper if theirs all are."""
+    if not m.relations.source_rank:
+        return m.rank > 0
+    if groups := _summand_groups(m):
+        return any(is_generator(S) for S, _ in groups)
     return generator_split_pair(m) is not None
 
 

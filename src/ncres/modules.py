@@ -32,14 +32,6 @@ def _beside(x: FreeModuleMap, y: FreeModuleMap) -> FreeModuleMap:
     return x if y.source_rank == 0 else x.hstack(y)
 
 
-def _block_relations(block: FreeModuleMap, x: FreeModuleMap) -> FreeModuleMap:
-    """Generators of {c : x*c lies in the column span of y}, a map into the
-    source of x, for block = [x | y]: the flagged-led elements of the one
-    extended basis of the block that flags the columns of x only; with y
-    empty they are the syzygies of x."""
-    return _relative_syzygies(block, x.source_rank)
-
-
 class FPModule:
     """Finitely presented graded module: generator degrees + relations,
     trusted to be homogeneous (``make_module`` is the validated entry)."""
@@ -58,7 +50,8 @@ class FPModule:
         self._res_complete = False
         self._syz_cache = {}
         self._split = None         # (generator_split_pair(self),)
-        self._summands = None      # the summands last checked to present it
+        self._summands = None      # from direct_sum, or checked to present it
+        self._torsionfree = (0, INFINITE)   # (largest d true, least d false)
 
     # -- basics --------------------------------------------------------------
 
@@ -130,15 +123,13 @@ class FPModule:
                 else sum(h1 for _, _, h1 in series))
 
 
-def _hilbert_numerator(monos, r: int) -> dict:
-    """{k: a_k}, sum a_k s^k / (1-s)^r the Hilbert series of R/J, J = (monos),
+def _hilbert_numerator(gens, r: int) -> dict:
+    """{k: a_k}, sum a_k s^k / (1-s)^r the Hilbert series of R/J, J = (gens),
     by HS(R/J) = HS(R/(J + p)) + s^e HS(R/(J : p)) (Bayer and Stillman 1992)
-    for p = x_v^e not in J: x_v in the most minimal generators, e the lower
-    median of its exponents there; coprime generators give prod (1 - s^deg)."""
-    gens = []
-    for m in sorted(set(monos), key=lambda m: (sum(m), m)):
-        if not any(mono_divides(g, m) for g in gens):
-            gens.append(m)
+    for p = x_v^e not in J: x_v in the most gens, e the lower median of its
+    exponents there; coprime generators give prod (1 - s^deg).  gens are
+    minimal (the leading terms of a reduced basis are), and so are p and
+    the gens it does not divide for J + p."""
     counts = [sum(1 for m in gens if m[v]) for v in range(r)]
     v = max(range(r), key=counts.__getitem__)
     if counts[v] < 2:
@@ -149,8 +140,13 @@ def _hilbert_numerator(monos, r: int) -> dict:
         return out
     e = sorted(m[v] for m in gens if m[v])[(counts[v] - 1) // 2]
     out = _hilbert_numerator(
-        gens + [tuple(e if w == v else 0 for w in range(r))], r)
-    colon = [m[:v] + (max(m[v] - e, 0),) + m[v + 1:] for m in gens]
+        [m for m in gens if m[v] < e]
+        + [tuple(e if w == v else 0 for w in range(r))], r)
+    colon = []
+    for m in sorted({m[:v] + (max(m[v] - e, 0),) + m[v + 1:] for m in gens},
+                    key=lambda m: (sum(m), m)):
+        if not any(mono_divides(g, m) for g in colon):
+            colon.append(m)
     for k, c in _hilbert_numerator(colon, r).items():
         out[k + e] = out.get(k + e, 0) + c
     return out
@@ -264,7 +260,7 @@ class ModuleMorphism:
 
 def direct_sum(*modules: FPModule) -> FPModule:
     """The sum of one or more modules: their generators, then their
-    relation columns, in the order given."""
+    relation columns, in the order given.  It keeps its summands."""
     ctx = modules[0].ctx
     if any(m.ctx != ctx for m in modules):
         raise AlgebraError("context mismatch in direct sum")
@@ -274,8 +270,30 @@ def direct_sum(*modules: FPModule) -> FPModule:
                  for v in m.relations.column_vecs()]
         gens += m.gen_degrees
         degrees += m.relations.source_degrees
-    return FPModule(ctx, gens, FreeModuleMap.from_vecs(ctx, vecs, gens,
-                                                       degrees))
+    out = FPModule(ctx, gens, FreeModuleMap.from_vecs(ctx, vecs, gens,
+                                                      degrees))
+    out._summands = modules
+    return out
+
+
+def _summand_groups(m: FPModule):
+    """[(S, [(offset, e), ...])]: one S per class up to twist of the nonzero
+    summands of m (kept by ``direct_sum`` or ``summand_list``, or the rank-1
+    twists of a free m), with the offset in m of each S(e); None for < 2."""
+    parts = [s for s in m._summands or () if s.rank]
+    if len(parts) < 2 and not m.relations.source_rank:
+        parts = [free_module(m.ctx, (d,)) for d in m.gen_degrees]
+    if len(parts) < 2:
+        return None
+    groups, off = {}, 0
+    for T in parts:
+        low, rel = T.gen_degrees[0], T.relations.column_vecs()
+        key = (tuple(d - low for d in T.gen_degrees),
+               tuple(tuple(sorted(v.items())) for v in rel))
+        S, twists = groups.setdefault(key, (T, []))
+        twists.append((off, low - S.gen_degrees[0]))
+        off += T.rank
+    return list(groups.values())
 
 
 # -- kernels and cokernels ---------------------------------------------------
@@ -287,11 +305,12 @@ def _kernel_modulo(g: ModuleMorphism, sub: FreeModuleMap):
     {c : pre c in im sub} are K's relations.  The block keeps that extended
     basis, with the columns of pre flagged, which also lifts into K."""
     ctx = g.ctx
-    pre = _block_relations(_beside(g.matrix, g.target.relations), g.matrix)
+    pre = _relative_syzygies(_beside(g.matrix, g.target.relations),
+                             g.matrix.source_rank)
     # pre lives over the shifted cover of the source; shift degrees back
     gen_degrees = tuple(d - g.degree for d in pre.source_degrees)
     block = _beside(pre, _shifted(sub, g.degree))
-    rel = _block_relations(block, pre)
+    rel = _relative_syzygies(block, pre.source_rank)
     rel = rel.regraded(tuple(d - g.degree for d in rel.source_degrees),
                        gen_degrees)
     return FPModule(ctx, gen_degrees, rel), pre, block

@@ -44,10 +44,10 @@ class NCRHypotheses(NamedTuple):
     """Input data for the main construction.
 
     The gldim values are asserted, caller-supplied integers; they are never
-    computed here.  ``summands`` optionally records M as a direct sum, and
-    the checks refuse a list that does not present M.  The add-M machinery
-    splits free summands off and drops repeated summands itself, so it
-    needs ``summands`` only when the non-free part of M decomposes.
+    computed here.  ``summands`` optionally records M as a direct sum for
+    the checks to take one by one, refused unless it presents M.  The add-M
+    machinery splits free summands off and drops repeated ones itself, so
+    it needs ``summands`` only when the non-free part of M decomposes.
     """
 
     M: FPModule
@@ -87,7 +87,7 @@ def _conclude(base: Verdict, ok: bool, found: dict) -> Verdict:
 
 
 def check_theorem_part1(h: NCRHypotheses) -> Verdict:
-    """M + Omega^c X is a c-torsionfree generator (direct verification)."""
+    """M + Omega^c X is a c-torsionfree generator, checked per summand."""
     base = h.validate()
     if not base.ok:
         return base
@@ -259,8 +259,8 @@ def corollary_build(N: FPModule, cs, gldim_end_N: int) -> NCRReport:
     """Inductive construction M = R + Omega^{c_1}N + ... with its bound.
 
     Each step re-verifies the torsionfree-generator hypothesis for the next
-    syzygy summand; the recursive bound accumulation is cross-checked against
-    the closed form; r is the number of variables of N's ring.
+    syzygy summand, each distinct summand checked once; the recursive bound
+    is cross-checked against the closed form; r is the number of variables.
     """
     ctx = N.ctx
     r = ctx.nvars

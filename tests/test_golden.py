@@ -8,8 +8,10 @@ scenarios 2 and 4 also run at depths 1 and 2, and ``verify-claim1`` runs
 once more with X = R/m^2, whose map rank is 4.  The four r=4 jobs of
 ``examples/r4/`` (three with X = k, one with X = R/m^2), the r=5 job of
 ``examples/r5/`` and the r=6 job of ``examples/r6/`` (c = 3, about 3.5 s)
-pin the add-M path beyond three variables, and three jobs repeat others
-under the lex order.
+pin the add-M path beyond three variables; the two ``build`` jobs of
+``examples/r4/`` and ``examples/r5/`` (N = k, cs = [3, 2, 1] and
+[4, 3, 2, 1]) pin the inductive construction there, and three jobs repeat
+others under the lex order.
 
 ``golden/benchmark-seed1.sha256`` pins every exact2-r3 and cli-jobs
 document of the benchmark at seed 1 (``perfbench/workloads.py``) by one
@@ -100,6 +102,9 @@ for _tag in ("s2", "s4"):
 for _dir, _name in (("r4", "O3-2"), ("r4", "O2-1"), ("r4", "O3-1"),
                     ("r4", "Rm2-O3-1"), ("r5", "O3-1"), ("r6", "O5-3")):
     JOBS[f"exact2-{_dir}-{_name}"] = (
+        EXAMPLES / _dir / f"{_name}.yml").read_text(encoding="utf-8")
+for _dir, _name in (("r4", "build-k-321"), ("r5", "build-k-4321")):
+    JOBS[f"{_dir}-{_name}"] = (
         EXAMPLES / _dir / f"{_name}.yml").read_text(encoding="utf-8")
 # the lex order: a syzygy, a stable Hom and an add-M resolution
 for _name in ("syzygy-Rm2-2", "stablehom-T-T", "exact2-s2"):

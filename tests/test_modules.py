@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -123,6 +124,19 @@ def test_hilbert_counts_match_enumeration_on_monomial_ideals(seed):
             assert grade(m) == (INFINITE if dim < 0 else nvars - dim)
             assert m.k_dimension() == _brute_force_length(m)
             assert (m.k_dimension() is INFINITE) == (dim > 0)
+
+
+def test_hilbert_numerator_of_a_power_of_the_maximal_ideal():
+    """(x, y)^n has the numerator 1 - (n+1) s^n + n s^(n+1).  The minimal
+    generators of J + (p) are filtered by p, not minimalized again, so
+    n = 2000 takes well under a second of CPU time (pairwise
+    minimalization at every node took about one second)."""
+    n = 2000
+    start = time.process_time()
+    num = modules._hilbert_numerator([(i, n - i) for i in range(n + 1)], 2)
+    spent = time.process_time() - start
+    assert {k: c for k, c in num.items() if c} == {0: 1, n: -n - 1, n + 1: n}
+    assert spent < 0.75
 
 
 def test_twist(ctx2):

@@ -5,7 +5,7 @@ import pytest
 from conftest import residue_field, square_quotient
 from oracles import rank_mod_p, tuple_vec
 from ncres import groebner, homalg, ncr
-from ncres.ring import AlgebraError
+from ncres.ring import AlgebraError, RingContext
 from ncres.groebner import FreeModuleMap, term
 from ncres.modules import (FPModule, ModuleMorphism, direct_sum, free_module,
                            make_module, syzygy)
@@ -326,3 +326,23 @@ def test_corollary_trace_records_summands(ctx2):
     rep = corollary_build(k, (1,), 0)
     assert rep.trace[0]["step"] == 0
     assert rep.trace[1]["verdict"] == VERIFIED
+
+
+def test_build_transposes_each_distinct_summand_once(monkeypatch):
+    """build over r = 4 with cs = [3, 2, 1] checks each step's sum, and the
+    hypotheses on the sum before it, on the summands: the torsionfree test
+    transposes R, Omega^3 k, Omega^2 k and Omega^1 k once each, and never
+    a sum."""
+    ctx = RingContext(32003, ("a", "b", "c", "d"))
+    transposed = []
+    real = homalg.transpose
+
+    def counting(m):
+        transposed.append(m)
+        return real(m)
+
+    monkeypatch.setattr(homalg, "transpose", counting)
+    rep = corollary_build(residue_field(ctx), (3, 2, 1), 0)
+    assert rep.all_verified()
+    assert len({id(m) for m in transposed}) == len(transposed)
+    assert sorted(m.rank for m in transposed) == [1, 4, 4, 6]
