@@ -44,7 +44,7 @@ from .ring import (LEX, AlgebraError, DegreeError, Polynomial, RingContext,
 # formed between checks (a composition adds two degrees).  Only this module
 # reads the bits of a term; others use ``term``, ``split_term``,
 # ``term_pos``, ``shift_term``, ``is_constant`` and the vector forms
-# ``shift_vec``, ``split_vec``, ``remap_vec`` and ``column_key``.
+# ``shift_vec`` and ``split_vec``.
 
 FIELD_BITS = 32
 POS_BITS = 24
@@ -168,19 +168,6 @@ def split_vec(ctx: RingContext, v: dict, size: int, count: int):
         j = lay.pos(t) // size
         out[j][t - ((j * size) << lay.eb)] = c
     return out
-
-
-def remap_vec(ctx: RingContext, v: dict, positions) -> dict:
-    """v with every term moved from its position p to positions[p]."""
-    lay = _layout(ctx)
-    moved = ((t, c, lay.pos(t)) for t, c in v.items())
-    return {t + ((positions[p] - p) << lay.eb): c for t, c, p in moved}
-
-
-def column_key(ctx: RingContext, v: dict, degree: int):
-    """Sort key of a column v of degree ``degree``: degree, then items."""
-    split = _layout(ctx).split
-    return degree, sorted((split(t), c) for t, c in v.items())
 
 
 def is_constant(ctx: RingContext, t: int) -> bool:
@@ -648,22 +635,22 @@ def syzygy_basis(m: FreeModuleMap) -> FreeModuleMap:
 
 def _relative_syzygies(m: FreeModuleMap, kept: int) -> FreeModuleMap:
     """For m = [x | y], x its first ``kept`` columns: the reduced Groebner
-    basis of {c : x c in im y} as a map into the source of x, sorted by
-    ``column_key``, read off ``m._extended_gb(kept)``."""
+    basis of {c : x c in im y} as a map into the source of x, sorted as
+    ``syzygy_basis`` sorts, read off ``m._extended_gb(kept)``."""
     gb = m._extended_gb(kept)
-    elim_min = _layout(m.ctx).elim_min
+    lay = _layout(m.ctx)
     off = _unflag(m)
     syz = []
     for g in gb.generators:
         # all of g is bookkeeping when its leading term is
-        if min(g) >= elim_min:
+        if min(g) >= lay.elim_min:
             v = {t - off: c for t, c in g.items()}
-            syz.append((column_key(
-                m.ctx, v, vec_degree(v, m.source_degrees, m.ctx)), v))
-    syz.sort(key=operator.itemgetter(0))
-    return FreeModuleMap.from_vecs(m.ctx, [v for _, v in syz],
+            syz.append((vec_degree(v, m.source_degrees, m.ctx),
+                        sorted((lay.split(t), c) for t, c in v.items()), v))
+    syz.sort(key=operator.itemgetter(0, 1))
+    return FreeModuleMap.from_vecs(m.ctx, [v for _, _, v in syz],
                                    m.source_degrees[:kept],
-                                   [key[0] for key, _ in syz])
+                                   [d for d, _, _ in syz])
 
 
 def lift_solve(a: FreeModuleMap, b: FreeModuleMap):

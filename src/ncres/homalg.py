@@ -9,15 +9,13 @@ import itertools
 from typing import NamedTuple
 
 from .ring import AlgebraError, EngineError
-from .groebner import (FreeModuleMap, GroebnerBasis, _relative_lift,
-                       _relative_syzygies, column_key, lift_solve, remap_vec,
+from .groebner import (FreeModuleMap, _relative_lift, lift_solve,
                        shift_term, shift_vec, split_vec, term, term_pos)
 from .modules import (FPModule, ModuleMorphism, INFINITE, _beside,
                       _kernel_modulo, _nakayama_keep, _quotient, _shifted,
-                      _summand_groups, cokernel, direct_sum, free_module,
-                      homology, kernel, kernel_with_inclusion,
-                      minimal_generator_indices, minimal_presentation,
-                      minimal_resolution, syzygy)
+                      cokernel, direct_sum, free_module, homology, kernel,
+                      kernel_with_inclusion, minimal_generator_indices,
+                      minimal_presentation, minimal_resolution, syzygy)
 
 
 # -- Hom modules -------------------------------------------------------------
@@ -57,10 +55,7 @@ class HomModule:
     beside the ambient relations in one block [incl | ambient relations].
     Its one extended basis flags the ``module.rank`` generator columns
     only: its flagged-led elements are the relations of a kernel, and its
-    normal forms give every lift of ``coords_map``.  When source is not
-    free and a summand of target repeats up to twist, all of it is
-    assembled from one Hom(source, S) per distinct summand S: the reduced
-    basis of a block-diagonal module is the union of the blocks'.
+    normal forms give every lift of ``coords_map``.
     """
 
     def __init__(self, source: FPModule, target: FPModule):
@@ -76,40 +71,9 @@ class HomModule:
             self.module = amb
             self._incl = FreeModuleMap.identity(ctx, amb.gen_degrees)
             self._block = _beside(self._incl, amb.relations)
-        elif ((groups := _summand_groups(target))
-              and any(len(tw) > 1 for _, tw in groups)):
-            self._assemble(groups)
         else:
             self.module, self._incl, self._block = _kernel_modulo(
                 induced_hom_map(a, target), amb.relations)
-
-    def _assemble(self, groups):
-        """Moves each copy's generators and extended basis into place."""
-        ctx, nt, t = self.ctx, self.target.rank, self._ambient.rank
-        gens, copies = [], []
-        for S, twists in groups:
-            piece = HomModule(self.source, S)
-            pgens = list(zip(piece._incl.column_vecs(),
-                             piece.module.gen_degrees))
-            for off, e in twists:
-                emb = [q // S.rank * nt + off + q % S.rank
-                       for q in range(piece._ambient.rank)]
-                copies.append((piece, emb, gmap := [None] * len(pgens)))
-                gens += [(remap_vec(ctx, v, emb), d + e, gmap, k)
-                         for k, (v, d) in enumerate(pgens)]
-        gens.sort(key=lambda g: column_key(ctx, g[0], g[1]))
-        for n, (_, _, gmap, k) in enumerate(gens):
-            gmap[k] = n
-        degrees = [d for _, d, _, _ in gens]
-        self._incl = FreeModuleMap.from_vecs(
-            ctx, [v for v, *_ in gens], self._ambient.gen_degrees, degrees)
-        self._block = _beside(self._incl, self._ambient.relations)
-        self._block._ext_gb[len(gens)] = GroebnerBasis(ctx, [
-            remap_vec(ctx, g, emb + [t + n for n in gmap])
-            for piece, emb, gmap in copies
-            for g in piece._block._extended_gb(piece.module.rank).generators])
-        self.module = FPModule(ctx, degrees,
-                               _relative_syzygies(self._block, len(gens)))
 
     @functools.cached_property
     def basis_morphisms(self):
@@ -223,6 +187,21 @@ def grade(m: FPModule):
     return INFINITE if dim < 0 else m.ctx.nvars - dim
 
 
+def _distinct_summands(m: FPModule):
+    """One of each class up to twist of the nonzero summands m keeps (from
+    ``direct_sum`` or ``summand_list``); None for fewer than two."""
+    parts = [S for S in m._summands or () if S.rank]
+    if len(parts) < 2:
+        return None
+    distinct = {}
+    for S in parts:
+        low = S.gen_degrees[0]
+        distinct.setdefault((tuple(d - low for d in S.gen_degrees),
+                             tuple(tuple(sorted(v.items()))
+                                   for v in S.relations.column_vecs())), S)
+    return list(distinct.values())
+
+
 def is_d_torsionfree(m: FPModule, d: int) -> bool:
     """Ext^i(Tr m, R) = 0 for 1 <= i <= d; d = 2 is the reflexivity test.
 
@@ -234,9 +213,11 @@ def is_d_torsionfree(m: FPModule, d: int) -> bool:
     """
     if d < 1:
         raise AlgebraError("torsionfree index must be >= 1")
+    if not m.relations.source_rank:
+        return True             # the transpose of a free module is zero
     d = min(d, m.ctx.nvars)
-    if groups := _summand_groups(m):
-        return all(is_d_torsionfree(S, d) for S, _ in groups)
+    if parts := _distinct_summands(m):
+        return all(is_d_torsionfree(S, d) for S in parts)
     known, failed = m._torsionfree
     if known < d < failed:
         tr, R = transpose(m), free_module(m.ctx)
@@ -282,8 +263,8 @@ def is_generator(m: FPModule) -> bool:
     a direct sum is the sum of the summands', proper if theirs all are."""
     if not m.relations.source_rank:
         return m.rank > 0
-    if groups := _summand_groups(m):
-        return any(is_generator(S) for S, _ in groups)
+    if parts := _distinct_summands(m):
+        return any(is_generator(S) for S in parts)
     return generator_split_pair(m) is not None
 
 

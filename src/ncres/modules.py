@@ -142,9 +142,11 @@ def _hilbert_numerator(gens, r: int) -> dict:
     out = _hilbert_numerator(
         [m for m in gens if m[v] < e]
         + [tuple(e if w == v else 0 for w in range(r))], r)
-    colon = []
-    for m in sorted({m[:v] + (max(m[v] - e, 0),) + m[v + 1:] for m in gens},
-                    key=lambda m: (sum(m), m)):
+    # J : p.  The image m / p of a gen p divides is minimal there: the image
+    # of no other gen divides it.  The others lose x_v and are filtered.
+    colon = [m[:v] + (m[v] - e,) + m[v + 1:] for m in gens if m[v] >= e]
+    for m in sorted({m[:v] + (0,) + m[v + 1:] for m in gens if m[v] < e},
+                    key=sum):
         if not any(mono_divides(g, m) for g in colon):
             colon.append(m)
     for k, c in _hilbert_numerator(colon, r).items():
@@ -274,26 +276,6 @@ def direct_sum(*modules: FPModule) -> FPModule:
                                                       degrees))
     out._summands = modules
     return out
-
-
-def _summand_groups(m: FPModule):
-    """[(S, [(offset, e), ...])]: one S per class up to twist of the nonzero
-    summands of m (kept by ``direct_sum`` or ``summand_list``, or the rank-1
-    twists of a free m), with the offset in m of each S(e); None for < 2."""
-    parts = [s for s in m._summands or () if s.rank]
-    if len(parts) < 2 and not m.relations.source_rank:
-        parts = [free_module(m.ctx, (d,)) for d in m.gen_degrees]
-    if len(parts) < 2:
-        return None
-    groups, off = {}, 0
-    for T in parts:
-        low, rel = T.gen_degrees[0], T.relations.column_vecs()
-        key = (tuple(d - low for d in T.gen_degrees),
-               tuple(tuple(sorted(v.items())) for v in rel))
-        S, twists = groups.setdefault(key, (T, []))
-        twists.append((off, low - S.gen_degrees[0]))
-        off += T.rank
-    return list(groups.values())
 
 
 # -- kernels and cokernels ---------------------------------------------------

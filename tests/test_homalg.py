@@ -14,8 +14,7 @@ from ncres.ring import LEX, AlgebraError, EngineError, RingContext
 from ncres import groebner, homalg, modules
 from ncres.groebner import FreeModuleMap, lift_solve, split_term, term
 from ncres.modules import (INFINITE, FPModule, ModuleMorphism, _quotient,
-                           cokernel,
-                           direct_sum, free_module, kernel,
+                           cokernel, direct_sum, free_module, kernel,
                            kernel_with_inclusion, make_module,
                            minimal_resolution, syzygy)
 from ncres.homalg import (add_M_resolution, check_lift_exactness, ext,
@@ -74,65 +73,6 @@ def test_hom_presentation_matches_two_step_kernel(ctx2, ctx3):
         assert h._incl.source_degrees == incl.matrix.source_degrees
         assert h._incl.target_degrees == incl.matrix.target_degrees
         assert h._incl.column_vecs() == incl.matrix.column_vecs()
-
-
-def _direct_hom(src, tgt):
-    """hom_module(src, tgt) by the block path: no summand of tgt is read."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homalg, "_summand_groups", lambda m: None)
-        return hom_module(src, tgt)
-
-
-def _times_variables(m):
-    """Multiplication by each variable, as endomorphisms of m of degree 1."""
-    ctx = m.ctx
-    return [ModuleMorphism(m, m, FreeModuleMap.from_vecs(
-        ctx, [{term(ctx, i, mono): 1} for i in range(m.rank)],
-        m.gen_degrees, [d + 1 for d in m.gen_degrees]), degree=1)
-        for mono in (tuple(int(w == v) for w in range(ctx.nvars))
-                     for v in range(ctx.nvars))]
-
-
-@settings(max_examples=25, deadline=None)
-@given(nvars=st.sampled_from([2, 3]),
-       source=st.sampled_from(["k", "R/m2", "m"]),
-       parts=st.lists(st.tuples(st.sampled_from(["k", "R/m2", "m", "R"]),
-                                st.integers(-2, 2)), min_size=1, max_size=3),
-       free=st.booleans())
-def test_assembled_hom_equals_the_direct_kernel(nvars, source, parts, free):
-    """Hom(A, B), B a direct sum with a summand repeated up to twist or a
-    free module of rank 2-4, is assembled from one Hom per distinct
-    summand.  Generators, relations, realized morphisms and the
-    coordinates of composites with every variable equal those of the block
-    path: on an unrecorded copy of a sum, and with no summands read for a
-    free module."""
-    ctx = RingContext(101, ("x", "y", "z")[:nvars])
-    fam = module_family(ctx)
-    A = fam[source]
-    parts = parts + [(parts[0][0], parts[0][1] + 1)]
-    if free:
-        B = free_module(ctx, [e for _, e in parts])
-        want = _direct_hom(A, B)
-    else:
-        B = direct_sum(*(fam[name].twist(e) for name, e in parts))
-        want = hom_module(A, FPModule(ctx, B.gen_degrees, B.relations))
-    assert any(len(tw) > 1 for _, tw in homalg._summand_groups(B))
-    got = hom_module(A, B)
-    assert got.module.gen_degrees == want.module.gen_degrees
-    assert (got.module.relations.source_degrees
-            == want.module.relations.source_degrees)
-    assert (got.module.relations.column_vecs()
-            == want.module.relations.column_vecs())
-    assert got._incl.column_vecs() == want._incl.column_vecs()
-    assert ([(f.degree, f.matrix.column_vecs()) for f in got.basis_morphisms]
-            == [(f.degree, f.matrix.column_vecs())
-                for f in want.basis_morphisms])
-    fs = [g.compose(f) for f in want.basis_morphisms
-          for g in _times_variables(B)]
-    fs += want.basis_morphisms + [ModuleMorphism.zero(A, B, 1)]
-    have, expect = got.coords_map(fs), want.coords_map(fs)
-    assert have.source_degrees == expect.source_degrees
-    assert have.column_vecs() == expect.column_vecs()
 
 
 def test_hom_additive_in_direct_sums(ctx2):

@@ -1,6 +1,5 @@
 import itertools
 import random
-import time
 
 import pytest
 
@@ -126,17 +125,29 @@ def test_hilbert_counts_match_enumeration_on_monomial_ideals(seed):
             assert (m.k_dimension() is INFINITE) == (dim > 0)
 
 
-def test_hilbert_numerator_of_a_power_of_the_maximal_ideal():
+def test_hilbert_numerator_of_a_power_of_the_maximal_ideal(monkeypatch):
     """(x, y)^n has the numerator 1 - (n+1) s^n + n s^(n+1).  The minimal
-    generators of J + (p) are filtered by p, not minimalized again, so
-    n = 2000 takes well under a second of CPU time (pairwise
-    minimalization at every node took about one second)."""
+    generators of J + (p) are filtered by p, and those of J : p that p
+    divides are kept unchecked, so the recursion has 2n - 1 nodes and the
+    divisibility tests grow about linearly in n (pairwise minimalization
+    at every node made about n^2)."""
     n = 2000
-    start = time.process_time()
+    calls = {"node": 0, "divides": 0}
+
+    def counting(real, key):
+        def count(*args):
+            calls[key] += 1
+            return real(*args)
+        return count
+
+    monkeypatch.setattr(modules, "mono_divides",
+                        counting(modules.mono_divides, "divides"))
+    monkeypatch.setattr(modules, "_hilbert_numerator",
+                        counting(modules._hilbert_numerator, "node"))
     num = modules._hilbert_numerator([(i, n - i) for i in range(n + 1)], 2)
-    spent = time.process_time() - start
     assert {k: c for k, c in num.items() if c} == {0: 1, n: -n - 1, n + 1: n}
-    assert spent < 0.75
+    assert calls["node"] == 2 * n - 1
+    assert calls["divides"] < 10 * n
 
 
 def test_twist(ctx2):

@@ -2,8 +2,7 @@
 
 ``modules``, ``homalg``, ``ncr`` and ``cli`` build and read terms only
 through ``term``, ``split_term``, ``term_pos``, ``shift_term``,
-``is_constant``, the vector forms ``shift_vec``, ``split_vec`` and
-``remap_vec``, and the column sort key ``column_key``: they
+``is_constant`` and the vector forms ``shift_vec`` and ``split_vec``: they
 use no shift or bitwise-and operator and import none of the layout's
 widths, bounds or its per-ring layout object.
 """
