@@ -14,8 +14,9 @@ from typing import NamedTuple
 
 from .ring import AlgebraError, EngineError, RingContext, mono_divides
 from .groebner import (FreeModuleMap, GroebnerBasis, _relative_syzygies,
-                       buchberger, is_constant, shift_vec, split_term,
-                       syzygy_basis, term, term_pos)
+                       buchberger, is_constant, shift_term, shift_vec,
+                       split_term, syzygy_basis, term_pos, vec_add_scaled,
+                       vec_scale)
 
 INFINITE = math.inf
 
@@ -226,12 +227,8 @@ class ModuleMorphism:
         if self.degree != other.degree:
             raise AlgebraError("cannot subtract morphisms of different degrees")
         p = self.ctx.characteristic
-        vecs = []
-        for v, w in zip(self.matrix.column_vecs(), other.matrix.column_vecs()):
-            acc = dict(v)
-            for t, c in w.items():
-                acc[t] = (acc.get(t, 0) - c) % p
-            vecs.append({t: c for t, c in acc.items() if c})
+        vecs = [vec_add_scaled(dict(v), w, -1, 0, p) for v, w in
+                zip(self.matrix.column_vecs(), other.matrix.column_vecs())]
         mat = FreeModuleMap.from_vecs(self.ctx, vecs,
                                       self.matrix.target_degrees,
                                       self.matrix.source_degrees)
@@ -357,55 +354,57 @@ def _trim_columns(m: FreeModuleMap) -> FreeModuleMap:
 
 
 def minimal_presentation(m: FPModule):
-    """(m_min, to_min, from_min) with mutually inverse isomorphisms.
+    """(m_min, to_min, from_min) with mutually inverse isomorphisms, cached.
 
-    Eliminates generators reachable through unit relation entries, then trims
-    the relation columns to a minimal generating set.  Cached on the module.
-    """
+    One pass over the relation columns, in order, substitutes the generators
+    eliminated so far into each; a constant entry left eliminates the
+    generator at its lowest position.  Substitution gives no constant entry
+    to a column without one, so the pivots are the column-order echelon of
+    the constant parts.  to_min is the one map that fixes the kept
+    generators and kills the pivot columns (unitriangular on the pivot
+    generators); the relations are all columns substituted, then trimmed."""
     if m._min is not None:
         return m._min
-    ctx = m.ctx
-    p = ctx.characteristic
-    zero = (0,) * ctx.nvars
-    gens = m.gen_degrees
-    rel = m.relations
-    rho = FreeModuleMap.identity(ctx, gens)
-    iota = FreeModuleMap.identity(ctx, gens)
-    while True:
-        # the first constant entry of the first column that has one
-        for col in rel.column_vecs():
-            units = [term_pos(ctx, t) for t in col if is_constant(ctx, t)]
-            if units:
-                break
-        else:
-            break
-        i = min(units)
-        uinv = ctx.inv(col[term(ctx, i, zero)])
-        keep = [i2 for i2 in range(len(gens)) if i2 != i]
-        new = {i2: n for n, i2 in enumerate(keep)}
-        newgens = tuple(gens[i2] for i2 in keep)
-        # g_i = -u^{-1} * sum_{i' != i} col[i'] g_{i'}: the substitution old
-        # cover -> new cover, and the inclusion new cover -> old cover
-        expr = {}
-        for t, c in col.items():
-            i2, mono = split_term(ctx, t)
-            if i2 != i:
-                expr[term(ctx, new[i2], mono)] = (-uinv * c) % p
-        sub = FreeModuleMap.from_vecs(
-            ctx, [expr if i2 == i else {term(ctx, new[i2], zero): 1}
-                  for i2 in range(len(gens))], newgens, gens)
-        inc = FreeModuleMap.from_vecs(
-            ctx, [{term(ctx, i2, zero): 1} for i2 in keep], gens, newgens)
-        # the column used becomes zero; _trim_columns drops zero columns
-        rel = sub.compose(rel)
-        gens = newgens
-        rho = sub.compose(rho)
-        iota = iota.compose(inc)
-    rel = _trim_columns(rel)
-    m_min = FPModule(ctx, gens, rel)
-    to_min = ModuleMorphism(m, m_min, rho)
-    from_min = ModuleMorphism(m_min, m, iota)
-    m._min = (m_min, to_min, from_min)
+    ctx, p = m.ctx, m.ctx.characteristic
+    pivots = {}     # eliminated position -> (order of elimination, column)
+
+    def substituted(v):
+        # one eliminated generator at a time, in the order of elimination:
+        # a pivot column holds only generators eliminated after its own
+        v = dict(v)
+        while at := {pivots[i][0]: i for t in v
+                     if (i := term_pos(ctx, t)) in pivots}:
+            i = at[min(at)]
+            for t in [t for t in v if term_pos(ctx, t) == i]:
+                vec_add_scaled(v, pivots[i][1], -v[t],
+                               shift_term(ctx, t, -i), p)
+        return v
+
+    cols = []
+    for v in m.relations.column_vecs():
+        cols.append(v := substituted(v))
+        if consts := [t for t in v if is_constant(ctx, t)]:
+            u = min(consts)     # the leading one, at the lowest position
+            pivots[term_pos(ctx, u)] = (len(pivots),
+                                        vec_scale(v, ctx.inv(v[u]), p))
+    keep = [i for i in range(m.rank) if i not in pivots]
+    moves = {i: n - i for n, i in enumerate(keep)}
+    gens = tuple(m.gen_degrees[i] for i in keep)
+
+    def renumbered(v):
+        return {shift_term(ctx, t, moves[term_pos(ctx, t)]): c
+                for t, c in substituted(v).items()}
+
+    units = FreeModuleMap.identity(ctx, m.gen_degrees).column_vecs()
+    # the pivot columns substitute to zero; _trim_columns drops them
+    m_min = FPModule(ctx, gens, _trim_columns(FreeModuleMap.from_vecs(
+        ctx, map(renumbered, cols), gens, m.relations.source_degrees)))
+    rho = FreeModuleMap.from_vecs(ctx, map(renumbered, units), gens,
+                                  m.gen_degrees)
+    iota = FreeModuleMap.from_vecs(ctx, [units[i] for i in keep],
+                                   m.gen_degrees, gens)
+    m._min = (m_min, ModuleMorphism(m, m_min, rho),
+              ModuleMorphism(m_min, m, iota))
     m_min._min = (m_min, ModuleMorphism.identity(m_min),
                   ModuleMorphism.identity(m_min))
     return m._min
@@ -488,7 +487,6 @@ def minimal_generator_indices(m: FPModule):
     (degree, index) order.  By graded Nakayama this is the greedy pass over
     m/(x_1..x_r)m: k^rank modulo the constant entries of the relation
     columns, so it row-reduces constant vectors and never uses rel_gb()."""
-    zero_mono = (0,) * m.ctx.nvars
-    units = [{term(m.ctx, i, zero_mono): 1} for i in range(m.rank)]
+    units = FreeModuleMap.identity(m.ctx, m.gen_degrees).column_vecs()
     return _nakayama_keep(m.ctx, m.relations.constant_vecs(), units,
                           m.gen_degrees)

@@ -4,7 +4,8 @@ Everything here works degree by degree over F_p with explicit monomial bases
 and Gaussian elimination; no Groebner machinery is used.  Homogeneity makes
 the degree-truncated answers exact in each inspected degree.  Sparse vectors
 come in as the engine stores them, keyed by packed terms, and are read here
-as (position, exponent tuple) pairs.
+as (position, exponent tuple) pairs.  The last section is different: it
+keeps engine code that was replaced, as the reference for its replacement.
 """
 
 import itertools
@@ -323,3 +324,54 @@ def grade_oracle(module, max_internal_degree):
             if complex_homology_dim(degrees, co_maps, i, t, ctx):
                 return i
     return None
+
+
+# -- replaced engine code, kept as a reference --------------------------------
+
+def minimal_presentation_reference(m):
+    """(relations, rho, iota) of ``modules.minimal_presentation`` by the
+    generator-at-a-time loop it replaced: each pass finds the first column
+    with a constant entry, eliminates the generator at its lowest position,
+    and composes the whole relation matrix, rho and iota again.  The
+    relation columns are then trimmed by the engine's own ``_trim_columns``;
+    nothing is cached."""
+    from ncres.groebner import FreeModuleMap, is_constant, term_pos
+    from ncres.modules import _trim_columns
+    ctx = m.ctx
+    p = ctx.characteristic
+    zero = (0,) * ctx.nvars
+    gens = m.gen_degrees
+    rel = m.relations
+    rho = FreeModuleMap.identity(ctx, gens)
+    iota = FreeModuleMap.identity(ctx, gens)
+    while True:
+        # the first constant entry of the first column that has one
+        for col in rel.column_vecs():
+            units = [term_pos(ctx, t) for t in col if is_constant(ctx, t)]
+            if units:
+                break
+        else:
+            break
+        i = min(units)
+        uinv = ctx.inv(col[term(ctx, i, zero)])
+        keep = [i2 for i2 in range(len(gens)) if i2 != i]
+        new = {i2: n for n, i2 in enumerate(keep)}
+        newgens = tuple(gens[i2] for i2 in keep)
+        # g_i = -u^{-1} * sum_{i' != i} col[i'] g_{i'}: the substitution old
+        # cover -> new cover, and the inclusion new cover -> old cover
+        expr = {}
+        for t, c in col.items():
+            i2, mono = split_term(ctx, t)
+            if i2 != i:
+                expr[term(ctx, new[i2], mono)] = (-uinv * c) % p
+        sub = FreeModuleMap.from_vecs(
+            ctx, [expr if i2 == i else {term(ctx, new[i2], zero): 1}
+                  for i2 in range(len(gens))], newgens, gens)
+        inc = FreeModuleMap.from_vecs(
+            ctx, [{term(ctx, i2, zero): 1} for i2 in keep], gens, newgens)
+        # the column used becomes zero; _trim_columns drops zero columns
+        rel = sub.compose(rel)
+        gens = newgens
+        rho = sub.compose(rho)
+        iota = iota.compose(inc)
+    return _trim_columns(rel), rho, iota

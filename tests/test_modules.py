@@ -2,14 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import maximal_ideal, module_family, residue_field, square_quotient
 from oracles import (complex_homology_dim, hilbert_oracle, koszul_betti,
-                     membership_oracle, monomials_of_degree)
+                     membership_oracle, minimal_presentation_reference,
+                     monomials_of_degree)
 from ncres.ring import AlgebraError, DegreeError, Polynomial, RingContext
 from ncres import groebner, modules
-from ncres.homalg import grade
-from ncres.groebner import FreeModuleMap, buchberger, term
+from ncres.homalg import add_M_resolution, grade, hom_module
+from ncres.groebner import FreeModuleMap, buchberger, term, term_pos
 from ncres.modules import (FPModule, INFINITE, ModuleMorphism, cokernel,
                            cokernel_with_projection, direct_sum,
                            free_module, homology, _nakayama_keep,
@@ -370,6 +373,110 @@ def test_nakayama_pass_matches_rebuild_per_candidate(ctx2, ctx3, seed):
         for base, cands, degrees in cases:
             got = _nakayama_keep(ctx, base, cands, degrees)
             assert got == _rebuild_keep(ctx, base, cands, degrees)
+
+
+def _substitution_module(ctx, seed):
+    """Random module whose one-pass elimination needs every substitution.
+    Generators 0-3 have degree 1, 4 and 5 degree 0, then up to two more.
+    The columns, in order:
+      - up to two with no constant entry, substituted only at the end;
+      - A, with nonzero constants on e_0 and e_1 and a nonzero linear form
+        on e_4: it eliminates e_0, and e_4, eliminated later, sits in it
+        with a non-constant entry;
+      - C, with a constant on e_0 and none on e_1, e_2, e_3: its constant
+        on e_1 appears only once e_0 is substituted, and it eliminates e_1;
+      - D, with a nonzero constant on e_4: it eliminates e_4;
+      - E, a multiple of A on the generators of degree 1 with other linear
+        forms on those of degree 0: no pivot, though it would be one if
+        taken before A;
+      - one to three random ones."""
+    rng = random.Random(seed)
+    gens = [1, 1, 1, 1, 0, 0] + [rng.choice((0, 1))
+                                 for _ in range(rng.randrange(3))]
+    degs, cols = [], []
+
+    def column(d, fixed=()):
+        fixed = dict(fixed)
+        degs.append(d)
+        cols.append([fixed[i] if i in fixed
+                     else _random_form(ctx, rng, d - g) if d >= g
+                     else ctx.zero() for i, g in enumerate(gens)])
+
+    def nonzero(d):
+        return Polynomial(ctx, {m: rng.randrange(1, 101)
+                                for m in monomials_of_degree(ctx.nvars, d)})
+
+    zero = ctx.zero()
+    for _ in range(rng.randrange(3)):
+        column(2)
+    column(1, {0: nonzero(0), 1: nonzero(0), 4: nonzero(1)})
+    a = cols[-1]
+    column(1, {0: nonzero(0), 1: zero, 2: zero, 3: zero})
+    column(0, {4: nonzero(0)})
+    s = rng.randrange(1, 101)
+    column(1, {i: s * f for i, f in enumerate(a) if gens[i] == 1})
+    for _ in range(rng.randrange(1, 4)):
+        column(rng.choice((1, 2)))
+    return make_module(gens, FreeModuleMap(ctx, degs, gens, cols), ctx)
+
+
+@given(seed=st.integers(0, 10 ** 6), nvars=st.sampled_from([2, 3]))
+@settings(max_examples=30, deadline=None)
+def test_one_pass_presentation_matches_reference_loop(seed, nvars):
+    """The one pass gives the relations, to_min and from_min of the loop
+    that rebuilt every matrix per eliminated generator, vector for
+    vector."""
+    ctx = RingContext(101, ("x", "y", "z")[:nvars])
+    m = _substitution_module(ctx, seed)
+    m_min, to_min, from_min = minimal_presentation(m)
+    kept = {term_pos(ctx, min(v)) for v in from_min.matrix.column_vecs()}
+    assert not kept & {0, 1, 4}
+    for got, want in zip((m_min.relations, to_min.matrix, from_min.matrix),
+                         minimal_presentation_reference(m)):
+        assert got.source_degrees == want.source_degrees
+        assert got.target_degrees == want.target_degrees
+        assert got.column_vecs() == want.column_vecs()
+
+
+def _hom_into_first_kernel(r, j):
+    """Hom(Omega^j k, K_1) over F_101 in r variables, K_1 the first kernel
+    of the add-M resolution of Omega^1 k, M = R + Omega^j k."""
+    ctx = RingContext(101, ("x", "y", "z", "w", "v")[:r])
+    k = residue_field(ctx)
+    R, O = free_module(ctx), syzygy(k, j)
+    res = add_M_resolution(syzygy(k, 1), direct_sum(R, O), 1,
+                           summands=(R, O))
+    return hom_module(O, res.modules[1]).module
+
+
+def test_minimal_presentation_composes_no_matrix(monkeypatch):
+    """One pass, no matrix composed: the loop it replaced composed the
+    relations, rho and iota once per eliminated generator (180 calls
+    here)."""
+    H = _hom_into_first_kernel(4, 2)
+    calls = []
+    real = FreeModuleMap.compose
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(FreeModuleMap, "compose", counting)
+    m_min = minimal_presentation(H)[0]
+    monkeypatch.setattr(FreeModuleMap, "compose", real)
+    assert (H.rank, m_min.rank) == (141, 81)
+    assert calls == []
+
+
+def test_minimal_presentation_of_a_large_hom_module():
+    """Hom(Omega^3 k, K_1) at r = 5: 1355 generators and 1301 relations."""
+    H = _hom_into_first_kernel(5, 3)
+    m_min, to_min, from_min = minimal_presentation(H)
+    assert m_min.rank == len(minimal_generator_indices(H)) == 955
+    assert m_min.relations.source_rank == 901
+    assert not m_min.relations.constant_vecs()
+    assert m_min.hilbert_function(4) == H.hilbert_function(4)
+    assert to_min.compose(from_min) == ModuleMorphism.identity(m_min)
 
 
 @pytest.mark.parametrize("seed", range(3))
