@@ -183,7 +183,7 @@ def parse_job(source) -> JobSpec:
     if command not in COMMANDS:
         raise ParseError(f"unknown command {command!r}")
     for key in params:
-        if key not in _KEYS[command]:
+        if key not in _COMMAND_TABLE[command][1]:
             raise ParseError(f"command {command} reads no key {key!r}")
     return JobSpec(ring=ctx, modules=modules, command=command, params=params)
 
@@ -351,25 +351,24 @@ def _run_verify_lemmas(job, report):
     return v.ok
 
 
-_HANDLERS = {
-    "grade": _run_grade, "syzygy": _run_syzygy,
-    "torsionfree": _run_torsionfree, "ext": _run_ext, "hom": _run_hom,
-    "stablehom": _run_stablehom, "transpose": _run_transpose,
-    "build": _run_build, "verify-claim1": _run_verify_claim1,
-    "verify-exact2": _run_verify_exact2, "verify-lemmas": _run_verify_lemmas,
-}
-# the parameter keys each command reads; a job with any other is refused
+# command -> (its handler, the parameter keys it reads); a job with any
+# other key is refused
 _HYPOTHESES = ("M", "X", "c", "d", "summands", "gldim_end_M", "gldim_end_X")
-_KEYS = {
-    "grade": ("module",), "syzygy": ("module", "c"),
-    "torsionfree": ("module", "d"), "ext": ("module", "target", "i"),
-    "hom": ("source", "target"), "stablehom": ("source", "target"),
-    "transpose": ("module",), "build": ("module", "cs", "gldim_end_N"),
-    "verify-claim1": _HYPOTHESES, "verify-exact2": _HYPOTHESES + ("depth",),
-    "verify-lemmas": (),
+_COMMAND_TABLE = {
+    "grade": (_run_grade, ("module",)),
+    "syzygy": (_run_syzygy, ("module", "c")),
+    "torsionfree": (_run_torsionfree, ("module", "d")),
+    "ext": (_run_ext, ("module", "target", "i")),
+    "hom": (_run_hom, ("source", "target")),
+    "stablehom": (_run_stablehom, ("source", "target")),
+    "transpose": (_run_transpose, ("module",)),
+    "build": (_run_build, ("module", "cs", "gldim_end_N")),
+    "verify-claim1": (_run_verify_claim1, _HYPOTHESES),
+    "verify-exact2": (_run_verify_exact2, _HYPOTHESES + ("depth",)),
+    "verify-lemmas": (_run_verify_lemmas, ()),
 }
 # a tuple, so that ``in COMMANDS`` also answers for unhashable YAML values
-COMMANDS = tuple(_HANDLERS)
+COMMANDS = tuple(_COMMAND_TABLE)
 
 
 def run_job(job: JobSpec):
@@ -380,7 +379,7 @@ def run_job(job: JobSpec):
               "command": job.command,
               "modules": {name: _module_desc(m)
                           for name, m in sorted(job.modules.items())}}
-    ok = _HANDLERS[job.command](job, report)
+    ok = _COMMAND_TABLE[job.command][0](job, report)
     elapsed = time.perf_counter() - start
     canonical = (CANONICAL_MARK + "\n"
                  + _dump_yaml(_clean(report), default_flow_style=None))

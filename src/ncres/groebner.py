@@ -348,55 +348,46 @@ def _complete(basis, lts, reducers, start: int, ctx: RingContext):
             add_pairs(len(basis) - 1)
 
 
-def buchberger_vecs(vecs, ctx: RingContext):
-    """Auto-reduced monic Groebner basis of the span of vecs, sorted by
-    descending leading term.
-
-    One basis grows from empty through ``GroebnerBasis.extend``: pairs are
-    taken by lcm degree from a heap, ties by index, so the output is
-    deterministic.  An element led by a plain term that carries flagged
-    (bookkeeping) terms, which only ``_extended_gb`` makes, keeps its tail:
-    lifts read normal forms, unique against any Groebner basis, and
-    syzygies read only the elements led by a flagged term, whose tails are
-    flagged and reduce only against each other.
-    """
+def _reduced(basis, ctx: RingContext):
+    """The auto-reduced form of a monic Groebner basis, sorted by
+    descending leading term: drop each element whose leading term another's
+    divides (of two equal ones, the later), then tail-reduce each kept
+    element against the rest.  It stays a Groebner basis of the same span
+    only if ``basis`` is one."""
     lay = _layout(ctx)
-    gb = GroebnerBasis(ctx)
-    gb.extend(vecs)
-    basis, lts, reducers = gb.generators, gb.leading_terms, gb.reducers
-    # auto-reduce: drop redundant leading terms, then tail-reduce
-    keep = []
-    for i, t in enumerate(lts):
-        redundant = any(
-            j != i and not (t - lm) & lay.guard and (lm != t or j < i)
-            for lm, j in reducers[t & lay.posmask])
-        if not redundant:
-            keep.append(i)
+    lts = [min(g) for g in basis]
+    reducers = by_position(lts, ctx)
+    keep = [i for i, t in enumerate(lts) if not any(
+        j != i and not (t - lm) & lay.guard and (lm != t or j < i)
+        for lm, j in reducers[t & lay.posmask])]
     basis = [basis[i] for i in keep]
     lts = [lts[i] for i in keep]
     reducers = by_position(lts, ctx)
-    elim_min = lay.elim_min
-    out = []
+    out = {}
     for g, lt in zip(basis, lts):
-        if lt < elim_min <= max(g):
-            out.append(g)
-            continue
         # No other leading term divides lt, and lt divides no smaller term,
         # so the tail reduces against the whole basis as against the others
         # and lt stays with coefficient 1.
-        tail = dict(g)
-        del tail[lt]
-        r = {lt: 1}
-        r.update(reduce_vec(tail, basis, reducers, ctx))
-        out.append(r)
-    order = sorted(range(len(out)), key=lts.__getitem__)
-    return [out[i] for i in order]
+        tail = {t: c for t, c in g.items() if t != lt}
+        out[lt] = {lt: 1, **reduce_vec(tail, basis, reducers, ctx)}
+    return [out[lt] for lt in sorted(out)]
+
+
+def buchberger_vecs(vecs, ctx: RingContext):
+    """Auto-reduced monic Groebner basis of the span of vecs, sorted by
+    descending leading term: one ``GroebnerBasis.extend`` from empty, its
+    pairs taken by lcm degree from a heap, ties by index, so the output is
+    deterministic, then ``_reduced``."""
+    gb = GroebnerBasis(ctx)
+    gb.extend(vecs)
+    return _reduced(gb.generators, ctx)
 
 
 class GroebnerBasis:
-    """Groebner basis of a submodule of a graded free module: auto-reduced
-    when it comes from ``buchberger_vecs``, not after ``extend``.  The term
-    order is the one packed into the terms; ``generators`` are monic."""
+    """Groebner basis of a submodule of a graded free module, kept as
+    ``extend`` grows it: auto-reduced only when ``buchberger`` builds it.
+    Normal forms do not depend on that (Cox, Little & O'Shea, 2.7).  The
+    term order is the one packed into the terms; ``generators`` are monic."""
 
     def __init__(self, ctx: RingContext, generators=()):
         self.ctx = ctx
@@ -590,7 +581,8 @@ class FreeModuleMap:
 
     def _extended_gb(self, kept: int):
         """GB, cached per ``kept``, of {col_j + e_{t+j} : j < kept} and the
-        plain columns j >= kept under an elimination order.
+        plain columns j >= kept under an elimination order: one ``extend``
+        from empty, not auto-reduced.
 
         The bookkeeping terms carry the elimination flag, so every term in
         positions >= t loses to every term in positions < t.  For the block
@@ -609,8 +601,10 @@ class FreeModuleMap:
         vecs = [dict(col) for col in self._vecs]
         for j, v in enumerate(vecs[:kept]):
             v[flag + (j << eb)] = 1       # the flagged term of e_{t+j}
-        self._ext_gb[kept] = buchberger(vecs, self.ctx)
-        return self._ext_gb[kept]
+        gb = GroebnerBasis(self.ctx)
+        gb.extend(vecs)
+        self._ext_gb[kept] = gb
+        return gb
 
     def __repr__(self):
         cols = self.cols
@@ -636,17 +630,21 @@ def syzygy_basis(m: FreeModuleMap) -> FreeModuleMap:
 def _relative_syzygies(m: FreeModuleMap, kept: int) -> FreeModuleMap:
     """For m = [x | y], x its first ``kept`` columns: the reduced Groebner
     basis of {c : x c in im y} as a map into the source of x, sorted as
-    ``syzygy_basis`` sorts, read off ``m._extended_gb(kept)``."""
-    gb = m._extended_gb(kept)
+    ``syzygy_basis`` sorts, read off ``m._extended_gb(kept)``.
+
+    Only the elements led by a flagged term are auto-reduced.  Their terms
+    are all flagged, and a flagged term is divisible only by a flagged
+    leading term, so they are reduced as the whole basis would reduce them.
+    """
     lay = _layout(m.ctx)
     off = _unflag(m)
     syz = []
-    for g in gb.generators:
-        # all of g is bookkeeping when its leading term is
-        if min(g) >= lay.elim_min:
-            v = {t - off: c for t, c in g.items()}
-            syz.append((vec_degree(v, m.source_degrees, m.ctx),
-                        sorted((lay.split(t), c) for t, c in v.items()), v))
+    # all of g is bookkeeping when its leading term is
+    for g in _reduced([g for g in m._extended_gb(kept).generators
+                       if min(g) >= lay.elim_min], m.ctx):
+        v = {t - off: c for t, c in g.items()}
+        syz.append((vec_degree(v, m.source_degrees, m.ctx),
+                    sorted((lay.split(t), c) for t, c in v.items()), v))
     syz.sort(key=operator.itemgetter(0, 1))
     return FreeModuleMap.from_vecs(m.ctx, [v for _, _, v in syz],
                                    m.source_degrees[:kept],

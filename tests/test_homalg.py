@@ -212,6 +212,36 @@ def test_each_hom_block_builds_one_extended_basis(ctx2, ctx3, monkeypatch):
     assert cases > 4
 
 
+def test_extended_bases_run_no_buchberger(ctx2, ctx3, monkeypatch):
+    """Building every Hom module of ``module_family`` and reading its
+    morphisms' coordinates runs no ``buchberger_vecs``: each extended basis
+    is one ``extend``, and only its flagged-led part is auto-reduced, when
+    ``_relative_syzygies`` reads it.  A count, not a timing."""
+    calls, seen = [], []
+    real_gb, real_reduced = groebner.buchberger_vecs, groebner._reduced
+
+    def counting(*args):
+        calls.append(1)
+        return real_gb(*args)
+
+    def recording(basis, ctx):
+        seen.append((basis, groebner._layout(ctx).elim_min))
+        return real_reduced(basis, ctx)
+
+    for ctx in (ctx2, ctx3):
+        fam = module_family(ctx)
+        monkeypatch.setattr(groebner, "buchberger_vecs", counting)
+        monkeypatch.setattr(groebner, "_reduced", recording)
+        for a, b in itertools.product(fam.values(), repeat=2):
+            h = hom_module(a, b)
+            h.coords_map(h.basis_morphisms)
+        monkeypatch.setattr(groebner, "buchberger_vecs", real_gb)
+        monkeypatch.setattr(groebner, "_reduced", real_reduced)
+    assert calls == []
+    assert sum(len(basis) for basis, _ in seen) > 100
+    assert all(min(g) >= flagged for basis, flagged in seen for g in basis)
+
+
 def test_coords_map_refuses_a_morphism_outside_hom(ctx2):
     """1 -> 1 from R/(x) to R/(y) is no morphism (x goes to x, which is
     not 0 mod y): coords_map raises whether it comes alone or after a
