@@ -487,14 +487,15 @@ def _top_selection(K: FPModule, summands, rad):
 
 def summand_list(m: FPModule, summands) -> tuple:
     """``summands`` as a tuple, ``(m,)`` when it is None; refused unless
-    their direct sum presents m.  The tuple last accepted is kept on m, so
-    that handing it on (``verify_exact2`` to ``add_M_resolution``) checks
-    nothing again."""
+    their direct sum presents m.  The tuple last accepted, or the one m was
+    built from by ``direct_sum``, is kept on m, so that the same summands
+    handed on (``NCRHypotheses.validate`` to ``add_M_resolution``) are
+    checked nothing again."""
     if summands is None:
         return (m,)
-    if summands is m._summands:
-        return summands
     summands = tuple(summands)
+    if summands == m._summands:
+        return m._summands
     if not summands:
         raise AlgebraError("summands: expected at least one module")
     if direct_sum(*summands) != m:

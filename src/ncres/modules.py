@@ -47,9 +47,7 @@ class FPModule:
         self.relations = relations
         self._rel_gb = None
         self._min = None           # (min_module, to_min, from_min)
-        self._res_maps = None      # list of minimal resolution differentials
-        self._res_complete = False
-        self._syz_cache = {}
+        self._syz = None           # [Omega^0 self, Omega^1 self, ...]
         self._split = None         # (generator_split_pair(self),)
         self._summands = None      # from direct_sum, or checked to present it
         self._torsionfree = (0, INFINITE)   # (largest d true, least d false)
@@ -413,9 +411,11 @@ def minimal_presentation(m: FPModule):
 class FreeResolution(NamedTuple):
     """Minimal graded free resolution data.
 
-    ``maps`` are the differentials d_1, d_2, ... over the minimalized
-    presentation ``min_module``; ``complete`` records whether the last
-    kernel vanished.
+    ``maps`` are the nonzero differentials d_1, d_2, ... over the
+    minimalized presentation ``min_module``, at most ``max_len`` of them;
+    ``complete`` records that there are fewer than ``max_len``, so the
+    resolution ends there.  With exactly ``max_len`` it is False, whether
+    or not d_{max_len + 1} vanishes: that is not computed.
     """
 
     min_module: FPModule
@@ -438,48 +438,41 @@ def _check_differential(d: FreeModuleMap, prev: FreeModuleMap | None):
 
 
 def minimal_resolution(m: FPModule, max_len: int) -> FreeResolution:
-    """Minimal graded free resolution up to length max_len (cached).
-
-    Each differential is checked once, when it is computed."""
+    """Minimal graded free resolution up to length max_len: d_{i+1} is the
+    relation matrix of the syzygy module Omega^i m, read off its chain."""
     if max_len < 0:
         raise AlgebraError("max_len must be >= 0")
-    m_min, _, _ = minimal_presentation(m)
-    if m._res_maps is None:
-        _check_differential(m_min.relations, None)
-        m._res_complete = m_min.relations.source_rank == 0
-        m._res_maps = [] if m._res_complete else [m_min.relations]
-    while not m._res_complete and len(m._res_maps) < max_len:
-        nxt = _trim_columns(syzygy_basis(m._res_maps[-1]))
-        if nxt.source_rank == 0:
-            m._res_complete = True
-        else:
-            _check_differential(nxt, m._res_maps[-1])
-            m._res_maps.append(nxt)
-            if len(m._res_maps) > m.ctx.nvars:
-                raise EngineError(
-                    "resolution exceeded the Hilbert syzygy bound; "
-                    "this is an engine bug")
-    return FreeResolution(m_min, m._res_maps[:max_len],
-                          m._res_complete and len(m._res_maps) <= max_len)
+    syzygy(m, max(max_len - 1, 0))
+    maps = [S.relations for S in m._syz[:max_len] if S.relations.source_rank]
+    return FreeResolution(m._syz[0], maps, len(maps) < max_len)
 
 
 def syzygy(m: FPModule, c: int) -> FPModule:
-    """c-th syzygy in the minimal graded resolution (cached)."""
+    """c-th syzygy module Omega^c m of the minimal graded resolution.
+
+    m caches the chain Omega^0 m (the minimal presentation), Omega^1 m,
+    ...: each next module is presented by the trimmed syzygies of the
+    relations of the one before, which is checked once, when it is
+    computed.  The chain ends at the zero module, which stands for every
+    later c too."""
     if c < 0:
         raise AlgebraError("negative syzygy index")
-    if c in m._syz_cache:
-        return m._syz_cache[c]
-    res = minimal_resolution(m, c + 1)
-    if c == 0:
-        out = res.min_module
-    elif c <= len(res.maps):
-        # with c maps of the c + 1 asked for, the resolution is complete
-        out = FPModule(m.ctx, res.maps[c - 1].source_degrees,
-                       res.maps[c] if c < len(res.maps) else None)
-    else:
-        out = FPModule(m.ctx, (), None)
-    m._syz_cache[c] = out
-    return out
+    if m._syz is None:
+        m_min = minimal_presentation(m)[0]
+        _check_differential(m_min.relations, None)
+        m._syz = [m_min]
+    chain = m._syz
+    while len(chain) <= c and chain[-1].rank:
+        d = chain[-1].relations
+        nxt = FPModule(m.ctx, d.source_degrees,
+                       _trim_columns(syzygy_basis(d)) if d.source_rank
+                       else None)
+        _check_differential(nxt.relations, d)
+        if nxt.relations.source_rank and len(chain) >= m.ctx.nvars:
+            raise EngineError("resolution exceeded the Hilbert syzygy bound; "
+                              "this is an engine bug")
+        chain.append(nxt)
+    return chain[min(c, len(chain) - 1)]
 
 
 def minimal_generator_indices(m: FPModule):

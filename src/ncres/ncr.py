@@ -45,9 +45,10 @@ class NCRHypotheses(NamedTuple):
 
     The gldim values are asserted, caller-supplied integers; they are never
     computed here.  ``summands`` optionally records M as a direct sum for
-    the checks to take one by one, refused unless it presents M.  The add-M
-    machinery splits free summands off and drops repeated ones itself, so
-    it needs ``summands`` only when the non-free part of M decomposes.
+    the checks to take one by one; ``validate``, and so every check, refuses
+    it unless it presents M.  The add-M machinery splits free summands off
+    and drops repeated ones itself, so it needs ``summands`` only when the
+    non-free part of M decomposes.
     """
 
     M: FPModule
@@ -59,7 +60,9 @@ class NCRHypotheses(NamedTuple):
     summands: tuple | None = None
 
     def validate(self) -> Verdict:
-        """Check the hypothesis clause; hypothesis-failed lists violations."""
+        """Check the hypothesis clause; hypothesis-failed lists violations.
+        Summands that do not present M are refused, not a verdict."""
+        summand_list(self.M, self.summands)
         problems = []
         if not is_generator(self.M):
             problems.append("M is not a generator")
@@ -124,7 +127,6 @@ def verify_claim1(h: NCRHypotheses) -> Verdict:
     Nakayama test.
     """
     _require_finite_length(h.X, "X")
-    summand_list(h.M, h.summands)
     base = h.validate()
     if not base.ok:
         return base
@@ -157,12 +159,11 @@ def verify_exact2(h: NCRHypotheses, depth: int) -> Verdict:
     if depth < 1:
         raise AlgebraError("depth must be >= 1")
     _require_finite_length(h.X, "X")
-    summands = summand_list(h.M, h.summands)
     base = h.validate()
     if not base.ok:
         return base
     Z = syzygy(h.X, h.c)
-    amr = add_M_resolution(Z, h.M, depth, summands=summands)
+    amr = add_M_resolution(Z, h.M, depth, summands=h.summands)
     kernel_ranks = [K.rank for K in amr.modules]
     if not amr.terminated:
         return Verdict(DEPTH_EXHAUSTED,
@@ -217,15 +218,12 @@ def verify_lemmas(ctx: RingContext) -> Verdict:
             item(f"stable-hom omega^{c} -> omega^{c + n}",
                  stable_hom(syzygy(k, c), syzygy(k, c + n)).quotient.is_zero())
     for i in range(r):
-        res = minimal_resolution(k, i + 2)
-        if i >= len(res.maps):
-            break
         Ki = syzygy(k, i)
         Kn = syzygy(k, i + 1)
         F = free_module(ctx, Ki.gen_degrees)
         cover = ModuleMorphism(
             F, Ki, FreeModuleMap.identity(ctx, F.gen_degrees))
-        inc = ModuleMorphism(Kn, F, res.maps[i])
+        inc = ModuleMorphism(Kn, F, Ki.relations)
         for w_name, w in (("free", free_module(ctx)),
                           ("omega^1", syzygy(k, 1))):
             v = check_lift_exactness((Kn, F, Ki, inc, cover), w)
@@ -283,7 +281,7 @@ def corollary_build(N: FPModule, cs, gldim_end_N: int) -> NCRReport:
     prev_d = r
     for j, c in enumerate(cs_norm, 1):
         h = NCRHypotheses(M=M, X=N, c=c, d=prev_d,
-                          gldim_end_M=bound if j > 1 else r,
+                          gldim_end_M=bound,
                           gldim_end_X=gldim_end_N)
         verdict = check_theorem_part1(h)
         verdicts.append(verdict)

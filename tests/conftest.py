@@ -1,4 +1,6 @@
+import contextlib
 import pathlib
+import signal
 import sys
 
 import pytest
@@ -30,6 +32,26 @@ def square_quotient(ctx):
             itertools.combinations_with_replacement(vs, 2)]
     degs = (2,) * len(cols)
     return make_module([0], FreeModuleMap(ctx, degs, (0,), cols), ctx)
+
+
+class DeadlineExceeded(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise DeadlineExceeded in the block once it has run ``seconds``
+    whole seconds, so that a hang fails the test (SIGALRM, main thread)."""
+    def expired(signum, frame):
+        raise DeadlineExceeded(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def module_family(ctx):

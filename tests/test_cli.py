@@ -9,6 +9,7 @@ from ncres import cli, homalg
 from ncres.ring import EngineError, ParseError
 from ncres.cli import (CANONICAL_MARK, TIMING_MARK, main, parse_job,
                        print_job, run_job)
+from conftest import deadline
 from test_golden import GOLDEN, JOBS
 
 RING = "ring: {char: 101, vars: [x, y], order: grevlex}\n"
@@ -155,6 +156,17 @@ def test_main_failing_verdict_exit_one(tmp_path):
     out = tmp_path / "report.yml"
     assert main(["--job", path, "--out", str(out)]) == 1
     assert "hypothesis-failed" in out.read_text()
+
+
+def test_ext_far_past_the_resolution_length_finishes(tmp_path, capsys):
+    """Ext^i for i = 10^9 is read off the cached chain of syzygy modules,
+    which ends at the zero module: the job finishes with the zero module
+    (a hang fails the test) and exits 0."""
+    path = write_job(tmp_path, RING + K_MOD + R_MOD
+                     + "command: ext\nmodule: k\ntarget: R\ni: 1000000000\n")
+    with deadline(10):
+        assert main(["--job", path]) == 0
+    assert "ext:\n  gens: []\n" in capsys.readouterr().out
 
 
 def test_main_parse_error_exit_two(tmp_path, capsys):

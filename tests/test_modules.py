@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import maximal_ideal, module_family, residue_field, square_quotient
+from conftest import (deadline, maximal_ideal, module_family, residue_field,
+                      square_quotient)
 from oracles import (complex_homology_dim, hilbert_oracle, koszul_betti,
                      membership_oracle, minimal_presentation_reference,
                      monomials_of_degree)
@@ -549,7 +550,34 @@ def test_koszul_betti_numbers(ctx1, ctx2, ctx3):
         assert res.complete
         assert syzygy(k, r).relations.source_rank == 0
         assert syzygy(k, r).rank == 1
-        assert syzygy(k, r + 1).is_zero()
+        for c in (r + 1, r + 5):
+            Z = syzygy(k, c)
+            assert Z.is_zero() and Z.rank == 0
+            assert Z.relations.source_rank == 0
+
+
+def test_resolution_completeness_does_not_depend_on_call_history(ctx3):
+    """complete means fewer than max_len nonzero differentials: for k over
+    3 variables, length 3 is not known complete and length 4 is, in either
+    call order, and asking for length 4 computes no extra syzygy."""
+    for lengths in ((3, 4), (4, 3)):
+        k = residue_field(ctx3)
+        got = {n: minimal_resolution(k, n) for n in lengths}
+        assert not got[3].complete and got[4].complete
+        assert got[3].betti == got[4].betti == koszul_betti(3)
+        assert len(k._syz) == 4         # Omega^0 .. Omega^3
+
+
+def test_far_resolution_lengths_walk_only_the_cached_chain(ctx2):
+    """A length far past the Hilbert bound is answered from the chain of
+    syzygy modules, which ends at the zero module; it must not iterate up
+    to the length asked for."""
+    k = residue_field(ctx2)
+    with deadline(10):
+        res = minimal_resolution(k, 10 ** 12)
+        Z = syzygy(k, 10 ** 12)
+    assert res.complete and res.betti == koszul_betti(2)
+    assert Z.is_zero()
 
 
 def test_resolution_is_exact_degreewise(ctx2):
@@ -611,7 +639,10 @@ def test_differential_that_does_not_compose_to_zero_is_refused(ctx2,
 
 def test_cached_resolution_is_not_checked_again(ctx3, monkeypatch):
     """Each differential is checked once, when it is computed: a second call
-    on the same module composes no maps."""
+    on the same module composes no maps.  The resolution and the syzygy
+    modules share one chain: its differentials are their relations, and
+    after either is read to the end, the other computes no syzygies."""
+    r = ctx3.nvars
     k = residue_field(ctx3)
     first = minimal_resolution(k, 4)
     calls = []
@@ -625,6 +656,29 @@ def test_cached_resolution_is_not_checked_again(ctx3, monkeypatch):
     again = minimal_resolution(k, 4)
     assert calls == []
     assert again.betti == first.betti and again.complete
+    for i, d in enumerate(again.maps):
+        assert d is syzygy(k, i).relations
+
+    syz_calls = []
+    real_syz = modules.syzygy_basis
+
+    def counting_syz(d):
+        syz_calls.append(d)
+        return real_syz(d)
+
+    monkeypatch.setattr(modules, "syzygy_basis", counting_syz)
+    k = residue_field(ctx3)
+    minimal_resolution(k, r + 1)
+    syz_calls.clear()
+    for c in range(r + 6):
+        syzygy(k, c)
+    assert syz_calls == []
+    k = residue_field(ctx3)
+    for c in range(r + 6):
+        syzygy(k, c)
+    syz_calls.clear()
+    res = minimal_resolution(k, r + 1)
+    assert syz_calls == [] and res.betti == koszul_betti(r)
 
 
 def test_syzygy_of_free_and_negatives(ctx2):

@@ -65,6 +65,19 @@ def test_check_theorem_part1(ctx2):
     assert v.evidence["sum_is_c_torsionfree"]
 
 
+def test_every_check_refuses_summands_that_do_not_present_M(ctx3):
+    """M = R with summands (R, Omega^1 k): part 1, claim 1 and exact2 all
+    refuse it, with the one message of ``validate``."""
+    R, k = free_module(ctx3), residue_field(ctx3)
+    h = NCRHypotheses(M=R, X=k, c=1, d=2, gldim_end_M=3, gldim_end_X=0,
+                      summands=(R, syzygy(k, 1)))
+    for check in (check_theorem_part1, verify_claim1,
+                  lambda h: verify_exact2(h, 2)):
+        with pytest.raises(AlgebraError,
+                           match="summands do not present the direct sum m"):
+            check(h)
+
+
 def test_verify_claim1_small(ctx2):
     R = free_module(ctx2)
     k = residue_field(ctx2)
@@ -186,8 +199,9 @@ def test_verify_claim1_map_rank_matches_basis_oracle(ctx3, x_name, m_name,
 def test_verify_exact2_checks_its_summands_once(ctx3, monkeypatch):
     """verify_exact2 checks once that its summands present M: their direct
     sum is formed one time, and add_M_resolution takes the checked tuple
-    as it is."""
-    M, (R, O2), d = _claim1_M(ctx3, "R+O2")
+    as it is.  An M that direct_sum built from those very summands needs
+    no check at all."""
+    built, (R, O2), d = _claim1_M(ctx3, "R+O2")
     sums = []
     real = homalg.direct_sum
 
@@ -197,10 +211,13 @@ def test_verify_exact2_checks_its_summands_once(ctx3, monkeypatch):
         return real(*modules)
 
     monkeypatch.setattr(homalg, "direct_sum", counting)
-    h = NCRHypotheses(M=M, X=residue_field(ctx3), c=1, d=d, gldim_end_M=7,
-                      gldim_end_X=0, summands=[R, O2])
-    assert verify_exact2(h, 4).ok
-    assert len(sums) == 1
+    plain = FPModule(ctx3, built.gen_degrees, built.relations)
+    for M, checks in ((plain, 1), (built, 0)):
+        sums.clear()
+        h = NCRHypotheses(M=M, X=residue_field(ctx3), c=1, d=d,
+                          gldim_end_M=7, gldim_end_X=0, summands=[R, O2])
+        assert verify_exact2(h, 4).ok
+        assert len(sums) == checks
 
 
 def _zero_transport(phi, c):
