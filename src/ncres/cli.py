@@ -25,7 +25,8 @@ from .ring import (_VAR_RE, AlgebraError, DegreeError, EngineError,
                    ParseError, RingContext, format_polynomial,
                    parse_polynomial)
 from .groebner import FreeModuleMap
-from .modules import FPModule, INFINITE, minimal_resolution, syzygy
+from .modules import (FPModule, INFINITE, direct_sum, minimal_resolution,
+                      syzygy)
 from .homalg import (ext, grade, hom_module, is_d_torsionfree, stable_hom,
                      transpose)
 from .ncr import (ENGINE_VERSION, NCRHypotheses, Verdict, corollary_build,
@@ -239,9 +240,9 @@ def _need_int(job: JobSpec, key: str, default=None) -> int:
 
 
 def _hypotheses(job: JobSpec) -> NCRHypotheses:
+    """The hypotheses of a job, M the direct sum of any ``summands``."""
     M = _need_module(job, "M")
     X = _need_module(job, "X")
-    summands = None
     if "summands" in job.params:
         names = job.params["summands"]
         if not (isinstance(names, list)
@@ -249,12 +250,16 @@ def _hypotheses(job: JobSpec) -> NCRHypotheses:
                         for n in names)):
             raise AlgebraError(
                 "parameter 'summands': expected a list of module names")
-        summands = tuple(job.modules[n] for n in names)
+        if not names:
+            raise AlgebraError("summands: expected at least one module")
+        listed = direct_sum(*(job.modules[n] for n in names))
+        if listed != M:
+            raise AlgebraError("summands do not present the direct sum m")
+        M = listed
     return NCRHypotheses(
         M=M, X=X, c=_need_int(job, "c"), d=_need_int(job, "d"),
         gldim_end_M=_need_int(job, "gldim_end_M", 0),
-        gldim_end_X=_need_int(job, "gldim_end_X", 0),
-        summands=summands)
+        gldim_end_X=_need_int(job, "gldim_end_X", 0))
 
 
 # -- commands ----------------------------------------------------------------

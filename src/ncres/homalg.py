@@ -188,8 +188,8 @@ def grade(m: FPModule):
 
 
 def _distinct_summands(m: FPModule):
-    """One of each class up to twist of the nonzero summands m keeps (from
-    ``direct_sum`` or ``summand_list``); None for fewer than two."""
+    """One of each class up to twist of the nonzero summands that
+    ``direct_sum`` recorded on m; None for fewer than two."""
     parts = [S for S in m._summands or () if S.rank]
     if len(parts) < 2:
         return None
@@ -227,7 +227,7 @@ def is_d_torsionfree(m: FPModule, d: int) -> bool:
 
 
 def generator_split_pair(m: FPModule):
-    """(f: m -> R, g: R -> m) with f o g = id, or None; cached on m.
+    """(f: m -> R, g: R -> m) with f o g = id, or None; m caches matrices.
 
     The trace ideal of m is generated by the values of the Hom(m, R)
     generators on the generators of m; since those values are homogeneous,
@@ -235,11 +235,16 @@ def generator_split_pair(m: FPModule):
     constant, which immediately yields the split pair.
     """
     if m._split is None:
-        m._split = (_split_pair(m),)
-    return m._split[0]
+        m._split = _split_pair(m)
+    if not m._split:
+        return None
+    f, df, g, dg = m._split
+    R = free_module(m.ctx)
+    return ModuleMorphism(m, R, f, df), ModuleMorphism(R, m, g, dg)
 
 
-def _split_pair(m: FPModule):
+def _split_pair(m: FPModule) -> tuple:
+    """(f matrix, f degree, g matrix, g degree) of the split pair, or ()."""
     ctx = m.ctx
     R = free_module(ctx)
     h = hom_module(m, R)
@@ -253,9 +258,9 @@ def _split_pair(m: FPModule):
                     (m.gen_degrees[j],))
                 g = ModuleMorphism(R, m, mat, degree=m.gen_degrees[j])
                 if f.compose(g) == ModuleMorphism.identity(R):
-                    return f, g
+                    return f.matrix, f.degree, g.matrix, g.degree
                 raise EngineError("split pair failed to verify; engine bug")
-    return None
+    return ()
 
 
 def is_generator(m: FPModule) -> bool:
@@ -394,7 +399,8 @@ class AddMResolution(NamedTuple):
 
 def _radicals(summands):
     """(basic, rad): summands of a basic M' with add M' = add M up to twist,
-    M the sum of ``summands``, and generators of the radical of add M',
+    M the sum of ``summands`` (the flat list ``direct_sum`` records, or M
+    alone), and generators of the radical of add M',
     ``rad[a][b]`` spanning the radical maps S_a -> S_b as an R-module.
 
     M' is basic when each summand has End(S_l)_0 = k (so it is
@@ -485,32 +491,12 @@ def _top_selection(K: FPModule, summands, rad):
     return [morphs[j] for j in sorted(kept)]
 
 
-def summand_list(m: FPModule, summands) -> tuple:
-    """``summands`` as a tuple, ``(m,)`` when it is None; refused unless
-    their direct sum presents m.  The tuple last accepted, or the one m was
-    built from by ``direct_sum``, is kept on m, so that the same summands
-    handed on (``NCRHypotheses.validate`` to ``add_M_resolution``) are
-    checked nothing again."""
-    if summands is None:
-        return (m,)
-    summands = tuple(summands)
-    if summands == m._summands:
-        return m._summands
-    if not summands:
-        raise AlgebraError("summands: expected at least one module")
-    if direct_sum(*summands) != m:
-        raise AlgebraError("summands do not present the direct sum m")
-    m._summands = summands
-    return summands
-
-
-def add_M_resolution(z: FPModule, m: FPModule, depth: int,
-                     summands=None) -> AddMResolution:
+def add_M_resolution(z: FPModule, m: FPModule, depth: int) -> AddMResolution:
     """Right add-M approximation resolution of z, to the requested depth.
 
-    ``summands`` optionally decomposes m as a direct sum (default: m
-    alone); ``_radicals`` makes the list basic without changing add m, so
-    it is needed only when the non-free part of m decomposes.  Each cover is
+    m is read through the summands ``direct_sum`` recorded on it, or whole;
+    ``_radicals`` makes that list basic without changing add m, so m must
+    be built as a sum only when its non-free part decomposes.  Each cover is
     the minimal right approximation of K_i, read off the top of Hom(m, K_i)
     over End(m); it surjects because m is a generator, which is asserted.
     The resolution stops at the first step >= 1 whose cover is injective: a
@@ -521,7 +507,7 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int,
         raise AlgebraError("depth must be >= 0")
     if not is_generator(m):
         raise AlgebraError("m is not a generator")
-    summands, rad = _radicals(summand_list(m, summands))
+    summands, rad = _radicals(m._summands or (m,))
 
     def cover(K):
         morphs = _top_selection(K, summands, rad)

@@ -46,10 +46,12 @@ class FPModule:
             raise AlgebraError("relation target degrees do not match generators")
         self.relations = relations
         self._rel_gb = None
-        self._min = None           # (min_module, to_min, from_min)
-        self._syz = None           # [Omega^0 self, Omega^1 self, ...]
-        self._split = None         # (generator_split_pair(self),)
-        self._summands = None      # from direct_sum, or checked to present it
+        # caches hold matrices and other modules, never self: a module is
+        # freed by reference counting alone
+        self._min = None           # (model or None for self, to_min, from_min)
+        self._syz = None           # [Omega^1 self, Omega^2 self, ...]
+        self._split = None         # the split pair's matrices and degrees
+        self._summands = None      # the flat list of summands from direct_sum
         self._torsionfree = (0, INFINITE)   # (largest d true, least d false)
 
     # -- basics --------------------------------------------------------------
@@ -257,7 +259,8 @@ class ModuleMorphism:
 
 def direct_sum(*modules: FPModule) -> FPModule:
     """The sum of one or more modules: their generators, then their
-    relation columns, in the order given.  It keeps its summands."""
+    relation columns, in the order given.  It records its summands as one
+    flat list, to which a recorded sum gives its own summands."""
     ctx = modules[0].ctx
     if any(m.ctx != ctx for m in modules):
         raise AlgebraError("context mismatch in direct sum")
@@ -269,7 +272,7 @@ def direct_sum(*modules: FPModule) -> FPModule:
         degrees += m.relations.source_degrees
     out = FPModule(ctx, gens, FreeModuleMap.from_vecs(ctx, vecs, gens,
                                                       degrees))
-    out._summands = modules
+    out._summands = tuple(S for m in modules for S in m._summands or (m,))
     return out
 
 
@@ -352,8 +355,17 @@ def _trim_columns(m: FreeModuleMap) -> FreeModuleMap:
 
 
 def minimal_presentation(m: FPModule):
-    """(m_min, to_min, from_min) with mutually inverse isomorphisms, cached.
+    """(m_min, to_min, from_min) with mutually inverse isomorphisms, built
+    on each read from the model and matrices m caches; a model is its own."""
+    if m._min is None:
+        _minimize(m)
+    model, rho, iota = m._min
+    m_min = model or m
+    return m_min, ModuleMorphism(m, m_min, rho), ModuleMorphism(m_min, m, iota)
 
+
+def _minimize(m: FPModule):
+    """Cache on m its minimal model and the matrices of to_min, from_min.
     One pass over the relation columns, in order, substitutes the generators
     eliminated so far into each; a constant entry left eliminates the
     generator at its lowest position.  Substitution gives no constant entry
@@ -361,8 +373,6 @@ def minimal_presentation(m: FPModule):
     the constant parts.  to_min is the one map that fixes the kept
     generators and kills the pivot columns (unitriangular on the pivot
     generators); the relations are all columns substituted, then trimmed."""
-    if m._min is not None:
-        return m._min
     ctx, p = m.ctx, m.ctx.characteristic
     pivots = {}     # eliminated position -> (order of elimination, column)
 
@@ -401,11 +411,8 @@ def minimal_presentation(m: FPModule):
                                   m.gen_degrees)
     iota = FreeModuleMap.from_vecs(ctx, [units[i] for i in keep],
                                    m.gen_degrees, gens)
-    m._min = (m_min, ModuleMorphism(m, m_min, rho),
-              ModuleMorphism(m_min, m, iota))
-    m_min._min = (m_min, ModuleMorphism.identity(m_min),
-                  ModuleMorphism.identity(m_min))
-    return m._min
+    m._min = (m_min, rho, iota)
+    m_min._min = (None,) + (FreeModuleMap.identity(ctx, gens),) * 2
 
 
 class FreeResolution(NamedTuple):
@@ -437,31 +444,36 @@ def _check_differential(d: FreeModuleMap, prev: FreeModuleMap | None):
         raise AlgebraError("resolution is not minimal")
 
 
+def _chain(m: FPModule) -> list:
+    """[Omega^0 m, Omega^1 m, ...] as far as the caches of m hold it."""
+    return [m._min[0] or m] + m._syz
+
+
 def minimal_resolution(m: FPModule, max_len: int) -> FreeResolution:
     """Minimal graded free resolution up to length max_len: d_{i+1} is the
     relation matrix of the syzygy module Omega^i m, read off its chain."""
     if max_len < 0:
         raise AlgebraError("max_len must be >= 0")
     syzygy(m, max(max_len - 1, 0))
-    maps = [S.relations for S in m._syz[:max_len] if S.relations.source_rank]
-    return FreeResolution(m._syz[0], maps, len(maps) < max_len)
+    chain = _chain(m)
+    maps = [S.relations for S in chain[:max_len] if S.relations.source_rank]
+    return FreeResolution(chain[0], maps, len(maps) < max_len)
 
 
 def syzygy(m: FPModule, c: int) -> FPModule:
     """c-th syzygy module Omega^c m of the minimal graded resolution.
 
-    m caches the chain Omega^0 m (the minimal presentation), Omega^1 m,
-    ...: each next module is presented by the trimmed syzygies of the
-    relations of the one before, which is checked once, when it is
+    Omega^0 m is the minimal model of m, and m caches the chain Omega^1 m,
+    Omega^2 m, ...: each next module is presented by the trimmed syzygies
+    of the relations of the one before, which is checked once, when it is
     computed.  The chain ends at the zero module, which stands for every
     later c too."""
     if c < 0:
         raise AlgebraError("negative syzygy index")
     if m._syz is None:
-        m_min = minimal_presentation(m)[0]
-        _check_differential(m_min.relations, None)
-        m._syz = [m_min]
-    chain = m._syz
+        _check_differential(minimal_presentation(m)[0].relations, None)
+        m._syz = []
+    chain = _chain(m)
     while len(chain) <= c and chain[-1].rank:
         d = chain[-1].relations
         nxt = FPModule(m.ctx, d.source_degrees,
@@ -472,6 +484,7 @@ def syzygy(m: FPModule, c: int) -> FPModule:
             raise EngineError("resolution exceeded the Hilbert syzygy bound; "
                               "this is an engine bug")
         chain.append(nxt)
+    m._syz = chain[1:]
     return chain[min(c, len(chain) - 1)]
 
 

@@ -15,8 +15,7 @@ from .modules import (FPModule, ModuleMorphism, INFINITE, _quotient,
                       minimal_resolution, syzygy)
 from .homalg import (add_M_resolution, check_lift_exactness, factor_ideal,
                      grade, hom_module, induced_post_hom, is_d_torsionfree,
-                     is_generator, omega_power_on_morphism, stable_hom,
-                     summand_list)
+                     is_generator, omega_power_on_morphism, stable_hom)
 
 ENGINE_VERSION = "0.1.0"
 
@@ -44,11 +43,10 @@ class NCRHypotheses(NamedTuple):
     """Input data for the main construction.
 
     The gldim values are asserted, caller-supplied integers; they are never
-    computed here.  ``summands`` optionally records M as a direct sum for
-    the checks to take one by one; ``validate``, and so every check, refuses
-    it unless it presents M.  The add-M machinery splits free summands off
-    and drops repeated ones itself, so it needs ``summands`` only when the
-    non-free part of M decomposes.
+    computed here.  An M built by ``direct_sum`` is checked summand by
+    summand.  The add-M machinery splits free summands off and drops
+    repeated ones itself, so M needs to be built as a sum only when its
+    non-free part decomposes.
     """
 
     M: FPModule
@@ -57,12 +55,9 @@ class NCRHypotheses(NamedTuple):
     d: int
     gldim_end_M: int
     gldim_end_X: int
-    summands: tuple | None = None
 
     def validate(self) -> Verdict:
-        """Check the hypothesis clause; hypothesis-failed lists violations.
-        Summands that do not present M are refused, not a verdict."""
-        summand_list(self.M, self.summands)
+        """Check the hypothesis clause; hypothesis-failed lists violations."""
         problems = []
         if not is_generator(self.M):
             problems.append("M is not a generator")
@@ -163,7 +158,7 @@ def verify_exact2(h: NCRHypotheses, depth: int) -> Verdict:
     if not base.ok:
         return base
     Z = syzygy(h.X, h.c)
-    amr = add_M_resolution(Z, h.M, depth, summands=h.summands)
+    amr = add_M_resolution(Z, h.M, depth)
     kernel_ranks = [K.rank for K in amr.modules]
     if not amr.terminated:
         return Verdict(DEPTH_EXHAUSTED,

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import pathlib
 import signal
 import sys
@@ -9,7 +10,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from ncres.ring import RingContext
 from ncres.groebner import FreeModuleMap
-from ncres.modules import free_module, make_module, syzygy
+from ncres.modules import FPModule, free_module, make_module, syzygy
 
 
 def residue_field(ctx):
@@ -17,6 +18,12 @@ def residue_field(ctx):
     vs = [ctx.variable(v) for v in ctx.variables]
     return make_module([0], FreeModuleMap(ctx, (1,) * ctx.nvars, (0,),
                                           [[v] for v in vs]), ctx)
+
+
+def unrecorded(m):
+    """A copy of m that records no summands: the same presentation, which
+    every check reads whole."""
+    return FPModule(m.ctx, m.gen_degrees, m.relations)
 
 
 def maximal_ideal(ctx):
@@ -52,6 +59,20 @@ def deadline(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+@contextlib.contextmanager
+def collector_off():
+    """Run the block with the cyclic garbage collector off, after one full
+    collection, so that only reference counting frees what it builds."""
+    was_on = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
 
 
 def module_family(ctx):

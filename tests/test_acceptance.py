@@ -109,8 +109,7 @@ def _scenarios():
         NCRHypotheses(M=R2, X=k2, c=1, d=2, gldim_end_M=2, gldim_end_X=0),
         NCRHypotheses(M=R3, X=k3, c=1, d=3, gldim_end_M=3, gldim_end_X=0),
         NCRHypotheses(M=R3, X=k3, c=2, d=3, gldim_end_M=3, gldim_end_X=0),
-        NCRHypotheses(M=M3, X=k3, c=1, d=2, gldim_end_M=7, gldim_end_X=0,
-                      summands=(R3, o2)),
+        NCRHypotheses(M=M3, X=k3, c=1, d=2, gldim_end_M=7, gldim_end_X=0),
     ]
 
 

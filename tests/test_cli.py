@@ -1,3 +1,4 @@
+import operator
 import os
 import subprocess
 import sys
@@ -5,7 +6,8 @@ import time
 
 import pytest
 
-from ncres import cli, homalg
+from ncres import cli, homalg, ncr
+from ncres.modules import direct_sum
 from ncres.ring import EngineError, ParseError
 from ncres.cli import (CANONICAL_MARK, TIMING_MARK, main, parse_job,
                        print_job, run_job)
@@ -348,6 +350,26 @@ def test_exact2_builds_hom_into_R_once_per_module(written, monkeypatch):
     run_job(parse_job(doc))
     ids = [id(m) for m in sources]
     assert ids and len(set(ids)) == len(ids)
+
+
+def test_verify_exact2_forms_the_listed_sum_once(monkeypatch):
+    """One verify-exact2 job with ``summands:`` forms the direct sum of the
+    listed modules exactly once: the CLI checks it against M and hands it
+    on as M, and no check forms it again."""
+    job = parse_job(JOBS["exact2-s4"])
+    listed = (job.modules["R"], job.modules["O2"])
+    sums = []
+
+    def counting(*modules):
+        if len(modules) == 2 and all(map(operator.is_, modules, listed)):
+            sums.append(modules)
+        return direct_sum(*modules)
+
+    for namespace in (cli, homalg, ncr):
+        monkeypatch.setattr(namespace, "direct_sum", counting)
+    canonical, _, ok = run_job(job)
+    assert ok and len(sums) == 1
+    assert canonical == (GOLDEN / "exact2-s4.yml").read_text(encoding="utf-8")
 
 
 DECOMPOSABLE_SUMMAND_JOB = (

@@ -22,8 +22,13 @@ meant to alter a report rewrites the files with
     PYTHONPATH=src python tests/test_golden.py --write
 
 and the diff of ``tests/golden/`` shows what changed.
+
+Every golden job runs with the cyclic garbage collector off and must leave
+no reference cycle behind: the caches kept on modules never point back at
+the module, so reference counting alone frees what a job built.
 """
 
+import gc
 import hashlib
 import importlib.util
 import pathlib
@@ -33,6 +38,7 @@ import pytest
 
 from ncres.cli import COMMANDS, parse_job, run_job
 from ncres.ring import AlgebraError, EngineError
+from conftest import collector_off
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -152,7 +158,11 @@ def test_every_command_has_a_job():
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_canonical_report_matches_golden(name):
     want = (GOLDEN / f"{name}.yml").read_text(encoding="utf-8")
-    assert canonical(JOBS[name]) == want
+    with collector_off():
+        got = canonical(JOBS[name])
+        cyclic = gc.collect()
+    assert got == want
+    assert cyclic == 0, f"{cyclic} objects freed only by the cyclic collector"
 
 
 if __name__ == "__main__":

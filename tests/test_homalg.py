@@ -2,21 +2,23 @@ import collections
 import functools
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import maximal_ideal, module_family, residue_field, square_quotient
+from conftest import (collector_off, maximal_ideal, module_family,
+                      residue_field, square_quotient, unrecorded)
 from oracles import (grade_oracle, hom_k_dimension_oracle, koszul_ext_dims,
                      rank_mod_p)
 from ncres.ring import LEX, AlgebraError, EngineError, RingContext
 from ncres import groebner, homalg, modules
 from ncres.groebner import FreeModuleMap, lift_solve, split_term, term
-from ncres.modules import (INFINITE, FPModule, ModuleMorphism, _quotient,
+from ncres.modules import (INFINITE, ModuleMorphism, _quotient,
                            cokernel, direct_sum, free_module, kernel,
                            kernel_with_inclusion, make_module,
-                           minimal_resolution, syzygy)
+                           minimal_presentation, minimal_resolution, syzygy)
 from ncres.homalg import (add_M_resolution, check_lift_exactness, ext,
                           factor_ideal, grade, hom_module, induced_hom_map,
                           induced_post_hom, is_d_torsionfree, is_generator,
@@ -441,12 +443,9 @@ def test_summand_checks_agree_with_the_whole_module(nvars, parts, order):
     ctx = RingContext(101, ("x", "y", "z")[:nvars])
     fam = module_family(ctx)
     S = direct_sum(*(fam[name].twist(e) for name, e in parts))
-
-    def whole():
-        return FPModule(ctx, S.gen_degrees, S.relations)
-    assert is_generator(S) == is_generator(whole())
+    assert is_generator(S) == is_generator(unrecorded(S))
     for d in (d for d in order if d <= nvars + 1):
-        assert is_d_torsionfree(S, d) == is_d_torsionfree(whole(), d), d
+        assert is_d_torsionfree(S, d) == is_d_torsionfree(unrecorded(S), d), d
 
 
 # -- stable Hom --------------------------------------------------------------
@@ -595,10 +594,11 @@ def _identity_in_factor_ideal(K, M):
     return factor_ideal(K, M, end=end).rel_gb().contains_vec(ident)
 
 
-def _cover_injective(K, M, summands=None):
+def _cover_injective(K, M):
     """The add-M cover of K, as the first approximation of a depth-1
-    resolution, is injective; being minimal, it then is an isomorphism."""
-    ev = add_M_resolution(K, M, 1, summands=summands).approximations[0]
+    resolution, is injective; being minimal, it then is an isomorphism.
+    M is read whole, through an unrecorded copy."""
+    ev = add_M_resolution(K, unrecorded(M), 1).approximations[0]
     return kernel(ev).is_zero()
 
 
@@ -717,7 +717,7 @@ def test_add_M_resolution_with_summands(ctx3):
     k = residue_field(ctx3)
     o1, o2 = syzygy(k, 1), syzygy(k, 2)
     M = direct_sum(R, o2)
-    amr = add_M_resolution(o1, M, 4, summands=(R, o2))
+    amr = add_M_resolution(o1, M, 4)
     assert amr.terminated
     assert amr.depth <= 3
     for ev in amr.approximations:
@@ -725,14 +725,6 @@ def test_add_M_resolution_with_summands(ctx3):
     for inc, ev in zip(amr.inclusions, amr.approximations):
         assert ev.compose(inc).is_zero()
         assert kernel(inc).is_zero()
-
-
-def test_add_M_resolution_rejects_bad_summands(ctx3):
-    R = free_module(ctx3)
-    k = residue_field(ctx3)
-    M = direct_sum(R, syzygy(k, 2))
-    with pytest.raises(AlgebraError):
-        add_M_resolution(syzygy(k, 1), M, 2, summands=(R, R))
 
 
 def _seeded_residue_field(ctx, rng):
@@ -770,32 +762,31 @@ def _quotient_rule_selection(hmk, comp, degrees):
 
 
 def _seeded_scenarios(seed):
-    """(z, M, summands) of the exact2 scenarios: z = Omega^c k with k in
-    seeded coordinates; M = R over 2 and 3 variables with c = 1, 2, and
-    M = R + Omega^2 k with its summands."""
+    """(z, M) of the exact2 scenarios: z = Omega^c k with k in seeded
+    coordinates; M = R over 2 and 3 variables with c = 1, 2, and M = R +
+    Omega^2 k built as a direct sum."""
     rng = random.Random(seed)
     ctx2 = RingContext(101, ("x", "y"))
     ctx3 = RingContext(101, ("x", "y", "z"))
     k2, k3 = _seeded_residue_field(ctx2, rng), _seeded_residue_field(ctx3, rng)
     R2, R3 = free_module(ctx2), free_module(ctx3)
     o2 = syzygy(k3, 2)
-    return [(syzygy(k2, 1), R2, None), (syzygy(k3, 1), R3, None),
-            (syzygy(k3, 2), R3, None),
-            (syzygy(k3, 1), direct_sum(R3, o2), (R3, o2))]
+    return [(syzygy(k2, 1), R2), (syzygy(k3, 1), R3), (syzygy(k3, 2), R3),
+            (syzygy(k3, 1), direct_sum(R3, o2))]
 
 
 def _non_basic_scenarios(seed):
-    """(z, M, summands, kernel ranks, cover ranks) with M not basic as
-    written: R + R given as (R, R), and R + Omega^2 k passed whole; z =
-    Omega k in seeded coordinates.  Reduced to basic summands they are
-    (R,) and (R, Omega^2 k)."""
+    """(z, M, kernel ranks, cover ranks) with M not basic as written: R + R
+    built as a direct sum, and R + Omega^2 k passed whole (an unrecorded
+    copy); z = Omega k in seeded coordinates.  Reduced to basic summands
+    they are (R,) and (R, Omega^2 k)."""
     rng = random.Random(seed)
     ctx3 = RingContext(101, ("x", "y", "z"))
     k3 = _seeded_residue_field(ctx3, rng)
     R3 = free_module(ctx3)
     o1, o2 = syzygy(k3, 1), syzygy(k3, 2)
-    return [(o1, direct_sum(R3, R3), (R3, R3), [3, 3, 1], [3, 3]),
-            (o1, direct_sum(R3, o2), None, [3, 6, 3], [9, 9])]
+    return [(o1, direct_sum(R3, R3), [3, 3, 1], [3, 3]),
+            (o1, unrecorded(direct_sum(R3, o2)), [3, 6, 3], [9, 9])]
 
 
 def _recording(monkeypatch, name):
@@ -813,7 +804,7 @@ def _recording(monkeypatch, name):
 
 
 def _check_top_covers_against_quotient_rule(cases, monkeypatch):
-    """Run the add-M resolution of each (z, M, summands) in ``cases`` and
+    """Run the add-M resolution of each (z, M) in ``cases`` and
     check every cover read off the top of Hom(M, K) against the dense
     greedy deletion by the zero-quotient rule over all composites of the
     (reduced) summands: the same number of blocks of each summand and
@@ -821,9 +812,9 @@ def _check_top_covers_against_quotient_rule(cases, monkeypatch):
     candidates the reference dropped."""
     calls = _recording(monkeypatch, "_top_selection")
     seen, dropped = [], 0
-    for z, M, summands in cases:
+    for z, M in cases:
         calls.clear()
-        assert add_M_resolution(z, M, 4, summands=summands).terminated
+        assert add_M_resolution(z, M, 4).terminated
         assert calls
         for (K, basic, _), kept in calls:
             seen.append(basic)
@@ -851,11 +842,11 @@ def test_top_cover_keeps_the_quotient_rule_counts(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_pruned_cover_keeps_the_quotient_rule_selection(seed, monkeypatch):
-    """An M that is not basic as written, (R, R) or R + Omega^2 k passed
+    """An M that is not basic as written, R + R or R + Omega^2 k passed
     whole, is reduced to basic summands before its covers are read off the
     top of Hom(M, K); those covers keep the selection of the zero-quotient
     rule over all composites of the reduced summands."""
-    cases = [case[:3] for case in _non_basic_scenarios(seed)]
+    cases = [case[:2] for case in _non_basic_scenarios(seed)]
     seen, dropped = _check_top_covers_against_quotient_rule(
         cases, monkeypatch)
     # every cover was read off the reduced summands, never the given ones
@@ -886,10 +877,10 @@ def test_top_cover_is_injective_exactly_when_it_splits(seed):
     give minimal covers: on every kernel of the resolution the cover is
     injective exactly when id_K lies in [M], which is exactly at the last
     kernel."""
-    for z, M, summands, _, _ in _non_basic_scenarios(seed):
-        amr = add_M_resolution(z, M, 4, summands=summands)
+    for z, M, _, _ in _non_basic_scenarios(seed):
+        amr = add_M_resolution(z, M, 4)
         assert amr.terminated
-        injective = [_cover_injective(K, M, summands) for K in amr.modules]
+        injective = [_cover_injective(K, M) for K in amr.modules]
         assert injective == [False] * amr.depth + [True]
         assert [_identity_in_factor_ideal(K, M)
                 for K in amr.modules] == injective
@@ -897,13 +888,14 @@ def test_top_cover_is_injective_exactly_when_it_splits(seed):
 
 @pytest.mark.parametrize("seed", range(2))
 def test_non_basic_summands_are_reduced_to_basic(seed):
-    """(R, R) reduces to (R,), and R + Omega^2 k given whole to R and
-    Omega^2 k: the resolutions have the ranks of those basic summands."""
-    for z, M, summands, ranks, cover_ranks in _non_basic_scenarios(seed):
-        basic, _ = homalg._radicals(summands or (M,))
+    """R + R built as a sum reduces to (R,), and R + Omega^2 k given whole
+    to R and Omega^2 k: the resolutions have the ranks of those basic
+    summands."""
+    for z, M, ranks, cover_ranks in _non_basic_scenarios(seed):
+        basic, _ = homalg._radicals(M._summands or (M,))
         assert [S.gen_degrees for S in basic] == (
-            [(0,)] if summands else [(0,), (2, 2, 2)])
-        amr = add_M_resolution(z, M, 4, summands=summands)
+            [(0,)] if M._summands else [(0,), (2, 2, 2)])
+        amr = add_M_resolution(z, M, 4)
         assert amr.terminated
         assert [K.rank for K in amr.modules] == ranks
         assert [ev.source.rank for ev in amr.approximations] == cover_ranks
@@ -922,8 +914,7 @@ def test_syzygies_of_k_are_recognised_as_basic(ctx3):
     assert len(basic) == 3 and all(a is b for a, b in zip(basic, summands))
     assert all(g.degree for a in range(3) for g in rad[a][a])
     assert all(rad[a][b] for a in range(3) for b in range(3) if a != b)
-    M = functools.reduce(direct_sum, summands)
-    amr = add_M_resolution(square_quotient(ctx3), M, 4, summands=summands)
+    amr = add_M_resolution(square_quotient(ctx3), direct_sum(*summands), 4)
     assert amr.terminated
 
 
@@ -937,9 +928,8 @@ def test_twisted_copy_of_a_summand_is_dropped(ctx3):
     basic, _ = homalg._radicals(wordy)
     assert len(basic) == 2 and basic[0] is R and basic[1] is o1
     for z in (k, square_quotient(ctx3)):
-        want = add_M_resolution(z, direct_sum(R, o1), 4, summands=(R, o1))
-        got = add_M_resolution(z, functools.reduce(direct_sum, wordy), 4,
-                               summands=wordy)
+        want = add_M_resolution(z, direct_sum(R, o1), 4)
+        got = add_M_resolution(z, direct_sum(*wordy), 4)
         assert got.terminated and want.terminated
         assert got.modules == want.modules
         assert ([ev.source.gen_degrees for ev in got.approximations]
@@ -956,8 +946,7 @@ def test_equal_presentation_degrees_are_told_apart(ctx2):
     summands = (free_module(ctx2), Rx, Ry)
     basic, _ = homalg._radicals(summands)
     assert len(basic) == 3 and all(a is b for a, b in zip(basic, summands))
-    M = functools.reduce(direct_sum, summands)
-    amr = add_M_resolution(square_quotient(ctx2), M, 4, summands=summands)
+    amr = add_M_resolution(square_quotient(ctx2), direct_sum(*summands), 4)
     assert amr.terminated
     assert [K.rank for K in amr.modules] == [1, 4, 5, 2]
     for inc, ev in zip(amr.inclusions, amr.approximations):
@@ -971,20 +960,34 @@ def test_zero_summand_is_dropped(ctx3):
     zero = make_module([], None, ctx3)
     basic, _ = homalg._radicals((R, zero, o2))
     assert len(basic) == 2 and basic[0] is R and basic[1] is o2
-    amr = add_M_resolution(o1, direct_sum(R, o2), 4, summands=(R, zero, o2))
+    amr = add_M_resolution(o1, direct_sum(R, zero, o2), 4)
     assert [K.rank for K in amr.modules] == [3, 6, 3]
 
 
 def test_decomposable_non_free_summand_is_refused(ctx3):
-    """Omega k + Omega k as one block has a two-dimensional End_0 and no
-    free summand to split off: M is refused, naming the summand by its
-    index, which the error also carries."""
+    """Omega k + Omega k as one block (an unrecorded copy of their sum) has
+    a two-dimensional End_0 and no free summand to split off: M is refused,
+    naming the summand by its index, which the error also carries."""
     R = free_module(ctx3)
-    oo = direct_sum(*[syzygy(residue_field(ctx3), 1)] * 2)
+    oo = unrecorded(direct_sum(*[syzygy(residue_field(ctx3), 1)] * 2))
     with pytest.raises(AlgebraError, match="summand 1 of M") as info:
-        add_M_resolution(residue_field(ctx3), direct_sum(R, oo), 2,
-                         summands=(R, oo))
+        add_M_resolution(residue_field(ctx3), direct_sum(R, oo), 2)
     assert info.value.summand == 1
+
+
+def test_nested_direct_sum_records_its_summands_flat(ctx3):
+    """R + (Omega k + Omega k) built as nested sums records (R, Omega k,
+    Omega k), so its block Omega k + Omega k is not refused: the twice
+    listed Omega k is dropped, and k is resolved with the ranks of add
+    (R + Omega k)."""
+    R, k = free_module(ctx3), residue_field(ctx3)
+    o1 = syzygy(k, 1)
+    M = direct_sum(R, direct_sum(o1, o1))
+    assert len(M._summands) == 3
+    assert all(a is b for a, b in zip(M._summands, (R, o1, o1)))
+    amr = add_M_resolution(k, M, 4)
+    assert amr.terminated
+    assert [K.rank for K in amr.modules] == [1, 8, 9, 3]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -993,12 +996,12 @@ def test_cover_splits_iff_identity_in_factor_ideal(seed):
     minimal add-M cover is injective, so an isomorphism and split, exactly
     when id_K lies in [M]; the last kernel of each terminated resolution is
     in add M and the earlier ones are not."""
-    for z, M, summands in _seeded_scenarios(seed):
-        amr = add_M_resolution(z, M, 4, summands=summands)
+    for z, M in _seeded_scenarios(seed):
+        amr = add_M_resolution(z, M, 4)
         assert amr.terminated
         members = [_identity_in_factor_ideal(K, M) for K in amr.modules]
         assert members == [False] * amr.depth + [True]
-        assert [_cover_injective(K, M, summands)
+        assert [_cover_injective(K, M)
                 for K in amr.modules] == members
 
 
@@ -1013,15 +1016,34 @@ def test_add_M_resolution_depth_zero_tests_membership(ctx3):
 
 def test_add_M_resolution_builds_no_factor_ideal(ctx3, monkeypatch):
     """The exit of the resolution, at a step >= 1 or at the last allowed
-    step, builds no factor ideal [M]: with the summands (R, Omega^2 k) or
-    with M = R + Omega^2 k given whole, it stops on an injective cover."""
+    step, builds no factor ideal [M]: with M = R + Omega^2 k built as a sum
+    or given whole (an unrecorded copy), it stops on an injective cover."""
     calls = _recording(monkeypatch, "factor_ideal")
     R = free_module(ctx3)
     k = residue_field(ctx3)
     o1, o2 = syzygy(k, 1), syzygy(k, 2)
-    M = direct_sum(R, o2)
-    for summands in ((R, o2), None):
+    for M in (direct_sum(R, o2), unrecorded(direct_sum(R, o2))):
         for depth in (0, 1, 2, 4):
-            amr = add_M_resolution(o1, M, depth, summands=summands)
+            amr = add_M_resolution(o1, M, depth)
             assert amr.terminated == (depth >= 2)
     assert calls == []
+
+
+def test_a_module_dies_with_its_last_name(ctx3):
+    """The caches that minimal_presentation, syzygy, is_generator and
+    add_M_resolution keep on a module, and on its minimal model, hold no
+    reference back to it: with the cyclic collector off, both die as soon
+    as the last name of the module is deleted."""
+    R, k = free_module(ctx3), residue_field(ctx3)
+    with collector_off():
+        m = unrecorded(direct_sum(R, syzygy(k, 2)))
+        model = minimal_presentation(m)[0]
+        assert minimal_presentation(model)[0] is model
+        syzygy(m, 2), syzygy(model, 2)
+        assert is_generator(m)
+        assert add_M_resolution(syzygy(k, 1), m, 4).terminated
+        assert add_M_resolution(m, R, 2).terminated
+        assert m._min and m._syz and m._split and model._syz
+        refs = weakref.ref(m), weakref.ref(model)
+        del m, model
+        assert [ref() for ref in refs] == [None, None]
