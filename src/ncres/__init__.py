@@ -14,11 +14,10 @@ from .modules import (FPModule, FreeResolution, INFINITE, ModuleMorphism,
                       minimal_presentation, minimal_resolution, syzygy)
 from .homalg import (AddMResolution, HomModule, LiftExactnessVerdict,
                      StableHom, add_M_resolution,
-                     check_lift_exactness, ext, factor_ideal,
-                     generator_split_pair, grade, hom_module,
-                     induced_post_hom, is_d_torsionfree,
-                     is_generator, omega_power_on_morphism,
-                     stable_hom, transpose)
+                     check_lift_exactness, ext, factor_ideal, grade,
+                     hom_module, induced_post_hom, is_d_torsionfree,
+                     is_generator, omega_power_on_morphism, stable_hom,
+                     transpose)
 from .ncr import (DEPTH_EXHAUSTED, ENGINE_VERSION, HYPOTHESIS_FAILED,
                   NCRHypotheses, NCRReport, VERIFIED, Verdict,
                   check_theorem_part1, corollary_build, normalize_cs,

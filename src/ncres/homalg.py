@@ -9,8 +9,9 @@ import itertools
 from typing import NamedTuple
 
 from .ring import AlgebraError, EngineError
-from .groebner import (FreeModuleMap, _relative_lift, lift_solve,
-                       shift_term, shift_vec, split_vec, term, term_pos)
+from .groebner import (FreeModuleMap, _relative_lift, is_constant,
+                       lift_solve, shift_term, shift_vec, split_vec, term,
+                       term_pos)
 from .modules import (FPModule, ModuleMorphism, INFINITE, _beside,
                       _kernel_modulo, _nakayama_keep, _quotient, _shifted,
                       cokernel, direct_sum, free_module, homology, kernel,
@@ -226,51 +227,30 @@ def is_d_torsionfree(m: FPModule, d: int) -> bool:
     return d <= m._torsionfree[0]
 
 
-def generator_split_pair(m: FPModule):
-    """(f: m -> R, g: R -> m) with f o g = id, or None; m caches matrices.
-
-    The trace ideal of m is generated by the values of the Hom(m, R)
-    generators on the generators of m; since those values are homogeneous,
-    the trace ideal is the unit ideal exactly when one of them is a nonzero
-    constant, which immediately yields the split pair.
-    """
-    if m._split is None:
-        m._split = _split_pair(m)
-    if not m._split:
-        return None
-    f, df, g, dg = m._split
-    R = free_module(m.ctx)
-    return ModuleMorphism(m, R, f, df), ModuleMorphism(R, m, g, dg)
-
-
-def _split_pair(m: FPModule) -> tuple:
-    """(f matrix, f degree, g matrix, g degree) of the split pair, or ()."""
-    ctx = m.ctx
-    R = free_module(ctx)
-    h = hom_module(m, R)
-    zero = (0,) * ctx.nvars
-    for f in h.basis_morphisms:
-        for j, v in enumerate(f.matrix.column_vecs()):
-            c = v.get(term(ctx, 0, zero))
-            if c:
-                mat = FreeModuleMap.from_vecs(
-                    ctx, [{term(ctx, j, zero): ctx.inv(c)}], m.gen_degrees,
-                    (m.gen_degrees[j],))
-                g = ModuleMorphism(R, m, mat, degree=m.gen_degrees[j])
-                if f.compose(g) == ModuleMorphism.identity(R):
-                    return f.matrix, f.degree, g.matrix, g.degree
-                raise EngineError("split pair failed to verify; engine bug")
-    return ()
+def _free_generators(m: FPModule) -> tuple:
+    """Indices of generators of m that span a free summand of the largest
+    rank, cached on m.  By graded Nakayama that rank is the rank over k of
+    the trace pairing Hom(m, R) x m -> R modulo the maximal ideal, the
+    constant parts of the Hom(m, R) generators on the generators of m; the
+    Hom generators paired with a full-rank set map its span isomorphically
+    onto a free module, which splits off."""
+    if m._free is None:
+        ctx = m.ctx
+        pairing = hom_module(m, free_module(ctx))._incl.transpose()
+        tops = [{t: c for t, c in v.items() if is_constant(ctx, t)}
+                for v in pairing.column_vecs()]
+        m._free = tuple(sorted(_nakayama_keep(ctx, (), tops, m.gen_degrees)))
+    return m._free
 
 
 def is_generator(m: FPModule) -> bool:
-    """True iff the trace ideal of m is the unit ideal (R in add m); that of
-    a direct sum is the sum of the summands', proper if theirs all are."""
+    """True iff m has a free summand (R in add m, its trace ideal is R); a
+    direct sum has one exactly when one of its summands has."""
     if not m.relations.source_rank:
         return m.rank > 0
     if parts := _distinct_summands(m):
         return any(is_generator(S) for S in parts)
-    return generator_split_pair(m) is not None
+    return bool(_free_generators(m))
 
 
 # -- stable Hom --------------------------------------------------------------
@@ -405,8 +385,9 @@ def _radicals(summands):
 
     M' is basic when each summand has End(S_l)_0 = k (so it is
     indecomposable) and no two are isomorphic up to twist.  A summand with
-    a larger End_0 has its free summands split off, one split pair at a
-    time; what is left must then have End_0 = k, or M is refused by an
+    a larger End_0 has all its free summands split off in one quotient, by
+    the generators ``_free_generators`` picks, and R listed once in their
+    place; what is left must then have End_0 = k, or M is refused by an
     AlgebraError whose ``summand`` is the index l of S_l.  Zero summands
     are dropped, and so is a summand isomorphic up to twist to an earlier
     one: with End_0 = k on both sides, S_a and S_b are isomorphic
@@ -414,11 +395,10 @@ def _radicals(summands):
     Hom(S_b, S_a) of opposite degrees compose to a nonzero g o f, an
     element of End(S_a)_0 = k (a composite with a factor in the maximal
     ideal times Hom vanishes on the top of S_a, so the minimal generators
-    suffice).  A basic list comes
-    back as given.  The radical is every map between different summands
-    and every endomorphism of nonzero degree: the minimal generators of
-    Hom(S_a, S_b), without the degree-0 one (the identity, up to a scalar)
-    when a = b.
+    suffice).  A basic list comes back as given.  The radical is every map
+    between different summands and every endomorphism of nonzero degree:
+    the minimal generators of Hom(S_a, S_b), without the degree-0 one (the
+    identity, up to a scalar) when a = b.
     """
     def end_zero(S):
         """dim End(S)_0 and the minimal generators of End(S)."""
@@ -429,18 +409,23 @@ def _radicals(summands):
     parts = []                     # (S, minimal generators of End(S))
     for l, S in enumerate(summands):
         dim0, gens = end_zero(S)
-        while dim0 > 1:
-            pair = generator_split_pair(S)
-            if pair is None:
-                err = AlgebraError(
-                    f"summand {l} of M (generator degrees "
-                    f"{list(summands[l].gen_degrees)}) decomposes beyond its "
-                    "free summands; give its indecomposable summands")
-                err.summand = l
-                raise err
-            parts.append((R, end_zero(R)[1]))
-            S = minimal_presentation(cokernel(pair[1]))[0]
+        if dim0 > 1 and (free := _free_generators(S)):
+            parts.append((R, []))     # End(R) is spanned by id, of degree 0
+            units = FreeModuleMap.identity(S.ctx, S.gen_degrees).column_vecs()
+            want = len(minimal_generator_indices(S)) - len(free)
+            S = minimal_presentation(_quotient(S, FreeModuleMap.from_vecs(
+                S.ctx, [units[j] for j in free], S.gen_degrees,
+                [S.gen_degrees[j] for j in free])))[0]
+            if S.rank != want:
+                raise EngineError("free summands failed to split; engine bug")
             dim0, gens = end_zero(S)
+        if dim0 > 1:
+            err = AlgebraError(
+                f"summand {l} of M (generator degrees "
+                f"{list(summands[l].gen_degrees)}) decomposes beyond its "
+                "free summands; give its indecomposable summands")
+            err.summand = l
+            raise err
         if dim0:
             parts.append((S, gens))
     basic, rad = [], []
@@ -496,9 +481,9 @@ def add_M_resolution(z: FPModule, m: FPModule, depth: int) -> AddMResolution:
 
     m is read through the summands ``direct_sum`` recorded on it, or whole;
     ``_radicals`` makes that list basic without changing add m, so m must
-    be built as a sum only when its non-free part decomposes.  Each cover is
-    the minimal right approximation of K_i, read off the top of Hom(m, K_i)
-    over End(m); it surjects because m is a generator, which is asserted.
+    be built as a sum only when its non-free part decomposes.  m must have
+    a free summand, or it is refused.  Each cover is the minimal right
+    approximation of K_i, read off the top of Hom(m, K_i) over End(m).
     The resolution stops at the first step >= 1 whose cover is injective: a
     minimal right approximation of a module in add m is an isomorphism
     (Auslander-Smalo 1980).

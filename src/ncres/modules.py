@@ -50,7 +50,7 @@ class FPModule:
         # freed by reference counting alone
         self._min = None           # (model or None for self, to_min, from_min)
         self._syz = None           # [Omega^1 self, Omega^2 self, ...]
-        self._split = None         # the split pair's matrices and degrees
+        self._free = None          # generators spanning a free summand
         self._summands = None      # the flat list of summands from direct_sum
         self._torsionfree = (0, INFINITE)   # (largest d true, least d false)
 
@@ -412,7 +412,12 @@ def _minimize(m: FPModule):
     iota = FreeModuleMap.from_vecs(ctx, [units[i] for i in keep],
                                    m.gen_degrees, gens)
     m._min = (m_min, rho, iota)
-    m_min._min = (None,) + (FreeModuleMap.identity(ctx, gens),) * 2
+    _as_model(m_min)
+
+
+def _as_model(m: FPModule):
+    """Cache on a minimal presentation m that it is its own model."""
+    m._min = (None,) + (FreeModuleMap.identity(m.ctx, m.gen_degrees),) * 2
 
 
 class FreeResolution(NamedTuple):
@@ -465,9 +470,9 @@ def syzygy(m: FPModule, c: int) -> FPModule:
 
     Omega^0 m is the minimal model of m, and m caches the chain Omega^1 m,
     Omega^2 m, ...: each next module is presented by the trimmed syzygies
-    of the relations of the one before, which is checked once, when it is
-    computed.  The chain ends at the zero module, which stands for every
-    later c too."""
+    of the relations of the one before, which have no constant entry
+    (checked once, when it is computed), so it is its own minimal model.
+    The chain ends at the zero module, which stands for every later c."""
     if c < 0:
         raise AlgebraError("negative syzygy index")
     if m._syz is None:
@@ -480,6 +485,7 @@ def syzygy(m: FPModule, c: int) -> FPModule:
                        _trim_columns(syzygy_basis(d)) if d.source_rank
                        else None)
         _check_differential(nxt.relations, d)
+        _as_model(nxt)
         if nxt.relations.source_rank and len(chain) >= m.ctx.nvars:
             raise EngineError("resolution exceeded the Hilbert syzygy bound; "
                               "this is an engine bug")

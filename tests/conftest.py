@@ -1,12 +1,18 @@
 import contextlib
 import gc
+import os
 import pathlib
 import signal
 import sys
 
 import pytest
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+TESTS = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(TESTS))
+# the CLI runs in child processes too: they find the package in src, as
+# this process does through pytest's pythonpath setting
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(TESTS.parent / "src"), os.environ.get("PYTHONPATH"))))
 
 from ncres.ring import RingContext
 from ncres.groebner import FreeModuleMap

@@ -77,6 +77,16 @@ def test_parse_job_basic():
      "y^2 has a term of degree 2, expected 1"),
     (RING + "module q: {gens: [0], relations: [[true]]}\ncommand: grade\n",
      "module q, relation 0, entry 0: expected a polynomial"),
+    ("ring: [101, x]\ncommand: grade\n", "ring: expected a mapping"),
+    ("ring: {char: '101', vars: [x]}\ncommand: grade\n",
+     "ring.char: expected an integer"),
+    ("ring: {char: 101, vars: []}\ncommand: grade\n",
+     "ring.vars: expected a non-empty list"),
+    (RING + "module q: [0]\ncommand: grade\n",
+     "module q: expected a mapping"),
+    (RING + "module q: {gens: [0], relations: x}\ncommand: grade\n",
+     "module q.relations: expected a list of rows"),
+    ("- command: grade\n", "job document: expected a mapping"),
 ])
 def test_parse_job_errors(doc, fragment):
     with pytest.raises(ParseError) as err:
@@ -331,8 +341,8 @@ def test_add_M_report_does_not_depend_on_how_M_is_written(name):
 @pytest.mark.parametrize("written", ["listed", "whole"])
 def test_exact2_builds_hom_into_R_once_per_module(written, monkeypatch):
     """One verify-exact2 run builds Hom(m, R) at most once for each module
-    object m: the split pair that ``validate``, ``add_M_resolution`` and
-    the summand reduction all ask for is cached on m."""
+    object m: the free generators that ``validate``, ``add_M_resolution``
+    and the summand reduction all ask for are cached on m."""
     doc = JOBS["exact2-s4"]
     if written == "whole":
         doc = "".join(line for line in doc.splitlines(keepends=True)

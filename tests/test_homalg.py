@@ -429,6 +429,21 @@ def test_is_generator(ctx2):
     assert not is_generator(maximal_ideal(ctx2))
 
 
+def test_is_generator_reads_the_free_rank_of_a_whole_module(ctx3):
+    """A module read whole is a generator when the trace pairing has a
+    unit: Omega k is not one, an unrecorded Omega k + R(-2) is, by its last
+    generator, and so is the presentation R^2/(e_1 - e_2) of R, by one of
+    its two generators."""
+    o1 = syzygy(residue_field(ctx3), 1)
+    assert not is_generator(o1) and homalg._free_generators(o1) == ()
+    m = unrecorded(direct_sum(o1, free_module(ctx3, (2,))))
+    assert is_generator(m) and homalg._free_generators(m) == (3,)
+    one = ctx3.one()
+    r = make_module([0, 0], FreeModuleMap(ctx3, (0,), (0, 0),
+                                          [[one, ctx3.constant(-1)]]), ctx3)
+    assert is_generator(r) and homalg._free_generators(r) == (0,)
+
+
 @settings(max_examples=25, deadline=None)
 @given(nvars=st.sampled_from([2, 3]),
        parts=st.lists(st.tuples(
@@ -522,6 +537,14 @@ def test_omega_power_lifts_along_the_cached_resolution(ctx3, monkeypatch):
     monkeypatch.setattr(modules, "syzygy_basis", counted)
     omega_power_on_morphism(ModuleMorphism.identity(k), 2)
     assert calls == []
+
+
+def test_omega_power_past_the_resolution_is_zero(ctx3):
+    """Omega^4 k is zero over three variables, and so is Omega^4 id_k."""
+    k = residue_field(ctx3)
+    lifted = omega_power_on_morphism(ModuleMorphism.identity(k), 4)
+    assert lifted.source.rank == lifted.target.rank == 0
+    assert lifted.degree == 0 and lifted.is_zero()
 
 
 def test_omega_bijective_on_stable_end_of_k(ctx3):
@@ -975,6 +998,34 @@ def test_decomposable_non_free_summand_is_refused(ctx3):
     assert info.value.summand == 1
 
 
+def test_free_summands_split_off_in_one_quotient(ctx3, monkeypatch):
+    """R + R(-1) + Omega^2 k + R read whole loses its three free summands
+    in one quotient: _radicals builds End(S), Hom(S, R), End(S') for the
+    rest S', then Hom(R, S') and Hom(S', R), five Hom modules where a split
+    per free summand built sixteen.  The basic list is (R, Omega^2 k), and
+    k resolves with the ranks of the recorded sum."""
+    R, k = free_module(ctx3), residue_field(ctx3)
+    o2 = syzygy(k, 2)
+    recorded = direct_sum(R, R.twist(1), o2, R)
+    whole = unrecorded(recorded)
+    homs = []
+    real = homalg.HomModule.__init__
+
+    def counting(self, source, target):
+        homs.append(1)
+        real(self, source, target)
+
+    monkeypatch.setattr(homalg.HomModule, "__init__", counting)
+    basic, _ = homalg._radicals((whole,))
+    monkeypatch.setattr(homalg.HomModule, "__init__", real)
+    assert len(homs) == 5
+    assert [S.gen_degrees for S in basic] == [(0,), (2, 2, 2)]
+    want = add_M_resolution(k, recorded, 4)
+    got = add_M_resolution(k, whole, 4)
+    assert got.terminated and want.terminated
+    assert [K.rank for K in got.modules] == [K.rank for K in want.modules]
+
+
 def test_nested_direct_sum_records_its_summands_flat(ctx3):
     """R + (Omega k + Omega k) built as nested sums records (R, Omega k,
     Omega k), so its block Omega k + Omega k is not refused: the twice
@@ -1003,6 +1054,15 @@ def test_cover_splits_iff_identity_in_factor_ideal(seed):
         assert members == [False] * amr.depth + [True]
         assert [_cover_injective(K, M)
                 for K in amr.modules] == members
+
+
+def test_add_M_resolution_refuses_bad_input(ctx3):
+    """A negative depth and a module with no free summand are refused."""
+    k = residue_field(ctx3)
+    with pytest.raises(AlgebraError, match="depth must be >= 0"):
+        add_M_resolution(k, free_module(ctx3), -1)
+    with pytest.raises(AlgebraError, match="m is not a generator"):
+        add_M_resolution(k, k, 2)
 
 
 def test_add_M_resolution_depth_zero_tests_membership(ctx3):
@@ -1043,7 +1103,7 @@ def test_a_module_dies_with_its_last_name(ctx3):
         assert is_generator(m)
         assert add_M_resolution(syzygy(k, 1), m, 4).terminated
         assert add_M_resolution(m, R, 2).terminated
-        assert m._min and m._syz and m._split and model._syz
+        assert m._min and m._syz and m._free and model._syz
         refs = weakref.ref(m), weakref.ref(model)
         del m, model
         assert [ref() for ref in refs] == [None, None]

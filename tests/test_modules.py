@@ -693,3 +693,22 @@ def test_syzygy_of_maximal_ideal_shifts(ctx2):
     # omega m = omega^2 k
     assert syzygy(m, 1).hilbert_function(5) == \
         syzygy(k, 2).hilbert_function(5)
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_syzygy_modules_are_their_own_minimal_models(ctx3, c, monkeypatch):
+    """A module of the syzygy chain is presented minimally, and says so:
+    its minimal presentation is itself, read with no basis grown."""
+    o = syzygy(residue_field(ctx3), c)
+    calls = []
+    real = groebner.GroebnerBasis.add
+
+    def counting(self, v):
+        calls.append(1)
+        return real(self, v)
+
+    monkeypatch.setattr(groebner.GroebnerBasis, "add", counting)
+    m_min, to_min, from_min = minimal_presentation(o)
+    monkeypatch.setattr(groebner.GroebnerBasis, "add", real)
+    assert m_min is o and calls == []
+    assert to_min == from_min == ModuleMorphism.identity(o)

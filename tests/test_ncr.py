@@ -65,6 +65,18 @@ def test_check_theorem_part1(ctx2):
     assert v.evidence["sum_is_c_torsionfree"]
 
 
+def test_check_theorem_part1_passes_a_failed_hypothesis_on(ctx2):
+    """With M = k the hypotheses fail, and part 1 returns that verdict as
+    validate gives it, without testing the sum."""
+    k = residue_field(ctx2)
+    h = NCRHypotheses(M=k, X=k, c=1, d=2, gldim_end_M=0, gldim_end_X=0)
+    v, base = check_theorem_part1(h), h.validate()
+    assert v.status == base.status == HYPOTHESIS_FAILED
+    assert v.evidence == base.evidence
+    assert "M is not a generator" in v.evidence["problems"]
+    assert "sum_is_generator" not in v.evidence
+
+
 def test_verify_claim1_small(ctx2):
     R = free_module(ctx2)
     k = residue_field(ctx2)
